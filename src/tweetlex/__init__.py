@@ -1,25 +1,13 @@
 """tweetlex: wordlist-based sentiment scoring for short social posts."""
 
 from .aggregate import AggregateResult, aggregate
-from .corpus import (
-    DEFAULT_LIMIT,
-    CorpusSource,
-    MockSource,
-    QueryFilter,
-    Tweet,
-    fetch,
-    filter_tweets,
-    parse_utc,
-    read_corpus,
-)
+from .corpus import DEFAULT_LIMIT, QueryFilter, Tweet, fetch, parse_utc
 from .errors import (
     CorpusEmpty,
     DroppedEntriesWarning,
     EmptyWordlistWarning,
     FileUnreadable,
     PathUnwritable,
-    SequenceMismatch,
-    SourceUnavailable,
     TweetlexError,
     UnusableLexicon,
 )
@@ -50,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateResult",
     "CorpusEmpty",
-    "CorpusSource",
     "DEFAULT_LIMIT",
     "DEFAULT_SPELL_THRESHOLD",
     "DroppedEntriesWarning",
@@ -58,15 +45,12 @@ __all__ = [
     "FileUnreadable",
     "Lexicon",
     "Match",
-    "MockSource",
     "NEGATIVE",
     "NEUTRAL",
     "PathUnwritable",
     "POSITIVE",
     "QueryFilter",
-    "SequenceMismatch",
     "SourceSummary",
-    "SourceUnavailable",
     "Tweet",
     "TweetScore",
     "TweetlexError",
@@ -76,13 +60,11 @@ __all__ = [
     "decode_matches",
     "encode_matches",
     "fetch",
-    "filter_tweets",
     "load_bundled_lexicon",
     "load_lexicon",
     "load_wordlist",
     "normalize",
     "parse_utc",
-    "read_corpus",
     "render_summary",
     "score_tweet",
     "suggest_correction",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (including runs that found no sentiment words),
 2 bad usage or invalid option values, 3 unreadable input file,
-4 unusable lexicon, 5 unwritable output path, 6 source unavailable.
+4 unusable lexicon, 5 unwritable output path.
 """
 
 from __future__ import annotations
@@ -13,14 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregate import aggregate
-from .corpus import DEFAULT_LIMIT, CorpusSource, QueryFilter, fetch, parse_utc
-from .errors import (
-    CorpusEmpty,
-    FileUnreadable,
-    PathUnwritable,
-    SourceUnavailable,
-    UnusableLexicon,
-)
+from .corpus import DEFAULT_LIMIT, QueryFilter, fetch, parse_utc
+from .errors import CorpusEmpty, FileUnreadable, PathUnwritable, UnusableLexicon
 from .lexicon import bundled_lexicon_dir, load_lexicon
 from .report import render_summary, write_csv
 from .scoring import DEFAULT_SPELL_THRESHOLD, score_tweet
@@ -30,7 +24,6 @@ EXIT_USAGE = 2
 EXIT_UNREADABLE = 3
 EXIT_BAD_LEXICON = 4
 EXIT_UNWRITABLE = 5
-EXIT_SOURCE = 6
 
 
 @dataclass(frozen=True)
@@ -77,20 +70,15 @@ def run_classify(config: RunConfig) -> int:
     except UnusableLexicon as exc:
         return _fail(EXIT_BAD_LEXICON, exc)
 
-    source = CorpusSource(config.corpus)
     try:
-        tweets = fetch(source, config.query, config.limit)
+        tweets, skipped = fetch(config.corpus, config.query, config.limit)
     except FileUnreadable as exc:
         return _fail(EXIT_UNREADABLE, exc)
-    except SourceUnavailable as exc:
-        return _fail(EXIT_SOURCE, exc)
     except CorpusEmpty:
         print(f"note: corpus {config.corpus} has no valid records", file=sys.stderr)
-        tweets = []
-    if source.skipped:
-        print(
-            f"note: skipped {source.skipped} malformed corpus lines", file=sys.stderr
-        )
+        tweets, skipped = [], 0
+    if skipped:
+        print(f"note: skipped {skipped} malformed corpus lines", file=sys.stderr)
 
     scores = [
         score_tweet(
@@ -106,7 +94,7 @@ def run_classify(config: RunConfig) -> int:
 
     if config.out_csv is not None:
         try:
-            rows = write_csv(tweets, scores, config.out_csv)
+            rows = write_csv(zip(tweets, scores), config.out_csv)
         except PathUnwritable as exc:
             return _fail(EXIT_UNWRITABLE, exc)
         print(f"note: wrote {rows} detail rows to {config.out_csv}", file=sys.stderr)
@@ -182,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="classify a corpus and print a sentiment summary"
     )
     classify.add_argument("--query", required=True, help="keyword, hashtag, or phrase")
-    classify.add_argument(
-        "--source",
-        choices=["corpus"],
-        default="corpus",
-        help="tweet source kind (only 'corpus' is built in)",
-    )
     classify.add_argument(
         "--corpus", type=Path, required=True, help="JSON-lines corpus file"
     )

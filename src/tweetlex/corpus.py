@@ -1,20 +1,21 @@
-"""Tweet records, corpus files, query filters, and tweet sources.
+"""Tweet records, query filters, and reading matching tweets from a corpus.
 
 A corpus is a JSON-lines file standing in for a live platform query:
-one object per line with fields ``id``, ``created_at`` (ISO-8601,
+one UTF-8 object per line with fields ``id``, ``created_at`` (ISO-8601,
 naive values taken as UTC), ``username``, ``text``, and optional
-``lat``/``lon``. Malformed lines are skipped and counted rather than
-aborting the read.
+``lat``/``lon``. Lines end at a newline byte only (CRLF is accepted),
+and a leading byte-order mark is ignored. Each line is decoded on its
+own, so a malformed line, invalid UTF-8 included, is skipped and
+counted rather than aborting the read.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import Iterable
 
 from .errors import CorpusEmpty, FileUnreadable
 
@@ -124,67 +125,42 @@ def _tweet_from_record(obj) -> Tweet:
     )
 
 
-def read_corpus(path) -> tuple[list[Tweet], int]:
-    """Read a JSON-lines corpus file.
+def fetch(
+    path, query: QueryFilter, limit: int = DEFAULT_LIMIT
+) -> tuple[list[Tweet], int]:
+    """Read a JSON-lines corpus file, keeping tweets that match ``query``.
 
-    Returns (tweets in file order, count of skipped malformed lines).
-    Raises FileUnreadable when the file cannot be read and CorpusEmpty
-    when it yields zero valid records.
+    Returns (up to ``limit`` matching tweets in file order, count of
+    malformed lines read). Reading stops at the ``limit``-th match, so
+    lines after it are never read or counted. Raises FileUnreadable
+    when the file cannot be read and CorpusEmpty when the whole file
+    yields zero valid records.
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
-    tweets: list[Tweet] = []
-    skipped = 0
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            tweets.append(_tweet_from_record(json.loads(line)))
-        except (ValueError, TypeError) as exc:
-            skipped += 1
-            log.debug("skipping corpus line %d: %s", lineno, exc)
-    if not tweets:
-        raise CorpusEmpty(f"no valid records in {path}")
-    return tweets, skipped
-
-
-def filter_tweets(tweets: Iterable[Tweet], query: QueryFilter) -> list[Tweet]:
-    """Keep tweets matching the filter, preserving their order."""
-    return [tweet for tweet in tweets if query.matches(tweet)]
-
-
-class CorpusSource:
-    """Tweet source backed by a JSON-lines corpus file.
-
-    Any object with a ``tweets()`` method returning an iterable of
-    Tweet works as a source; an adapter for a live platform API would
-    be a third implementation (raising SourceUnavailable on network
-    failure) and is deliberately not built here.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.skipped = 0
-
-    def tweets(self) -> list[Tweet]:
-        records, self.skipped = read_corpus(self.path)
-        return records
-
-
-class MockSource:
-    """Tweet source serving a fixed in-memory sequence."""
-
-    def __init__(self, tweets: Iterable[Tweet]):
-        self._tweets = list(tweets)
-
-    def tweets(self) -> list[Tweet]:
-        return list(self._tweets)
-
-
-def fetch(source, query: QueryFilter, limit: int = DEFAULT_LIMIT) -> list[Tweet]:
-    """Pull at most ``limit`` tweets matching ``query`` from a source."""
     if limit <= 0:
         raise ValueError("limit must be positive")
-    return filter_tweets(source.tweets(), query)[:limit]
+    tweets: list[Tweet] = []
+    valid = skipped = 0
+    try:
+        with open(path, "rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if lineno == 1:
+                    line = line.removeprefix(codecs.BOM_UTF8)
+                try:
+                    text = line.decode("utf-8")
+                    if not text.strip():
+                        continue
+                    tweet = _tweet_from_record(json.loads(text))
+                except (ValueError, TypeError) as exc:
+                    skipped += 1
+                    log.debug("skipping corpus line %d: %s", lineno, exc)
+                    continue
+                valid += 1
+                if query.matches(tweet):
+                    tweets.append(tweet)
+                    if len(tweets) == limit:
+                        break
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
+    if not valid:
+        raise CorpusEmpty(f"no valid records in {path}")
+    return tweets, skipped

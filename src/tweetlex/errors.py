@@ -17,16 +17,8 @@ class CorpusEmpty(TweetlexError):
     """A corpus file contained no valid records."""
 
 
-class SourceUnavailable(TweetlexError):
-    """A tweet source could not be reached."""
-
-
 class PathUnwritable(TweetlexError):
     """An output path cannot be opened for writing."""
-
-
-class SequenceMismatch(TweetlexError):
-    """Parallel tweet/score sequences disagree in ids or order."""
 
 
 class EmptyWordlistWarning(UserWarning):

@@ -73,9 +73,13 @@ class Lexicon:
 
 
 def _read_tokens(path) -> tuple[set[str], int, int]:
-    """Read one wordlist file; returns (tokens, duplicates, dropped)."""
+    """Read one wordlist file; returns (tokens, duplicates, dropped).
+
+    A leading byte-order mark is ignored. An empty result triggers an
+    EmptyWordlistWarning but is not an error.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read wordlist {path}: {exc}") from exc
     tokens: set[str] = set()
@@ -92,6 +96,10 @@ def _read_tokens(path) -> tuple[set[str], int, int]:
             duplicates += 1
             continue
         tokens.add(token)
+    if not tokens:
+        warnings.warn(
+            f"wordlist {path} contains no usable tokens", EmptyWordlistWarning
+        )
     return tokens, duplicates, dropped
 
 
@@ -101,12 +109,7 @@ def load_wordlist(path) -> set[str]:
     Duplicates are dropped silently; an empty result triggers an
     EmptyWordlistWarning but is not an error.
     """
-    tokens, _, _ = _read_tokens(path)
-    if not tokens:
-        warnings.warn(
-            f"wordlist {path} contains no usable tokens", EmptyWordlistWarning
-        )
-    return tokens
+    return _read_tokens(path)[0]
 
 
 def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:
@@ -122,15 +125,6 @@ def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:
     negative, neg_dup, neg_drop = _read_tokens(negative_path)
     negators, rev_dup, rev_drop = _read_tokens(negators_path)
 
-    for path, tokens in (
-        (positive_path, positive),
-        (negative_path, negative),
-        (negators_path, negators),
-    ):
-        if not tokens:
-            warnings.warn(
-                f"wordlist {path} contains no usable tokens", EmptyWordlistWarning
-            )
     if rev_drop:
         warnings.warn(
             f"{rev_drop} negator entries contain whitespace and were ignored",

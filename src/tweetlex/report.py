@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 from datetime import timezone
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .aggregate import AggregateResult
 from .corpus import Tweet
-from .errors import PathUnwritable, SequenceMismatch
+from .errors import PathUnwritable
 from .scoring import Match, TweetScore
 
 CSV_COLUMNS = ["date", "time", "username", "tweet", "positive_words", "negative_words"]
@@ -36,21 +36,15 @@ def decode_matches(cell: str) -> tuple[Match, ...]:
     return tuple(matches)
 
 
-def write_csv(
-    tweets: Sequence[Tweet], scores: Sequence[TweetScore], path
-) -> int:
-    """Write one detail row per tweet; returns the data row count.
+def write_csv(rows: Iterable[tuple[Tweet, TweetScore]], path) -> int:
+    """Write one detail row per (tweet, score) pair; returns the row count.
 
     Columns: date, time (both UTC), username, raw tweet text, and the
-    encoded positive/negative matches. The two sequences must be
-    parallel (same ids, same order). Quoting follows the usual CSV
+    encoded positive/negative matches. Quoting follows the usual CSV
     convention via the stdlib writer, so fields containing commas,
     quotes, or newlines round-trip through any generic CSV parser.
     """
-    tweets = list(tweets)
-    scores = list(scores)
-    if [t.id for t in tweets] != [s.tweet_id for s in scores]:
-        raise SequenceMismatch("tweets and scores disagree in ids or order")
+    count = 0
     try:
         handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -58,7 +52,7 @@ def write_csv(
     with handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for tweet, score in zip(tweets, scores):
+        for tweet, score in rows:
             created = tweet.created_at.astimezone(timezone.utc)
             writer.writerow(
                 [
@@ -70,7 +64,8 @@ def write_csv(
                     encode_matches(score.matched_negative),
                 ]
             )
-    return len(tweets)
+            count += 1
+    return count
 
 
 def render_summary(result: AggregateResult) -> str:

@@ -18,14 +18,12 @@ import pytest
 from conftest import CORPUS_50, GOLDEN_DIR, make_lexicon, make_tweet
 from oracle import oracle_score
 from tweetlex import (
-    CorpusSource,
     Match,
     QueryFilter,
     TweetScore,
     aggregate,
     fetch,
     load_bundled_lexicon,
-    read_corpus,
     score_tweet,
     write_csv,
 )
@@ -158,7 +156,7 @@ def test_csv_round_trip(tmp_path):
     lexicon = load_bundled_lexicon()
     scores = [score_tweet(t, lexicon) for t in tweets]
     out = tmp_path / "round.csv"
-    assert write_csv(tweets, scores, out) == len(texts)
+    assert write_csv(zip(tweets, scores), out) == len(texts)
     with open(out, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == len(texts) + 1
@@ -193,8 +191,6 @@ def _raw_records():
 
 @criterion("8 filter correctness")
 def test_filter_correctness():
-    tweets, _ = read_corpus(CORPUS_50)
-
     since, until = MARCH_WINDOW
     expected_window = [
         r["id"]
@@ -206,7 +202,8 @@ def test_filter_correctness():
     window_query = QueryFilter(
         keyword="vaccine", since=parse_utc(since), until=parse_utc(until)
     )
-    got_window = [t.id for t in fetch(CorpusSource(CORPUS_50), window_query)]
+    window, _ = fetch(CORPUS_50, window_query)
+    got_window = [t.id for t in window]
     assert got_window == expected_window == VACCINE_MARCH_IDS
 
     min_lat, min_lon, max_lat, max_lon = LONDON_BBOX
@@ -219,10 +216,11 @@ def test_filter_correctness():
         and min_lon <= r["lon"] <= max_lon
     ]
     bbox_query = QueryFilter(keyword="hospital", bbox=LONDON_BBOX)
-    got_bbox = [t.id for t in fetch(CorpusSource(CORPUS_50), bbox_query)]
+    bbox, _ = fetch(CORPUS_50, bbox_query)
+    got_bbox = [t.id for t in bbox]
     assert got_bbox == expected_bbox == HOSPITAL_LONDON_IDS
 
-    covid_ids = [t.id for t in fetch(CorpusSource(CORPUS_50), QueryFilter("covid"))]
-    assert covid_ids == COVID_IDS
+    covid, _ = fetch(CORPUS_50, QueryFilter("covid"))
+    assert [t.id for t in covid] == COVID_IDS
 
-    assert all(t.created_at.tzinfo == timezone.utc for t in tweets)
+    assert all(t.created_at.tzinfo == timezone.utc for t in window + bbox + covid)

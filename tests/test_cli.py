@@ -152,12 +152,17 @@ class TestClassify:
         assert main(classify_args(query="")) == EXIT_USAGE
         assert "keyword" in capsys.readouterr().err
 
-    def test_source_flag(self, capsys):
-        assert main(classify_args(source="corpus")) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            main(classify_args(source="livefeed"))
-        assert err.value.code == EXIT_USAGE
+    def test_invalid_byte_skips_one_line(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        lines = [json.dumps({"id": i, "created_at": "2021-01-01T00:00:00Z",
+                             "username": "u", "text": "covid day"}).encode()
+                 for i in ("a", "b", "c")]
+        lines[1] = lines[1].replace(b"day", b"d\xffy")
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(classify_args(corpus=corpus)) == 0
+        captured = capsys.readouterr()
+        assert "tweets scored:  2" in captured.out
+        assert "skipped 1 malformed" in captured.err
 
 
 class TestLexiconCheck:

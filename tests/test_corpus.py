@@ -1,3 +1,4 @@
+import codecs
 import json
 from datetime import datetime, timezone
 
@@ -6,20 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tweet
-from tweetlex import (
-    CorpusEmpty,
-    CorpusSource,
-    FileUnreadable,
-    MockSource,
-    QueryFilter,
-    Tweet,
-    fetch,
-    filter_tweets,
-    parse_utc,
-    read_corpus,
-)
+from tweetlex import CorpusEmpty, FileUnreadable, QueryFilter, Tweet, fetch, parse_utc
 
 UTC = timezone.utc
+# Every record built by record() and every fixture tweet contains a space.
+EVERY = QueryFilter(keyword=" ")
 
 
 def write_corpus(path, records):
@@ -38,6 +30,10 @@ def record(i, **overrides):
     }
     base.update(overrides)
     return base
+
+
+LINE1 = json.dumps(record(1)).encode("utf-8")
+LINE2 = json.dumps(record(2)).encode("utf-8")
 
 
 class TestParseUtc:
@@ -75,7 +71,7 @@ class TestTweet:
 class TestReadCorpus:
     def test_valid_lines_in_order(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1), record(2), record(3)])
-        tweets, skipped = read_corpus(path)
+        tweets, skipped = fetch(path, EVERY)
         assert [t.id for t in tweets] == ["t1", "t2", "t3"]
         assert skipped == 0
 
@@ -83,7 +79,7 @@ class TestReadCorpus:
         path = tmp_path / "c.jsonl"
         lines = [json.dumps(record(1)), "{not json", json.dumps(record(2))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tweets, skipped = read_corpus(path)
+        tweets, skipped = fetch(path, EVERY)
         assert [t.id for t in tweets] == ["t1", "t2"]
         assert skipped == 1
 
@@ -103,34 +99,63 @@ class TestReadCorpus:
     )
     def test_bad_records_are_skipped(self, tmp_path, bad):
         path = write_corpus(tmp_path / "c.jsonl", [record(2), bad])
-        tweets, skipped = read_corpus(path)
+        tweets, skipped = fetch(path, EVERY)
         assert [t.id for t in tweets] == ["t2"]
         assert skipped == 1
+
+    @pytest.mark.parametrize(
+        "raw, ids, skipped",
+        [
+            pytest.param(
+                codecs.BOM_UTF8 + LINE1 + b"\n" + LINE2 + b"\n", ["t1", "t2"], 0,
+                id="bom",
+            ),
+            pytest.param(LINE1 + b"\r\n" + LINE2 + b"\r\n", ["t1", "t2"], 0, id="crlf"),
+            pytest.param(
+                LINE1 + b"\n" + LINE1.replace(b"t1", b"t\xff") + b"\n" + LINE2,
+                ["t1", "t2"], 1, id="invalid-byte",
+            ),
+            *(
+                pytest.param(
+                    json.dumps(record(1, text=f"line one{sep}line two"), ensure_ascii=False)
+                    .encode("utf-8") + b"\n" + LINE2 + b"\n",
+                    ["t1", "t2"], 0, id=f"U+{ord(sep):04X}",
+                )
+                for sep in ("\u2028", "\u2029", "\x85")
+            ),
+        ],
+    )
+    def test_lines_split_on_newline_bytes_only(self, tmp_path, raw, ids, skipped):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(raw)
+        tweets, got_skipped = fetch(path, EVERY)
+        assert [t.id for t in tweets] == ids
+        assert got_skipped == skipped
 
     def test_blank_lines_are_not_counted(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(record(1)) + "\n\n\n", encoding="utf-8")
-        tweets, skipped = read_corpus(path)
+        tweets, skipped = fetch(path, EVERY)
         assert len(tweets) == 1
         assert skipped == 0
 
     def test_location_parsed(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1, lat=51.5, lon=-0.1)])
-        tweets, _ = read_corpus(path)
+        tweets, _ = fetch(path, EVERY)
         assert tweets[0].location == (51.5, -0.1)
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(CorpusEmpty):
-            read_corpus(path)
+            fetch(path, EVERY)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileUnreadable):
-            read_corpus(tmp_path / "absent.jsonl")
+            fetch(tmp_path / "absent.jsonl", EVERY)
 
     def test_fixture_corpus_is_clean(self, corpus_path):
-        tweets, skipped = read_corpus(corpus_path)
+        tweets, skipped = fetch(corpus_path, EVERY)
         assert len(tweets) == 50
         assert skipped == 0
 
@@ -179,30 +204,39 @@ class TestQueryFilter:
 
 
 class TestSources:
-    def test_mock_source_respects_limit(self):
-        tweets = [make_tweet("flu shot", id=f"m{i}") for i in range(10)]
-        got = fetch(MockSource(tweets), QueryFilter(keyword="flu"), limit=5)
-        assert [t.id for t in got] == ["m0", "m1", "m2", "m3", "m4"]
+    def test_limit_keeps_first_matches(self, tmp_path):
+        path = write_corpus(
+            tmp_path / "c.jsonl",
+            [record(1, id=f"m{i}", text="flu shot") for i in range(10)],
+        )
+        tweets, _ = fetch(path, QueryFilter(keyword="flu"), limit=5)
+        assert [t.id for t in tweets] == ["m0", "m1", "m2", "m3", "m4"]
+
+    def test_read_stops_at_limit(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(record(1)), json.dumps(record(2)), "{broken", "broken"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tweets, skipped = fetch(path, EVERY, limit=2)
+        assert [t.id for t in tweets] == ["t1", "t2"]
+        assert skipped == 0
 
     def test_corpus_source_no_match_is_empty(self, corpus_path):
-        got = fetch(CorpusSource(corpus_path), QueryFilter(keyword="horoscope"))
-        assert got == []
+        assert fetch(corpus_path, QueryFilter(keyword="horoscope")) == ([], 0)
 
     def test_corpus_source_tracks_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(record(1)) + "\nbroken\n", encoding="utf-8")
-        source = CorpusSource(path)
-        fetch(source, QueryFilter(keyword="tweet"))
-        assert source.skipped == 1
+        _, skipped = fetch(path, QueryFilter(keyword="tweet"))
+        assert skipped == 1
 
-    def test_limit_must_be_positive(self):
+    def test_limit_must_be_positive(self, corpus_path):
         with pytest.raises(ValueError):
-            fetch(MockSource([]), QueryFilter(keyword="x"), limit=0)
+            fetch(corpus_path, QueryFilter(keyword="x"), limit=0)
 
     def test_fixture_covid_subset(self, corpus_path):
-        got = fetch(CorpusSource(corpus_path), QueryFilter(keyword="covid"), limit=100)
-        assert len(got) == 20
-        assert got[0].id == "t001"
+        tweets, _ = fetch(corpus_path, QueryFilter(keyword="covid"), limit=100)
+        assert len(tweets) == 20
+        assert tweets[0].id == "t001"
 
 
 tweet_st = st.builds(
@@ -256,17 +290,44 @@ def filter_st(draw):
     return QueryFilter(keyword=keyword, since=since, until=until, bbox=bbox)
 
 
+def write_tweets(path, tweets):
+    """Write Tweets as corpus records, with non-ASCII text left unescaped."""
+    lines = []
+    for tweet in tweets:
+        obj = {
+            "id": tweet.id,
+            "created_at": tweet.created_at.isoformat(),
+            "username": tweet.username,
+            "text": tweet.text,
+        }
+        if tweet.location is not None:
+            obj["lat"], obj["lon"] = tweet.location
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 class TestFilterProperties:
-    @given(tweets=st.lists(tweet_st, max_size=30), query=filter_st())
+    @given(
+        tweets=st.lists(tweet_st, min_size=1, max_size=30),
+        query=filter_st(),
+        limit=st.integers(1, 40),
+    )
     @settings(max_examples=80)
-    def test_idempotent_and_subsequence(self, tweets, query):
-        once = filter_tweets(tweets, query)
-        assert filter_tweets(once, query) == once
+    def test_idempotent_and_subsequence(self, tmp_path_factory, tweets, query, limit):
+        tmp = tmp_path_factory.mktemp("corpus")
+        once, skipped = fetch(write_tweets(tmp / "all.jsonl", tweets), query, limit)
+        assert skipped == 0
+        assert once == [t for t in tweets if query.matches(t)][:limit]
+        if once:
+            again = fetch(write_tweets(tmp / "once.jsonl", once), query, limit)
+            assert again == (once, 0)
         it = iter(tweets)
         assert all(kept in it for kept in once)
 
     @given(tweets=st.lists(tweet_st, max_size=30), keyword=st.text(min_size=1, max_size=4))
     @settings(max_examples=80)
     def test_kept_tweets_contain_keyword(self, tweets, keyword):
-        for kept in filter_tweets(tweets, QueryFilter(keyword=keyword)):
+        query = QueryFilter(keyword=keyword)
+        for kept in filter(query.matches, tweets):
             assert keyword.lower() in kept.text.lower()

@@ -37,6 +37,11 @@ class TestLoadWordlist:
         with pytest.raises(FileUnreadable):
             load_wordlist(tmp_path / "absent.txt")
 
+    def test_leading_bom_is_not_part_of_first_token(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("good\nfine\n", encoding="utf-8-sig")
+        assert load_wordlist(path) == {"good", "fine"}
+
     def test_whitespace_entries_are_dropped(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["fine", "two words", "\tok\t"])
         assert load_wordlist(path) == {"fine", "ok"}
@@ -75,6 +80,12 @@ class TestLoadLexicon:
         with pytest.raises(UnusableLexicon), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             load_lexicon(*self._paths(tmp_path, ["same"], ["same"], ["not"]))
+
+    def test_empty_list_warns_once(self, tmp_path):
+        paths = self._paths(tmp_path, ["good"], ["bad"], ["; none"])
+        with pytest.warns(EmptyWordlistWarning) as caught:
+            load_lexicon(*paths)
+        assert len(caught) == 1
 
     def test_multiword_negators_rejected_with_warning(self, tmp_path):
         paths = self._paths(tmp_path, ["good"], ["bad"], ["not", "no way"])

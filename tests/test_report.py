@@ -10,7 +10,6 @@ from tweetlex import (
     AggregateResult,
     Match,
     PathUnwritable,
-    SequenceMismatch,
     TweetScore,
     decode_matches,
     encode_matches,
@@ -24,13 +23,13 @@ HEADER = "date,time,username,tweet,positive_words,negative_words"
 
 
 def scored(tweets):
-    return [score_tweet(t, TOY) for t in tweets]
+    return [(t, score_tweet(t, TOY)) for t in tweets]
 
 
 class TestWriteCsv:
     def test_empty_writes_header_only(self, tmp_path):
         out = tmp_path / "d.csv"
-        assert write_csv([], [], out) == 0
+        assert write_csv([], out) == 0
         assert out.read_bytes() == (HEADER + "\r\n").encode()
 
     def test_canonical_row(self, tmp_path):
@@ -40,14 +39,14 @@ class TestWriteCsv:
             created_at=datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc),
         )
         out = tmp_path / "d.csv"
-        assert write_csv([tweet], scored([tweet]), out) == 1
+        assert write_csv(scored([tweet]), out) == 1
         lines = out.read_bytes().split(b"\r\n")
         assert lines[1] == b"2022-03-01,10:00:00,a,I am not sad,sad!,"
 
     def test_comma_field_quoted_and_round_trips(self, tmp_path):
         tweet = make_tweet("good, but bad", username="u,ser")
         out = tmp_path / "d.csv"
-        write_csv([tweet], scored([tweet]), out)
+        write_csv(scored([tweet]), out)
         with open(out, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][2] == "u,ser"
@@ -62,22 +61,16 @@ class TestWriteCsv:
             "fine", created_at=datetime(2022, 3, 1, 12, 0, tzinfo=plus_two)
         )
         out = tmp_path / "d.csv"
-        write_csv([tweet], scored([tweet]), out)
+        write_csv(scored([tweet]), out)
         assert "2022-03-01,10:00:00" in out.read_text(encoding="utf-8")
-
-    def test_sequence_mismatch(self, tmp_path):
-        tweets = [make_tweet("x", id="a"), make_tweet("y", id="b")]
-        scores = list(reversed(scored(tweets)))
-        with pytest.raises(SequenceMismatch):
-            write_csv(tweets, scores, tmp_path / "d.csv")
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(PathUnwritable):
-            write_csv([], [], tmp_path / "missing" / "d.csv")
+            write_csv([], tmp_path / "missing" / "d.csv")
 
     def test_row_count_matches(self, tmp_path):
         tweets = [make_tweet(f"tweet {i}", id=f"t{i}") for i in range(7)]
-        assert write_csv(tweets, scored(tweets), tmp_path / "d.csv") == 7
+        assert write_csv(iter(scored(tweets)), tmp_path / "d.csv") == 7
 
 
 class TestMatchEncoding:
@@ -123,9 +116,8 @@ class TestCsvRoundTrip:
             make_tweet(text, id=f"t{i}", username=user)
             for i, (user, text) in enumerate(rows)
         ]
-        scores = scored(tweets)
         out = tmp / "d.csv"
-        assert write_csv(tweets, scores, out) == len(rows)
+        assert write_csv(scored(tweets), out) == len(rows)
         with open(out, encoding="utf-8", newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == HEADER.split(",")
