@@ -12,9 +12,6 @@ from .errors import (
     UnusableLexicon,
 )
 from .lexicon import (
-    NEGATIVE,
-    NEUTRAL,
-    POSITIVE,
     Lexicon,
     SourceSummary,
     bundled_lexicon_dir,
@@ -45,10 +42,7 @@ __all__ = [
     "FileUnreadable",
     "Lexicon",
     "Match",
-    "NEGATIVE",
-    "NEUTRAL",
     "PathUnwritable",
-    "POSITIVE",
     "QueryFilter",
     "SourceSummary",
     "Tweet",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregate import aggregate
@@ -26,56 +25,45 @@ EXIT_BAD_LEXICON = 4
 EXIT_UNWRITABLE = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one classification run needs, resolved and validated."""
-
-    query: QueryFilter
-    corpus: Path
-    positive_path: Path
-    negative_path: Path
-    negators_path: Path
-    limit: int = DEFAULT_LIMIT
-    spell_correct: bool = False
-    spell_threshold: float = DEFAULT_SPELL_THRESHOLD
-    out_csv: Path | None = None
-
-
 def _fail(code: int, message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def run_classify(config: RunConfig) -> int:
+def run_classify(
+    *,
+    query: QueryFilter,
+    corpus: Path,
+    positive_path: Path,
+    negative_path: Path,
+    negators_path: Path,
+    limit: int = DEFAULT_LIMIT,
+    spell_correct: bool = False,
+    spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
+    out_csv: Path | None = None,
+) -> int:
     """Fetch, score, aggregate, report; returns the process exit code."""
-    for path in (
-        config.corpus,
-        config.positive_path,
-        config.negative_path,
-        config.negators_path,
-    ):
+    for path in (corpus, positive_path, negative_path, negators_path):
         if not Path(path).is_file():
             return _fail(EXIT_UNREADABLE, f"no such file: {path}")
-    if config.out_csv is not None:
-        parent = Path(config.out_csv).resolve().parent
+    if out_csv is not None:
+        parent = Path(out_csv).resolve().parent
         if not parent.is_dir():
             return _fail(EXIT_UNWRITABLE, f"output directory missing: {parent}")
 
     try:
-        lexicon = load_lexicon(
-            config.positive_path, config.negative_path, config.negators_path
-        )
+        lexicon = load_lexicon(positive_path, negative_path, negators_path)
     except FileUnreadable as exc:
         return _fail(EXIT_UNREADABLE, exc)
     except UnusableLexicon as exc:
         return _fail(EXIT_BAD_LEXICON, exc)
 
     try:
-        tweets, skipped = fetch(config.corpus, config.query, config.limit)
+        tweets, skipped = fetch(corpus, query, limit)
     except FileUnreadable as exc:
         return _fail(EXIT_UNREADABLE, exc)
     except CorpusEmpty:
-        print(f"note: corpus {config.corpus} has no valid records", file=sys.stderr)
+        print(f"note: corpus {corpus} has no valid records", file=sys.stderr)
         tweets, skipped = [], 0
     if skipped:
         print(f"note: skipped {skipped} malformed corpus lines", file=sys.stderr)
@@ -84,20 +72,20 @@ def run_classify(config: RunConfig) -> int:
         score_tweet(
             tweet,
             lexicon,
-            spell_correct=config.spell_correct,
-            spell_threshold=config.spell_threshold,
+            spell_correct=spell_correct,
+            spell_threshold=spell_threshold,
         )
         for tweet in tweets
     ]
-    result = aggregate(scores, config.query.keyword)
+    result = aggregate(scores, query.keyword)
     print(render_summary(result))
 
-    if config.out_csv is not None:
+    if out_csv is not None:
         try:
-            rows = write_csv(zip(tweets, scores), config.out_csv)
+            rows = write_csv(zip(tweets, scores), out_csv)
         except PathUnwritable as exc:
             return _fail(EXIT_UNWRITABLE, exc)
-        print(f"note: wrote {rows} detail rows to {config.out_csv}", file=sys.stderr)
+        print(f"note: wrote {rows} detail rows to {out_csv}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -228,7 +216,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, exc)
     positive_path, negative_path, negators_path = _lexicon_paths(args)
-    config = RunConfig(
+    return run_classify(
         query=query,
         corpus=args.corpus,
         positive_path=positive_path,
@@ -239,7 +227,6 @@ def main(argv=None) -> int:
         spell_threshold=args.spell_threshold,
         out_csv=args.out_csv,
     )
-    return run_classify(config)
 
 
 if __name__ == "__main__":

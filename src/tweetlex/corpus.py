@@ -145,12 +145,14 @@ def fetch(
             for lineno, line in enumerate(handle, start=1):
                 if lineno == 1:
                     line = line.removeprefix(codecs.BOM_UTF8)
+                # OverflowError: a huge lat/lon or a timestamp that leaves
+                # datetime's range in UTC; RecursionError: deep JSON nesting
                 try:
                     text = line.decode("utf-8")
                     if not text.strip():
                         continue
                     tweet = _tweet_from_record(json.loads(text))
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                     skipped += 1
                     log.debug("skipping corpus line %d: %s", lineno, exc)
                     continue

@@ -1,4 +1,4 @@
-"""Wordlist loading and polarity lookups.
+"""Wordlist loading into an immutable sentiment vocabulary.
 
 Three plain-text lists drive the classifier: positive words, negative
 words, and negators ("reverse terms" such as "not" that invert the
@@ -20,10 +20,6 @@ from .errors import (
     FileUnreadable,
     UnusableLexicon,
 )
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
-NEUTRAL = "neutral"
 
 COMMENT_PREFIX = ";"
 
@@ -50,17 +46,6 @@ class Lexicon:
     negative_words: frozenset[str]
     negators: frozenset[str]
     source_summary: SourceSummary
-
-    def polarity_of(self, token: str) -> str:
-        """Classify a normalized token as positive, negative, or neutral."""
-        if token in self.positive_words:
-            return POSITIVE
-        if token in self.negative_words:
-            return NEGATIVE
-        return NEUTRAL
-
-    def is_negator(self, token: str) -> bool:
-        return token in self.negators
 
     @property
     def usable(self) -> bool:

@@ -15,21 +15,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import Tweet
-from .lexicon import Lexicon, NEUTRAL, POSITIVE
+from .lexicon import Lexicon
 
 DEFAULT_SPELL_THRESHOLD = 0.85
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_NON_WORD_RE = re.compile(r"[^\w']+|_")
-# an apostrophe survives only between two word characters ("don't")
-_LONE_APOSTROPHE_RE = re.compile(r"(?<!\w)'|'(?!\w)")
+# letter/digit runs; an apostrophe survives only between two of them ("don't")
+_WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 
 
 def normalize(text: str) -> str:
     """Lowercase and strip tweet noise down to plain words.
 
-    URLs (http/https/www) and @-mentions are removed outright; every
+    URLs (http/https/www) are removed outright, then @-mentions; every
     character other than letters, digits, and intra-word apostrophes
     becomes a space; whitespace runs collapse to single spaces. A
     leading '#' therefore vanishes while the tag word survives.
@@ -38,9 +37,7 @@ def normalize(text: str) -> str:
     text = text.lower()
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
-    text = _NON_WORD_RE.sub(" ", text)
-    text = _LONE_APOSTROPHE_RE.sub(" ", text)
-    return " ".join(text.split())
+    return " ".join(_WORD_RE.findall(text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -77,11 +74,11 @@ def suggest_correction(
 ) -> str | None:
     """Most similar lexicon word at ratio >= threshold, else None.
 
-    Similarity is difflib's SequenceMatcher ratio. Candidates are
-    scanned in sorted order so ties resolve deterministically.
+    Similarity is difflib's SequenceMatcher ratio. difflib keeps the
+    largest (ratio, word) pair, so a tie on the ratio goes to the
+    lexicographically greatest word whatever the scan order.
     """
-    candidates = sorted(lexicon.all_words())
-    hits = difflib.get_close_matches(token, candidates, n=1, cutoff=threshold)
+    hits = difflib.get_close_matches(token, lexicon.all_words(), n=1, cutoff=threshold)
     return hits[0] if hits else None
 
 
@@ -115,14 +112,16 @@ def score_tweet(
     positive: list[Match] = []
     negative: list[Match] = []
     for i, token in enumerate(tokens):
-        if lexicon.is_negator(token):
+        if token in lexicon.negators:
             continue
-        polarity = lexicon.polarity_of(token)
-        if polarity == NEUTRAL:
+        if token in lexicon.positive_words:
+            is_positive = True
+        elif token in lexicon.negative_words:
+            is_positive = False
+        else:
             continue
-        negated = i > 0 and lexicon.is_negator(tokens[i - 1])
-        hit_is_positive = (polarity == POSITIVE) != negated
-        bucket = positive if hit_is_positive else negative
+        negated = i > 0 and tokens[i - 1] in lexicon.negators
+        bucket = positive if is_positive != negated else negative
         bucket.append(Match(token, negated))
     return TweetScore(
         tweet_id=tweet.id,

@@ -13,30 +13,47 @@ def _word_char(ch: str) -> bool:
     return ch != "_" and ch.isalnum()
 
 
+def _url_at(text: str, i: int) -> bool:
+    """True when a URL (a prefix plus at least one non-space) starts at i."""
+    for prefix in URL_PREFIXES:
+        end = i + len(prefix)
+        if text.startswith(prefix, i) and end < len(text) and not text[end].isspace():
+            return True
+    return False
+
+
 def oracle_normalize(text: str) -> str:
-    """Character-scanner version of tweet normalization."""
+    """Character-scanner version of tweet normalization.
+
+    A dropped URL or mention leaves a space, so an apostrophe is judged
+    by what is left around it: it is kept only after an emitted word
+    character and before a word character that starts no URL.
+    """
     text = text.lower()
     out = []
     i, n = 0, len(text)
     while i < n:
-        prefix = next((p for p in URL_PREFIXES if text.startswith(p, i)), None)
-        if prefix and i + len(prefix) < n and not text[i + len(prefix)].isspace():
+        if _url_at(text, i):
             while i < n and not text[i].isspace():
                 i += 1
+            out.append(" ")
             continue
         ch = text[i]
         if ch == "@" and i + 1 < n and (_word_char(text[i + 1]) or text[i + 1] == "_"):
             i += 1
             while i < n and (_word_char(text[i]) or text[i] == "_"):
                 i += 1
+            out.append(" ")
             continue
         if _word_char(ch):
             out.append(ch)
         elif (
             ch == "'"
-            and 0 < i < n - 1
-            and _word_char(text[i - 1])
+            and out
+            and _word_char(out[-1])
+            and i + 1 < n
             and _word_char(text[i + 1])
+            and not _url_at(text, i + 1)
         ):
             out.append("'")
         else:

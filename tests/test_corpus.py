@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_tweet
 from tweetlex import CorpusEmpty, FileUnreadable, QueryFilter, Tweet, fetch, parse_utc
+from tweetlex.cli import main
 
 UTC = timezone.utc
 # Every record built by record() and every fixture tweet contains a space.
@@ -131,6 +132,23 @@ class TestReadCorpus:
         tweets, got_skipped = fetch(path, EVERY)
         assert [t.id for t in tweets] == ids
         assert got_skipped == skipped
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(json.dumps(record(1, lat=10**400, lon=0)), id="huge-lat"),
+            pytest.param(
+                json.dumps(record(1, created_at="0001-01-01T00:00:00+01:00")),
+                id="before-year-1-in-utc",
+            ),
+            pytest.param("[" * 200_000, id="deep-nesting"),
+        ],
+    )
+    def test_out_of_range_line_is_skipped(self, tmp_path, capsys, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n" + json.dumps(record(2)) + "\n", encoding="utf-8")
+        assert main(["classify", "--query", " ", "--corpus", str(path)]) == 0
+        assert "skipped 1 malformed corpus lines" in capsys.readouterr().err
 
     def test_blank_lines_are_not_counted(self, tmp_path):
         path = tmp_path / "c.jsonl"
