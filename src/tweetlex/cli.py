@@ -1,8 +1,9 @@
 """Command-line front end: classify a corpus, or sanity-check wordlists.
 
-Exit codes: 0 success (including runs that found no sentiment words),
-2 bad usage or invalid option values, 3 unreadable input file,
-4 unusable lexicon, 5 unwritable output path.
+Only the readers open input paths, so pipes work. ``main`` maps their
+errors to exit codes in ``_EXIT_CODES``: 0 success (including runs that
+found no sentiment words), 2 bad usage or invalid option values, 3
+unreadable input file, 4 unusable lexicon, 5 unwritable output path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ EXIT_UNREADABLE = 3
 EXIT_BAD_LEXICON = 4
 EXIT_UNWRITABLE = 5
 
+_EXIT_CODES = {
+    FileUnreadable: EXIT_UNREADABLE,
+    UnusableLexicon: EXIT_BAD_LEXICON,
+    PathUnwritable: EXIT_UNWRITABLE,
+}
+
 
 def _fail(code: int, message) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -42,28 +49,12 @@ def run_classify(
     spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
     out_csv: Path | None = None,
 ) -> int:
-    """Fetch, score, aggregate, report; returns the process exit code."""
-    for path in (corpus, positive_path, negative_path, negators_path):
-        if not Path(path).is_file():
-            return _fail(EXIT_UNREADABLE, f"no such file: {path}")
-    if out_csv is not None:
-        parent = Path(out_csv).resolve().parent
-        if not parent.is_dir():
-            return _fail(EXIT_UNWRITABLE, f"output directory missing: {parent}")
-
-    try:
-        lexicon = load_lexicon(positive_path, negative_path, negators_path)
-    except FileUnreadable as exc:
-        return _fail(EXIT_UNREADABLE, exc)
-    except UnusableLexicon as exc:
-        return _fail(EXIT_BAD_LEXICON, exc)
-
+    """Score a corpus; the CSV is written first, so a failed run prints no summary."""
+    lexicon = load_lexicon(positive_path, negative_path, negators_path)
     try:
         tweets, skipped = fetch(corpus, query, limit)
-    except FileUnreadable as exc:
-        return _fail(EXIT_UNREADABLE, exc)
-    except CorpusEmpty:
-        print(f"note: corpus {corpus} has no valid records", file=sys.stderr)
+    except CorpusEmpty as exc:
+        print(f"note: {exc}", file=sys.stderr)
         tweets, skipped = [], 0
     if skipped:
         print(f"note: skipped {skipped} malformed corpus lines", file=sys.stderr)
@@ -78,30 +69,22 @@ def run_classify(
         for tweet in tweets
     ]
     result = aggregate(scores, query.keyword)
-    print(render_summary(result))
-
     if out_csv is not None:
-        try:
-            rows = write_csv(zip(tweets, scores), out_csv)
-        except PathUnwritable as exc:
-            return _fail(EXIT_UNWRITABLE, exc)
+        rows = write_csv(zip(tweets, scores), out_csv)
         print(f"note: wrote {rows} detail rows to {out_csv}", file=sys.stderr)
+    print(render_summary(result))
     return EXIT_OK
 
 
 def run_lexicon_check(positive_path, negative_path, negators_path) -> int:
-    """Load the lexicon and print per-list counts and the conflict count."""
-    try:
-        lexicon = load_lexicon(positive_path, negative_path, negators_path)
-    except FileUnreadable as exc:
-        return _fail(EXIT_UNREADABLE, exc)
-    except UnusableLexicon as exc:
-        return _fail(EXIT_BAD_LEXICON, exc)
-    summary = lexicon.source_summary
+    """Load the lexicon and print per-list counts and what loading removed."""
+    summary = load_lexicon(positive_path, negative_path, negators_path).source_summary
     print(f"positive words:    {summary.positive}")
     print(f"negative words:    {summary.negative}")
     print(f"negators:          {summary.negators}")
     print(f"conflicts removed: {summary.conflicts}")
+    print(f"duplicate entries: {summary.duplicates}")
+    print(f"dropped entries:   {summary.dropped}")
     print(f"total sentiment words: {summary.positive + summary.negative}")
     return EXIT_OK
 
@@ -138,13 +121,13 @@ def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--negators", type=Path, help="override negator list")
 
 
-def _lexicon_paths(args) -> tuple[Path, Path, Path]:
+def _lexicon_paths(args) -> dict[str, Path]:
     base = args.lexicon_dir
-    return (
-        args.positive_words or base / "positive.txt",
-        args.negative_words or base / "negative.txt",
-        args.negators or base / "negators.txt",
-    )
+    return {
+        "positive_path": args.positive_words or base / "positive.txt",
+        "negative_path": args.negative_words or base / "negative.txt",
+        "negators_path": args.negators or base / "negators.txt",
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,31 +185,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "lexicon-check":
-        return run_lexicon_check(*_lexicon_paths(args))
-
-    if not 0.0 <= args.spell_threshold <= 1.0:
-        return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
-    if args.limit <= 0:
-        return _fail(EXIT_USAGE, "--limit must be positive")
     try:
-        query = QueryFilter(
-            keyword=args.query, since=args.since, until=args.until, bbox=args.bbox
+        if args.command == "lexicon-check":
+            return run_lexicon_check(**_lexicon_paths(args))
+        if not 0.0 <= args.spell_threshold <= 1.0:
+            return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
+        if args.limit <= 0:
+            return _fail(EXIT_USAGE, "--limit must be positive")
+        try:
+            query = QueryFilter(
+                keyword=args.query, since=args.since, until=args.until, bbox=args.bbox
+            )
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, exc)
+        return run_classify(
+            query=query,
+            corpus=args.corpus,
+            **_lexicon_paths(args),
+            limit=args.limit,
+            spell_correct=args.spell_correct,
+            spell_threshold=args.spell_threshold,
+            out_csv=args.out_csv,
         )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, exc)
-    positive_path, negative_path, negators_path = _lexicon_paths(args)
-    return run_classify(
-        query=query,
-        corpus=args.corpus,
-        positive_path=positive_path,
-        negative_path=negative_path,
-        negators_path=negators_path,
-        limit=args.limit,
-        spell_correct=args.spell_correct,
-        spell_threshold=args.spell_threshold,
-        out_csv=args.out_csv,
-    )
+    except (FileUnreadable, UnusableLexicon, PathUnwritable) as exc:
+        return _fail(_EXIT_CODES[type(exc)], exc)
 
 
 if __name__ == "__main__":

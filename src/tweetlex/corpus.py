@@ -133,8 +133,9 @@ def fetch(
     Returns (up to ``limit`` matching tweets in file order, count of
     malformed lines read). Reading stops at the ``limit``-th match, so
     lines after it are never read or counted. Raises FileUnreadable
-    when the file cannot be read and CorpusEmpty when the whole file
-    yields zero valid records.
+    when the file cannot be read and CorpusEmpty, whose message names
+    the path and the skip count, when the whole file yields zero valid
+    records.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
@@ -164,5 +165,7 @@ def fetch(
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
     if not valid:
-        raise CorpusEmpty(f"no valid records in {path}")
+        raise CorpusEmpty(
+            f"corpus {path} has no valid records ({skipped} malformed lines skipped)"
+        )
     return tweets, skipped

@@ -47,11 +47,6 @@ class Lexicon:
     negators: frozenset[str]
     source_summary: SourceSummary
 
-    @property
-    def usable(self) -> bool:
-        """True when at least one sentiment word is available."""
-        return bool(self.positive_words or self.negative_words)
-
     def all_words(self) -> frozenset[str]:
         """Every known token, including negators (spell-correction pool)."""
         return self.positive_words | self.negative_words | self.negators

@@ -43,28 +43,28 @@ def write_csv(rows: Iterable[tuple[Tweet, TweetScore]], path) -> int:
     encoded positive/negative matches. Quoting follows the usual CSV
     convention via the stdlib writer, so fields containing commas,
     quotes, or newlines round-trip through any generic CSV parser.
+    Raises PathUnwritable when the file cannot be opened or written.
     """
     count = 0
     try:
-        handle = open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS)
+            for tweet, score in rows:
+                created = tweet.created_at.astimezone(timezone.utc)
+                writer.writerow(
+                    [
+                        created.strftime("%Y-%m-%d"),
+                        created.strftime("%H:%M:%S"),
+                        tweet.username,
+                        tweet.text,
+                        encode_matches(score.matched_positive),
+                        encode_matches(score.matched_negative),
+                    ]
+                )
+                count += 1
     except OSError as exc:
         raise PathUnwritable(f"cannot write {path}: {exc}") from exc
-    with handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for tweet, score in rows:
-            created = tweet.created_at.astimezone(timezone.utc)
-            writer.writerow(
-                [
-                    created.strftime("%Y-%m-%d"),
-                    created.strftime("%H:%M:%S"),
-                    tweet.username,
-                    tweet.text,
-                    encode_matches(score.matched_positive),
-                    encode_matches(score.matched_negative),
-                ]
-            )
-            count += 1
     return count
 
 

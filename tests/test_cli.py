@@ -1,15 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS_50
 from tweetlex.cli import (
     EXIT_BAD_LEXICON,
+    EXIT_OK,
     EXIT_UNREADABLE,
     EXIT_UNWRITABLE,
     EXIT_USAGE,
     main,
 )
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_lexicon_dir(tmp_path, positive, negative, negators):
@@ -164,6 +171,70 @@ class TestClassify:
         assert "tweets scored:  2" in captured.out
         assert "skipped 1 malformed" in captured.err
 
+    def test_device_corpus_is_read(self, capsys):
+        # /dev/null is not a regular file, like a pipe or <(zcat ...)
+        assert main(classify_args(corpus="/dev/null")) == 0
+        captured = capsys.readouterr()
+        assert "tweets scored:  0" in captured.out
+        assert "no valid records" in captured.err
+
+    def test_all_malformed_corpus_reports_skip_count(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("broken\n{}\n", encoding="utf-8")
+        assert main(classify_args(corpus=corpus)) == 0
+        err = capsys.readouterr().err
+        assert "no valid records" in err
+        assert "(2 malformed lines skipped)" in err
+
+    def test_csv_to_directory_prints_no_summary(self, tmp_path, capsys):
+        assert main(classify_args(out_csv=tmp_path)) == EXIT_UNWRITABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(tmp_path) in captured.err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_csv_write_failure_is_unwritable(self, capsys):
+        assert main(classify_args(out_csv="/dev/full")) == EXIT_UNWRITABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "/dev/full" in captured.err
+
+
+def _unusable_lexicon_dir(tmp_path):
+    return write_lexicon_dir(tmp_path, [";empty"], [";empty"], ["not"])
+
+
+@pytest.mark.parametrize(
+    "code, extra",
+    [
+        (EXIT_OK, {"corpus": "/dev/stdin"}),
+        (EXIT_USAGE, {"limit": 0}),
+        (EXIT_UNREADABLE, {"corpus": "absent.jsonl"}),
+        (EXIT_BAD_LEXICON, {"lexicon_dir": _unusable_lexicon_dir}),
+        (EXIT_UNWRITABLE, {"out_csv": "."}),
+    ],
+    ids=["ok-from-pipe", "usage", "unreadable", "bad-lexicon", "unwritable"],
+)
+def test_process_exit_code(tmp_path, code, extra):
+    extra = {k: v(tmp_path) if callable(v) else v for k, v in extra.items()}
+    pythonpath = [str(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tweetlex.cli", *classify_args(**extra)],
+        input=CORPUS_50.read_bytes(),
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    if code == EXIT_OK:
+        assert b"tweets scored:  20" in proc.stdout
+    else:
+        assert proc.stdout == b""
+        assert b"error: " in proc.stderr
+
 
 class TestLexiconCheck:
     def test_bundled_counts(self, capsys):
@@ -172,6 +243,16 @@ class TestLexiconCheck:
         total = int(out.rsplit(":", 1)[1])
         assert 6500 <= total <= 7500
         assert "conflicts removed: 0" in out
+        assert "duplicate entries: 0" in out
+        assert "dropped entries:   0" in out
+
+    def test_duplicates_and_dropped_printed(self, tmp_path, capsys):
+        positive = ["good", "Good", "very good"]
+        lex = write_lexicon_dir(tmp_path, positive, ["bad"], ["not"])
+        assert main(["lexicon-check", "--lexicon-dir", str(lex)]) == 0
+        out = capsys.readouterr().out
+        assert "duplicate entries: 1" in out
+        assert "dropped entries:   1" in out
 
     def test_empty_dir_fails(self, tmp_path, capsys):
         assert main(["lexicon-check", "--lexicon-dir", str(tmp_path)]) == EXIT_UNREADABLE

@@ -128,9 +128,6 @@ class TestBundledLexicon:
     def test_disjoint(self, bundled_lexicon):
         assert not bundled_lexicon.positive_words & bundled_lexicon.negative_words
 
-    def test_usable(self, bundled_lexicon):
-        assert bundled_lexicon.usable
-
 
 entry_text = st.text(
     alphabet=st.sampled_from(list("abcdeAB '?;")), min_size=0, max_size=8
