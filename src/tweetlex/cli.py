@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .aggregate import aggregate
 from .corpus import DEFAULT_LIMIT, QueryFilter, fetch, parse_utc
-from .errors import CorpusEmpty, FileUnreadable, PathUnwritable, UnusableLexicon
+from .errors import (
+    CorpusEmpty,
+    DroppedEntriesWarning,
+    EmptyWordlistWarning,
+    FileUnreadable,
+    PathUnwritable,
+    UnusableLexicon,
+)
 from .lexicon import bundled_lexicon_dir, load_lexicon
 from .report import render_summary, write_csv
 from .scoring import DEFAULT_SPELL_THRESHOLD, score_tweet
@@ -35,6 +43,10 @@ _EXIT_CODES = {
 def _fail(code: int, message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def run_classify(
@@ -185,30 +197,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "lexicon-check":
-            return run_lexicon_check(**_lexicon_paths(args))
-        if not 0.0 <= args.spell_threshold <= 1.0:
-            return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
-        if args.limit <= 0:
-            return _fail(EXIT_USAGE, "--limit must be positive")
+    with warnings.catch_warnings():
+        # each wordlist warning becomes one "warning:" line, printed as it occurs
+        warnings.simplefilter("always", EmptyWordlistWarning)
+        warnings.simplefilter("always", DroppedEntriesWarning)
+        warnings.showwarning = _print_warning
         try:
-            query = QueryFilter(
-                keyword=args.query, since=args.since, until=args.until, bbox=args.bbox
+            if args.command == "lexicon-check":
+                return run_lexicon_check(**_lexicon_paths(args))
+            if not 0.0 <= args.spell_threshold <= 1.0:
+                return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
+            if args.limit <= 0:
+                return _fail(EXIT_USAGE, "--limit must be positive")
+            try:
+                query = QueryFilter(
+                    keyword=args.query,
+                    since=args.since,
+                    until=args.until,
+                    bbox=args.bbox,
+                )
+            except ValueError as exc:
+                return _fail(EXIT_USAGE, exc)
+            return run_classify(
+                query=query,
+                corpus=args.corpus,
+                **_lexicon_paths(args),
+                limit=args.limit,
+                spell_correct=args.spell_correct,
+                spell_threshold=args.spell_threshold,
+                out_csv=args.out_csv,
             )
-        except ValueError as exc:
-            return _fail(EXIT_USAGE, exc)
-        return run_classify(
-            query=query,
-            corpus=args.corpus,
-            **_lexicon_paths(args),
-            limit=args.limit,
-            spell_correct=args.spell_correct,
-            spell_threshold=args.spell_threshold,
-            out_csv=args.out_csv,
-        )
-    except (FileUnreadable, UnusableLexicon, PathUnwritable) as exc:
-        return _fail(_EXIT_CODES[type(exc)], exc)
+        except (FileUnreadable, UnusableLexicon, PathUnwritable) as exc:
+            return _fail(_EXIT_CODES[type(exc)], exc)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ lexicon ships in, so those files can be dropped in directly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -40,12 +40,18 @@ class SourceSummary:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable sentiment vocabulary; safe to share across workers."""
+    """Immutable sentiment vocabulary; safe to share across workers.
+
+    The spell-correction index and its memo (``scoring.suggest_correction``)
+    are built on first use and live on the instance, outside equality,
+    hashing and repr, so they die with it.
+    """
 
     positive_words: frozenset[str]
     negative_words: frozenset[str]
     negators: frozenset[str]
     source_summary: SourceSummary
+    _spell_index: object = field(default=None, init=False, compare=False, repr=False)
 
     def all_words(self) -> frozenset[str]:
         """Every known token, including negators (spell-correction pool)."""

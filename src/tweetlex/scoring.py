@@ -69,17 +69,87 @@ class TweetScore:
         return len(self.matched_negative)
 
 
+def _min_matches(total: int, threshold: float) -> int:
+    """Smallest m with 2.0 * m / total >= threshold (difflib's ratio formula)."""
+    m = 0
+    while total and 2.0 * m / total < threshold:  # two empty strings rate 1.0
+        m += 1
+    return m
+
+
+class _SpellIndex:
+    """Lexicon words by length, each with a bitmask of its distinct characters,
+    plus a memo of answers keyed by (threshold, token)."""
+
+    def __init__(self, words):
+        self.bits = {ch: 1 << i for i, ch in enumerate(set().union(*words))}
+        self.buckets: dict[int, list[tuple[str, int]]] = {}
+        for word in words:
+            # distinct characters have distinct bits, so their sum is their union
+            mask = sum(map(self.bits.__getitem__, set(word)))
+            self.buckets.setdefault(len(word), []).append((word, mask))
+        self.memo: dict[tuple[float, str], str | None] = {}
+
+    def candidates(self, token: str, threshold: float):
+        """Yield the words whose ratio with token can reach threshold.
+
+        With M matched characters the ratio is 2M / (la + lb). M is at
+        most the shorter length, at most lb minus the distinct token
+        characters missing from the word, and at most la minus the
+        distinct word characters missing from the token; a word whose
+        bound falls short of the needed M is skipped.
+        """
+        lb = len(token)
+        token_mask = unknown = 0
+        for ch in set(token):
+            bit = self.bits.get(ch)
+            if bit is None:
+                unknown += 1  # in no lexicon word, so missing from every word
+            else:
+                token_mask |= bit
+        for la, entries in self.buckets.items():
+            need = _min_matches(la + lb, threshold)
+            token_slack = lb - unknown - need
+            word_slack = la - need
+            if min(la, lb) < need or token_slack < 0:
+                continue
+            for word, mask in entries:
+                if (
+                    (token_mask & ~mask).bit_count() <= token_slack
+                    and (mask & ~token_mask).bit_count() <= word_slack
+                ):
+                    yield word
+
+
 def suggest_correction(
     token: str, lexicon: Lexicon, threshold: float = DEFAULT_SPELL_THRESHOLD
 ) -> str | None:
     """Most similar lexicon word at ratio >= threshold, else None.
 
-    Similarity is difflib's SequenceMatcher ratio. difflib keeps the
-    largest (ratio, word) pair, so a tie on the ratio goes to the
-    lexicographically greatest word whatever the scan order.
+    Similarity is difflib's SequenceMatcher ratio, 2M / (la + lb) for M
+    matched characters. difflib keeps the largest (ratio, word) pair, so
+    a tie on the ratio goes to the lexicographically greatest word
+    whatever the scan order. The answer is exactly that of
+    ``difflib.get_close_matches`` over the whole lexicon, but difflib
+    only sees words that pass an upper bound on M: the shorter length,
+    and each length less the distinct characters the other string lacks.
+    The index behind the bound and a memo of answers are built on the
+    first call and kept on the lexicon.
     """
-    hits = difflib.get_close_matches(token, lexicon.all_words(), n=1, cutoff=threshold)
-    return hits[0] if hits else None
+    index = lexicon._spell_index
+    if index is None:
+        index = _SpellIndex(lexicon.all_words())
+        # a racing thread may build its own; both give the same answers
+        object.__setattr__(lexicon, "_spell_index", index)
+    key = (threshold, token)
+    if key in index.memo:
+        return index.memo[key]
+    # a generator: difflib rejects a bad cutoff before drawing a candidate
+    hits = difflib.get_close_matches(
+        token, index.candidates(token, threshold), n=1, cutoff=threshold
+    )
+    best = index.memo[key] = hits[0] if hits else None
+    return best
 
 
 def _corrected(token: str, lexicon: Lexicon, threshold: float) -> str:

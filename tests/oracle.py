@@ -6,6 +6,8 @@ line parsing) so the two routes can disagree loudly in tests. Keep it
 free of tweetlex imports.
 """
 
+import difflib
+
 URL_PREFIXES = ("http://", "https://", "www.")
 
 
@@ -86,6 +88,12 @@ def oracle_score(tokens, positive, negative, negators):
         else:
             neg_hits.append((token, flipped))
     return pos_hits, neg_hits
+
+
+def oracle_correct(token, pool, threshold):
+    """Plain difflib over the whole sorted pool: its best match, else None."""
+    hits = difflib.get_close_matches(token, sorted(pool), n=1, cutoff=threshold)
+    return hits[0] if hits else None
 
 
 def oracle_score_text(text, positive, negative, negators):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS_50
+from oracle import oracle_correct, oracle_normalize, oracle_read_wordlist, oracle_score
 from tweetlex.cli import (
     EXIT_BAD_LEXICON,
     EXIT_OK,
@@ -17,6 +19,7 @@ from tweetlex.cli import (
 )
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+BUNDLED_DIR = SRC_DIR / "tweetlex" / "data"
 
 
 def write_lexicon_dir(tmp_path, positive, negative, negators):
@@ -199,6 +202,78 @@ class TestClassify:
         assert captured.out == ""
         assert "/dev/full" in captured.err
 
+    @pytest.mark.parametrize("threshold", [None, 0.6], ids=["default", "0.6"])
+    def test_spell_correct_matches_oracle(self, tmp_path, capsys, threshold):
+        expected_summary, expected_rows, corrected = _oracle_spell_run(
+            "covid", threshold or 0.85
+        )
+        assert corrected > 0
+        out_csv = tmp_path / "details.csv"
+        args = classify_args(out_csv=out_csv) + ["--spell-correct"]
+        if threshold is not None:
+            args += ["--spell-threshold", str(threshold)]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == expected_summary
+        with open(out_csv, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle))[1:] == expected_rows
+
+
+def _oracle_spell_run(keyword, threshold):
+    """Summary, CSV rows and correction count from the oracle, spell-correcting
+    every out-of-lexicon token with plain difflib over the sorted pool."""
+    positive = oracle_read_wordlist(BUNDLED_DIR / "positive.txt")
+    negative = oracle_read_wordlist(BUNDLED_DIR / "negative.txt")
+    negators = oracle_read_wordlist(BUNDLED_DIR / "negators.txt")
+    positive, negative = positive - negative, negative - positive
+    known = positive | negative | negators
+    memo = {t: t for t in known}
+    rows, total_pos, total_neg, corrected = [], 0, 0, 0
+    for line in CORPUS_50.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if keyword not in record["text"].lower():
+            continue
+        raw = oracle_normalize(record["text"]).split()
+        for token in raw:
+            if token not in memo:
+                memo[token] = oracle_correct(token, known, threshold) or token
+        tokens = [memo[t] for t in raw]
+        corrected += sum(a != b for a, b in zip(raw, tokens))
+        pos, neg = oracle_score(tokens, positive, negative, negators)
+        total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
+        stamp = record["created_at"]
+        rows.append([stamp[:10], stamp[11:19], record["username"], record["text"],
+                     _encode(pos), _encode(neg)])
+    found = total_pos + total_neg
+    lines = [
+        f'Sentiment summary for "{keyword}"',
+        f"  tweets scored:  {len(rows)}",
+        f"  positive words: {total_pos}",
+        f"  negative words: {total_neg}",
+        f"  positivity:     {100.0 * total_pos / found if found else 0.0:.1f}%",
+        f"  negativity:     {100.0 * total_neg / found if found else 0.0:.1f}%",
+    ]
+    if not found:
+        lines.append("  no sentiment words found")
+    return "\n".join(lines) + "\n", rows, corrected
+
+
+def _encode(hits):
+    return "|".join(token + ("!" if negated else "") for token, negated in hits)
+
+
+def _run_cli(args, cwd):
+    """Run ``python -m tweetlex.cli`` from this checkout, the fixture on stdin."""
+    pythonpath = [str(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run(
+        [sys.executable, "-m", "tweetlex.cli", *args],
+        input=CORPUS_50.read_bytes(),
+        capture_output=True,
+        cwd=cwd,
+        env=env,
+        timeout=60,
+    )
+
 
 def _unusable_lexicon_dir(tmp_path):
     return write_lexicon_dir(tmp_path, [";empty"], [";empty"], ["not"])
@@ -217,16 +292,7 @@ def _unusable_lexicon_dir(tmp_path):
 )
 def test_process_exit_code(tmp_path, code, extra):
     extra = {k: v(tmp_path) if callable(v) else v for k, v in extra.items()}
-    pythonpath = [str(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tweetlex.cli", *classify_args(**extra)],
-        input=CORPUS_50.read_bytes(),
-        capture_output=True,
-        cwd=tmp_path,
-        env=env,
-        timeout=60,
-    )
+    proc = _run_cli(classify_args(**extra), tmp_path)
     assert proc.returncode == code, proc.stderr
     assert b"Traceback" not in proc.stderr
     if code == EXIT_OK:
@@ -264,9 +330,14 @@ class TestLexiconCheck:
 
     def test_unusable_lexicon_exit_code(self, tmp_path, capsys):
         lex = write_lexicon_dir(tmp_path, [";empty"], [";empty"], ["not"])
-        with pytest.warns(Warning):
-            code = main(["lexicon-check", "--lexicon-dir", str(lex)])
+        code = main(["lexicon-check", "--lexicon-dir", str(lex)])
         assert code == EXIT_BAD_LEXICON
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == [
+            f"warning: wordlist {lex / name} contains no usable tokens"
+            for name in ("positive.txt", "negative.txt")
+        ]
+        assert err[2].startswith("error: no sentiment words left")
 
     def test_per_file_override(self, tmp_path, capsys):
         lex = write_lexicon_dir(tmp_path, ["good"], ["bad"], ["not"])
@@ -277,3 +348,21 @@ class TestLexiconCheck:
         )
         assert code == 0
         assert "positive words:    2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["classify", "lexicon-check"])
+def test_wordlist_warnings_are_notes(tmp_path, command):
+    lex = write_lexicon_dir(tmp_path, [";only a comment"], ["bad"], ["not", "no way"])
+    if command == "classify":
+        args = classify_args(lexicon_dir=lex)
+    else:
+        args = ["lexicon-check", "--lexicon-dir", str(lex)]
+    proc = _run_cli(args, tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    err = proc.stderr.decode("utf-8")
+    assert err.splitlines() == [
+        f"warning: wordlist {lex / 'positive.txt'} contains no usable tokens",
+        "warning: 1 negator entries contain whitespace and were ignored",
+    ]
+    assert "lexicon.py" not in err
+    assert "warnings.warn(" not in err

@@ -1,12 +1,22 @@
 import difflib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon, make_tweet
-from oracle import URL_PREFIXES, oracle_normalize, oracle_score
-from tweetlex import Match, normalize, score_tweet, suggest_correction, tokenize
+from oracle import URL_PREFIXES, oracle_correct, oracle_normalize, oracle_score
+from tweetlex import (
+    Match,
+    load_bundled_lexicon,
+    load_lexicon,
+    normalize,
+    score_tweet,
+    suggest_correction,
+    tokenize,
+)
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 
@@ -190,6 +200,50 @@ class TestScoringProperties:
         assert buffered.matched_negative[0] == Match("sad", False)
 
 
+# Spell-correction pools: the bundled lexicon, and a toy one with repeated
+# letters, a one-letter word and a word with a digit.
+SPELL_LEXICONS = {
+    "toy": make_lexicon(
+        {"good", "goood", "aab", "abba", "x", "happy", "win2"},
+        {"bad", "baaad", "sad", "sadd"},
+        {"not", "never"},
+    ),
+    "bundled": load_bundled_lexicon(),
+}
+# letters, the apostrophe, and characters in no lexicon word (é, 1, 9)
+_EDIT_CHARS = "abdegnoprsty'é19"
+
+
+@st.composite
+def _edited_word(draw, pool):
+    """A lexicon word after 0-3 random insertions, deletions or substitutions."""
+    chars = list(draw(st.sampled_from(pool)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("ids"))
+        at = draw(st.integers(0, len(chars)))
+        ch = draw(st.sampled_from(_EDIT_CHARS))
+        if op == "i":
+            chars.insert(at, ch)
+        elif chars:
+            at = min(at, len(chars) - 1)
+            if op == "d":
+                del chars[at]
+            else:
+                chars[at] = ch
+    return "".join(chars)
+
+
+def _spell_token(pool):
+    return st.one_of(
+        _edited_word(pool),
+        st.text(alphabet="abeosd'é19", min_size=1, max_size=12),
+        st.builds(str.__mul__, st.sampled_from("aoé1'"), st.integers(1, 6)),
+    )
+
+
+_threshold = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestSuggestCorrection:
     def test_identical_token_is_its_own_match(self):
         lex = make_lexicon({"good"}, set(), set())
@@ -213,6 +267,112 @@ class TestSuggestCorrection:
     def test_tie_is_deterministic(self):
         lex = make_lexicon({"abc", "abd"}, set(), set())
         assert suggest_correction("ab", lex, threshold=0.5) == "abd"
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_equals_difflib_over_sorted_pool_toy(self, data):
+        self._check_equals_difflib(SPELL_LEXICONS["toy"], data)
+
+    # plain difflib over the 6.8k bundled words takes up to 0.1 s a token
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_difflib_over_sorted_pool_bundled(self, data):
+        self._check_equals_difflib(SPELL_LEXICONS["bundled"], data)
+
+    @staticmethod
+    def _check_equals_difflib(lex, data):
+        token = data.draw(_spell_token(sorted(lex.all_words())), label="token")
+        threshold = data.draw(_threshold, label="threshold")
+        assert suggest_correction(token, lex, threshold) == oracle_correct(
+            token, lex.all_words(), threshold
+        )
+
+    def test_bad_threshold_is_rejected_by_difflib(self):
+        lex = make_lexicon({"good"}, set(), set())
+        for threshold in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="cutoff"):
+                suggest_correction("gud", lex, threshold)
+
+
+class TestSpellMemo:
+    def test_each_lexicon_keeps_its_own_answers(self, tmp_path):
+        lexicons = []
+        for word in ("good", "bud"):
+            folder = tmp_path / word
+            folder.mkdir()
+            (folder / "positive.txt").write_text(word + "\n", encoding="utf-8")
+            (folder / "negative.txt").write_text("awful\n", encoding="utf-8")
+            (folder / "negators.txt").write_text("not\n", encoding="utf-8")
+            lexicons.append(
+                load_lexicon(
+                    folder / "positive.txt",
+                    folder / "negative.txt",
+                    folder / "negators.txt",
+                )
+            )
+        good, bud = lexicons
+        assert suggest_correction("gud", good, 0.5) == "good"
+        assert suggest_correction("gud", bud, 0.5) == "bud"
+        assert suggest_correction("gud", good, 0.5) == "good"
+
+    def test_each_threshold_keeps_its_own_answer(self):
+        lex = make_lexicon({"good"}, set(), set())
+        assert suggest_correction("gud", lex, 0.5) == "good"
+        assert suggest_correction("gud", lex, 0.9) is None
+        assert suggest_correction("gud", lex, 0.5) == "good"
+
+    def test_equality_hash_and_repr_unchanged(self):
+        lex = load_bundled_lexicon()
+        before_hash, before_repr = hash(lex), repr(lex)
+        assert suggest_correction("hapy", lex) == "happy"
+        fresh = load_bundled_lexicon()
+        assert lex == fresh
+        assert hash(lex) == before_hash == hash(fresh)
+        assert repr(lex) == before_repr == repr(fresh)
+
+    def test_difflib_runs_once_per_threshold_and_token(self, monkeypatch):
+        calls = []
+        real = difflib.get_close_matches
+
+        def counting(word, possibilities, n, cutoff):
+            calls.append((cutoff, word))
+            return real(word, possibilities, n=n, cutoff=cutoff)
+
+        monkeypatch.setattr(difflib, "get_close_matches", counting)
+        lex = make_lexicon({"good"}, {"bad"}, {"not"})
+        tweets = [make_tweet(text) for text in ("gud day", "so gud", "gud gud")]
+        for threshold in (0.5, 0.9):
+            scores = [
+                score_tweet(t, lex, spell_correct=True, spell_threshold=threshold)
+                for t in tweets
+            ]
+            hits = [s.positive_count for s in scores]
+            assert hits == ([1, 1, 2] if threshold == 0.5 else [0, 0, 0])
+        distinct = {(th, tok) for th in (0.5, 0.9) for tok in ("gud", "day", "so")}
+        assert sorted(calls) == sorted(distinct)
+
+    def test_threads_share_one_lexicon(self):
+        lex = SPELL_LEXICONS["toy"]
+        tokens = ["gud", "baad", "goodd", "ab", "sadd", "xx", "nevr", "hapy"] * 5
+        expected = [oracle_correct(t, lex.all_words(), 0.6) for t in tokens]
+        shared = make_lexicon(lex.positive_words, lex.negative_words, lex.negators)
+        results = {}
+
+        def work(worker):
+            results[worker] = [suggest_correction(t, shared, 0.6) for t in tokens]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {i: expected for i in range(8)}
 
 
 class TestSpellCorrectedScoring:
