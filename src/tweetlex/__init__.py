@@ -1,7 +1,7 @@
 """tweetlex: wordlist-based sentiment scoring for short social posts."""
 
 from .aggregate import AggregateResult, aggregate
-from .corpus import DEFAULT_LIMIT, QueryFilter, Tweet, fetch, parse_utc
+from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, Tweet, fetch, parse_utc
 from .errors import (
     CorpusEmpty,
     DroppedEntriesWarning,
@@ -44,6 +44,7 @@ __all__ = [
     "Match",
     "PathUnwritable",
     "QueryFilter",
+    "ReadCounts",
     "SourceSummary",
     "Tweet",
     "TweetScore",

@@ -27,11 +27,14 @@ def aggregate(scores: Iterable[TweetScore], topic: str) -> AggregateResult:
     Each share is one hundred divided by the total number of sentiment
     words found, times that side's count, so the two always sum to 100.
     When nothing matched the division is undefined; both shares are
-    reported as 0.0 and no_signal is set instead of raising.
+    reported as 0.0 and no_signal is set instead of raising. The scores
+    are counted as they arrive, so a stream of them is never held.
     """
-    scores = list(scores)
-    total_positive = sum(score.positive_count for score in scores)
-    total_negative = sum(score.negative_count for score in scores)
+    tweets = total_positive = total_negative = 0
+    for score in scores:
+        tweets += 1
+        total_positive += score.positive_count
+        total_negative += score.negative_count
     found = total_positive + total_negative
     if found:
         # multiply before dividing so shares never round above 100
@@ -41,7 +44,7 @@ def aggregate(scores: Iterable[TweetScore], topic: str) -> AggregateResult:
         positivity = negativity = 0.0
     return AggregateResult(
         topic=topic,
-        tweets_scored=len(scores),
+        tweets_scored=tweets,
         total_positive=total_positive,
         total_negative=total_negative,
         positivity_pct=positivity,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 from .aggregate import aggregate
@@ -24,7 +25,7 @@ from .errors import (
     UnusableLexicon,
 )
 from .lexicon import bundled_lexicon_dir, load_lexicon
-from .report import render_summary, write_csv
+from .report import DetailCsv, render_summary
 from .scoring import DEFAULT_SPELL_THRESHOLD, score_tweet
 
 EXIT_OK = 0
@@ -61,31 +62,43 @@ def run_classify(
     spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
     out_csv: Path | None = None,
 ) -> int:
-    """Score a corpus; the CSV is written first, so a failed run prints no summary."""
-    lexicon = load_lexicon(positive_path, negative_path, negators_path)
-    try:
-        tweets, skipped = fetch(corpus, query, limit)
-    except CorpusEmpty as exc:
-        print(f"note: {exc}", file=sys.stderr)
-        tweets, skipped = [], 0
-    if skipped:
-        print(f"note: skipped {skipped} malformed corpus lines", file=sys.stderr)
+    """Score a corpus in one pass and print the summary after it.
 
-    scores = [
-        score_tweet(
-            tweet,
-            lexicon,
-            spell_correct=spell_correct,
-            spell_threshold=spell_threshold,
-        )
-        for tweet in tweets
-    ]
-    result = aggregate(scores, query.keyword)
-    if out_csv is not None:
-        rows = write_csv(zip(tweets, scores), out_csv)
-        print(f"note: wrote {rows} detail rows to {out_csv}", file=sys.stderr)
+    The corpus is opened first, then the CSV, so a missing corpus leaves
+    an existing CSV untouched; each tweet is scored, written to the CSV
+    and counted as it is read. Nothing is printed on stdout until the
+    pass has ended, so a failed run prints no summary.
+    """
+    lexicon = load_lexicon(positive_path, negative_path, negators_path)
+    tweets, counts = fetch(corpus, query, limit)
+    with DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail:
+        scores = _scores(tweets, lexicon, detail, spell_correct, spell_threshold)
+        try:
+            result = aggregate(scores, query.keyword)
+        except CorpusEmpty as exc:
+            print(f"note: {exc}", file=sys.stderr)
+            result = aggregate((), query.keyword)
+        else:
+            if counts.skipped:
+                print(
+                    f"note: skipped {counts.skipped} malformed corpus lines",
+                    file=sys.stderr,
+                )
+    if detail is not None:
+        print(f"note: wrote {detail.rows} detail rows to {out_csv}", file=sys.stderr)
     print(render_summary(result))
     return EXIT_OK
+
+
+def _scores(tweets, lexicon, detail, spell_correct, spell_threshold):
+    """Score each tweet, writing its detail row first when a CSV is open."""
+    for tweet in tweets:
+        score = score_tweet(
+            tweet, lexicon, spell_correct=spell_correct, spell_threshold=spell_threshold
+        )
+        if detail is not None:
+            detail.write(tweet, score)
+        yield score
 
 
 def run_lexicon_check(positive_path, negative_path, negators_path) -> int:

@@ -6,20 +6,19 @@ naive values taken as UTC), ``username``, ``text``, and optional
 ``lat``/``lon``. Lines end at a newline byte only (CRLF is accepted),
 and a leading byte-order mark is ignored. Each line is decoded on its
 own, so a malformed line, invalid UTF-8 included, is skipped and
-counted rather than aborting the read.
+counted rather than aborting the read. The read is a stream: every line
+is checked, but a Tweet is built only for a line the query keeps.
 """
 
 from __future__ import annotations
 
 import codecs
 import json
-import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Iterator
 
 from .errors import CorpusEmpty, FileUnreadable
-
-log = logging.getLogger(__name__)
 
 DEFAULT_LIMIT = 500
 
@@ -45,14 +44,19 @@ class Tweet:
     location: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("tweet id must be non-empty")
+        _check_id_and_location(self.id, self.location)
         if self.created_at.tzinfo is None:
             raise ValueError("created_at must be timezone-aware")
-        if self.location is not None:
-            lat, lon = self.location
-            if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-                raise ValueError(f"location out of range: {self.location}")
+
+
+def _check_id_and_location(tweet_id: str, location) -> None:
+    """Raise ValueError for an empty id or a (lat, lon) out of range."""
+    if not tweet_id:
+        raise ValueError("tweet id must be non-empty")
+    if location is not None:
+        lat, lon = location
+        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
+            raise ValueError(f"location out of range: {location}")
 
 
 @dataclass(frozen=True)
@@ -83,24 +87,41 @@ class QueryFilter:
                 raise ValueError("bbox must be (min_lat, min_lon, max_lat, max_lon)")
 
     def matches(self, tweet: Tweet) -> bool:
-        if self.keyword.lower() not in tweet.text.lower():
+        return self._accepts(tweet.text, tweet.created_at, tweet.location)
+
+    def _accepts(self, text: str, created_at: datetime, location) -> bool:
+        """matches() on a tweet's fields, so a reader can test them first."""
+        if self.keyword.lower() not in text.lower():
             return False
-        if self.since is not None and tweet.created_at < self.since:
+        if self.since is not None and created_at < self.since:
             return False
-        if self.until is not None and tweet.created_at >= self.until:
+        if self.until is not None and created_at >= self.until:
             return False
         if self.bbox is not None:
-            if tweet.location is None:
+            if location is None:
                 return False
-            lat, lon = tweet.location
+            lat, lon = location
             min_lat, min_lon, max_lat, max_lon = self.bbox
             if not (min_lat <= lat <= max_lat and min_lon <= lon <= max_lon):
                 return False
         return True
 
 
-def _tweet_from_record(obj) -> Tweet:
-    """Build a Tweet from one decoded JSON value; raises on bad records."""
+@dataclass
+class ReadCounts:
+    """What a corpus read has seen so far: valid records and skipped lines.
+
+    Blank lines count as neither. The counts are final once the
+    iteration over the read ends.
+    """
+
+    valid: int = 0
+    skipped: int = 0
+
+
+def _record_fields(obj) -> tuple:
+    """Check one decoded JSON value as a Tweet would; returns its fields in
+    Tweet's order and raises on a bad record."""
     if not isinstance(obj, dict):
         raise TypeError("record must be a JSON object")
     for field in ("id", "created_at", "username", "text"):
@@ -116,56 +137,64 @@ def _tweet_from_record(obj) -> Tweet:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"lat/lon must be numbers, got {value!r}")
         location = (float(lat), float(lon))
-    return Tweet(
-        id=obj["id"],
-        created_at=parse_utc(obj["created_at"]),
-        username=obj["username"],
-        text=obj["text"],
-        location=location,
-    )
+    tweet_id = obj["id"]
+    _check_id_and_location(tweet_id, location)
+    created_at = parse_utc(obj["created_at"])
+    return tweet_id, created_at, obj["username"], obj["text"], location
 
 
-def fetch(
-    path, query: QueryFilter, limit: int = DEFAULT_LIMIT
-) -> tuple[list[Tweet], int]:
-    """Read a JSON-lines corpus file, keeping tweets that match ``query``.
-
-    Returns (up to ``limit`` matching tweets in file order, count of
-    malformed lines read). Reading stops at the ``limit``-th match, so
-    lines after it are never read or counted. Raises FileUnreadable
-    when the file cannot be read and CorpusEmpty, whose message names
-    the path and the skip count, when the whole file yields zero valid
-    records.
-    """
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    tweets: list[Tweet] = []
-    valid = skipped = 0
+def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
+    """The generator behind fetch; its first step only opens the file."""
     try:
         with open(path, "rb") as handle:
+            yield
+            kept = 0
             for lineno, line in enumerate(handle, start=1):
                 if lineno == 1:
                     line = line.removeprefix(codecs.BOM_UTF8)
                 # OverflowError: a huge lat/lon or a timestamp that leaves
                 # datetime's range in UTC; RecursionError: deep JSON nesting
                 try:
-                    text = line.decode("utf-8")
-                    if not text.strip():
+                    decoded = line.decode("utf-8")
+                    if not decoded.strip():
                         continue
-                    tweet = _tweet_from_record(json.loads(text))
-                except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-                    skipped += 1
-                    log.debug("skipping corpus line %d: %s", lineno, exc)
+                    fields = _record_fields(json.loads(decoded))
+                except (ValueError, TypeError, OverflowError, RecursionError):
+                    counts.skipped += 1
                     continue
-                valid += 1
-                if query.matches(tweet):
-                    tweets.append(tweet)
-                    if len(tweets) == limit:
-                        break
+                counts.valid += 1
+                _, created_at, _, text, location = fields
+                if query._accepts(text, created_at, location):
+                    yield Tweet(*fields)
+                    kept += 1
+                    if kept == limit:
+                        return
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
-    if not valid:
+    if not counts.valid:
         raise CorpusEmpty(
-            f"corpus {path} has no valid records ({skipped} malformed lines skipped)"
+            f"corpus {path} has no valid records "
+            f"({counts.skipped} malformed lines skipped)"
         )
-    return tweets, skipped
+
+
+def fetch(
+    path, query: QueryFilter, limit: int = DEFAULT_LIMIT
+) -> tuple[Iterator[Tweet], ReadCounts]:
+    """Open a JSON-lines corpus file and stream the tweets that match ``query``.
+
+    Returns (an iterator over up to ``limit`` matching tweets in file
+    order, the ReadCounts it fills as it reads). The file is opened
+    here, so FileUnreadable is raised by this call; lines are read only
+    as the iterator is advanced, and reading stops at the ``limit``-th
+    match, so lines after it are never read or counted. The iterator
+    raises FileUnreadable when a read fails and, at the end of the file,
+    CorpusEmpty, whose message names the path and the skip count, when
+    the whole file yielded zero valid records.
+    """
+    if limit <= 0:
+        raise ValueError("limit must be positive")
+    counts = ReadCounts()
+    tweets = _read(path, query, limit, counts)
+    next(tweets)
+    return tweets, counts

@@ -61,21 +61,23 @@ class Lexicon:
 def _read_tokens(path) -> tuple[set[str], int, int]:
     """Read one wordlist file; returns (tokens, duplicates, dropped).
 
-    A leading byte-order mark is ignored. An empty result triggers an
-    EmptyWordlistWarning but is not an error.
+    Lines end at "\n" only, as in the corpus reader, so U+0085, U+2028
+    or a lone "\r" inside a line is inner whitespace and drops that
+    entry. A leading byte-order mark is ignored. An empty result
+    triggers an EmptyWordlistWarning but is not an error.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read wordlist {path}: {exc}") from exc
     tokens: set[str] = set()
     duplicates = dropped = 0
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in text.split("\n"):
+        line = raw.strip()  # also drops the "\r" of a CRLF ending
         if not line or line.startswith(COMMENT_PREFIX):
             continue
         token = line.lower()
-        if any(ch.isspace() for ch in token):
+        if len(token.split()) != 1:
             dropped += 1
             continue
         if token in tokens:

@@ -36,6 +36,61 @@ def decode_matches(cell: str) -> tuple[Match, ...]:
     return tuple(matches)
 
 
+class DetailCsv:
+    """A per-tweet detail CSV, open for writing one row at a time.
+
+    Opening the file writes the header; use it in a ``with`` block,
+    which closes the file. ``rows`` counts the rows written. Any
+    OSError from opening, writing or closing is raised as
+    PathUnwritable.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.rows = 0
+        try:
+            self._handle = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
+        self._writerow = csv.writer(self._handle).writerow
+        self._put(CSV_COLUMNS)
+
+    def write(self, tweet: Tweet, score: TweetScore) -> None:
+        """Write one row: UTC date and time, username, raw text, and the
+        encoded positive and negative matches."""
+        # isoformat pads the year to four digits, where %Y may not
+        stamp = tweet.created_at.astimezone(timezone.utc).isoformat(" ", "seconds")
+        self._put(
+            [
+                stamp[:10],
+                stamp[11:19],
+                tweet.username,
+                tweet.text,
+                encode_matches(score.matched_positive),
+                encode_matches(score.matched_negative),
+            ]
+        )
+        self.rows += 1
+
+    def _put(self, row) -> None:
+        try:
+            self._writerow(row)
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
+
+    def _unwritable(self, exc: OSError) -> PathUnwritable:
+        return PathUnwritable(f"cannot write {self.path}: {exc}")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        try:
+            self._handle.close()
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
+
+
 def write_csv(rows: Iterable[tuple[Tweet, TweetScore]], path) -> int:
     """Write one detail row per (tweet, score) pair; returns the row count.
 
@@ -45,27 +100,10 @@ def write_csv(rows: Iterable[tuple[Tweet, TweetScore]], path) -> int:
     quotes, or newlines round-trip through any generic CSV parser.
     Raises PathUnwritable when the file cannot be opened or written.
     """
-    count = 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            for tweet, score in rows:
-                created = tweet.created_at.astimezone(timezone.utc)
-                writer.writerow(
-                    [
-                        created.strftime("%Y-%m-%d"),
-                        created.strftime("%H:%M:%S"),
-                        tweet.username,
-                        tweet.text,
-                        encode_matches(score.matched_positive),
-                        encode_matches(score.matched_negative),
-                    ]
-                )
-                count += 1
-    except OSError as exc:
-        raise PathUnwritable(f"cannot write {path}: {exc}") from exc
-    return count
+    with DetailCsv(path) as out:
+        for tweet, score in rows:
+            out.write(tweet, score)
+    return out.rows
 
 
 def render_summary(result: AggregateResult) -> str:

@@ -25,6 +25,18 @@ _MENTION_RE = re.compile(r"@\w+")
 _WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 
 
+def _words(text: str) -> list[str]:
+    """The tokens of normalize(text), in order."""
+    text = text.lower()
+    # most tweets hold no URL or mention; a substring test is far cheaper
+    # than a regex pass that cannot match
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    return _WORD_RE.findall(text)
+
+
 def normalize(text: str) -> str:
     """Lowercase and strip tweet noise down to plain words.
 
@@ -34,10 +46,7 @@ def normalize(text: str) -> str:
     leading '#' therefore vanishes while the tag word survives.
     Idempotent: normalizing twice changes nothing.
     """
-    text = text.lower()
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    return " ".join(_WORD_RE.findall(text))
+    return " ".join(_words(text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -176,23 +185,23 @@ def score_tweet(
     With spell_correct on, unknown tokens are first replaced by their
     closest lexicon word (off by default to keep results lexicon-exact).
     """
-    tokens = tokenize(normalize(tweet.text))
+    tokens = _words(tweet.text)
     if spell_correct:
         tokens = [_corrected(t, lexicon, spell_threshold) for t in tokens]
+    negators = lexicon.negators
+    positive_words, negative_words = lexicon.positive_words, lexicon.negative_words
     positive: list[Match] = []
     negative: list[Match] = []
-    for i, token in enumerate(tokens):
-        if token in lexicon.negators:
+    negated = False  # the previous token was a negator
+    for token in tokens:
+        if token in negators:
+            negated = True
             continue
-        if token in lexicon.positive_words:
-            is_positive = True
-        elif token in lexicon.negative_words:
-            is_positive = False
-        else:
-            continue
-        negated = i > 0 and tokens[i - 1] in lexicon.negators
-        bucket = positive if is_positive != negated else negative
-        bucket.append(Match(token, negated))
+        if token in positive_words:
+            (negative if negated else positive).append(Match(token, negated))
+        elif token in negative_words:
+            (positive if negated else negative).append(Match(token, negated))
+        negated = False
     return TweetScore(
         tweet_id=tweet.id,
         matched_positive=tuple(positive),

@@ -202,7 +202,7 @@ def test_filter_correctness():
     window_query = QueryFilter(
         keyword="vaccine", since=parse_utc(since), until=parse_utc(until)
     )
-    window, _ = fetch(CORPUS_50, window_query)
+    window = list(fetch(CORPUS_50, window_query)[0])
     got_window = [t.id for t in window]
     assert got_window == expected_window == VACCINE_MARCH_IDS
 
@@ -216,11 +216,11 @@ def test_filter_correctness():
         and min_lon <= r["lon"] <= max_lon
     ]
     bbox_query = QueryFilter(keyword="hospital", bbox=LONDON_BBOX)
-    bbox, _ = fetch(CORPUS_50, bbox_query)
+    bbox = list(fetch(CORPUS_50, bbox_query)[0])
     got_bbox = [t.id for t in bbox]
     assert got_bbox == expected_bbox == HOSPITAL_LONDON_IDS
 
-    covid, _ = fetch(CORPUS_50, QueryFilter("covid"))
+    covid = list(fetch(CORPUS_50, QueryFilter("covid"))[0])
     assert [t.id for t in covid] == COVID_IDS
 
     assert all(t.created_at.tzinfo == timezone.utc for t in window + bbox + covid)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,96 @@ class TestClassify:
         assert capsys.readouterr().out == expected_summary
         with open(out_csv, encoding="utf-8", newline="") as handle:
             assert list(csv.reader(handle))[1:] == expected_rows
+
+
+NO_SIGNAL_SUMMARY = """\
+Sentiment summary for "covid"
+  tweets scored:  0
+  positive words: 0
+  negative words: 0
+  positivity:     0.0%
+  negativity:     0.0%
+  no sentiment words found
+"""
+CSV_HEADER = b"date,time,username,tweet,positive_words,negative_words\r\n"
+COVID_LINE = json.dumps({"id": "a", "created_at": "2021-01-01T00:00:00Z",
+                         "username": "u", "text": "covid day"})
+
+
+class TestStreaming:
+    def test_missing_corpus_leaves_csv_untouched(self, tmp_path, capsys):
+        out_csv = tmp_path / "d.csv"
+        out_csv.write_bytes(b"earlier run\r\n")
+        args = classify_args(corpus=tmp_path / "absent.jsonl", out_csv=out_csv)
+        assert main(args) == EXIT_UNREADABLE
+        assert out_csv.read_bytes() == b"earlier run\r\n"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "content, skipped",
+        [("", 0), ("broken\n{}\n", 2)],
+        ids=["empty", "all-malformed"],
+    )
+    def test_no_valid_records(self, tmp_path, capsys, content, skipped):
+        corpus, out_csv = tmp_path / "c.jsonl", tmp_path / "d.csv"
+        corpus.write_text(content, encoding="utf-8")
+        assert main(classify_args(corpus=corpus, out_csv=out_csv)) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == NO_SIGNAL_SUMMARY
+        assert captured.err.splitlines() == [
+            f"note: corpus {corpus} has no valid records "
+            f"({skipped} malformed lines skipped)",
+            f"note: wrote 0 detail rows to {out_csv}",
+        ]
+        assert out_csv.read_bytes() == CSV_HEADER
+
+    def test_skip_note_comes_before_csv_note(self, tmp_path, capsys):
+        corpus, out_csv = tmp_path / "c.jsonl", tmp_path / "d.csv"
+        corpus.write_text(COVID_LINE + "\nbroken\n", encoding="utf-8")
+        assert main(classify_args(corpus=corpus, out_csv=out_csv)) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "note: skipped 1 malformed corpus lines",
+            f"note: wrote 1 detail rows to {out_csv}",
+        ]
+
+    def test_missing_csv_directory_fails_before_the_read(self, tmp_path, capsys):
+        corpus, out_csv = tmp_path / "c.jsonl", tmp_path / "absent" / "d.csv"
+        corpus.write_text(COVID_LINE + "\nbroken\n", encoding="utf-8")
+        assert main(classify_args(corpus=corpus, out_csv=out_csv)) == EXIT_UNWRITABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the malformed line is never reached, so no skip note
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {out_csv}: ")
+
+
+def _traced_peak(args) -> int:
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_flat_in_matches(tmp_path, capsys):
+    """No list of tweets or scores: 10x the matches costs no more memory."""
+    peaks = []
+    for matches in (1_000, 10_000):
+        corpus = tmp_path / f"c{matches}.jsonl"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for i in range(matches):
+                record = {
+                    "id": f"t{i}", "created_at": f"2021-03-01T10:{i % 60:02d}:00Z",
+                    "username": f"user{i}", "lat": 51.5, "lon": -0.1,
+                    "text": f"covid update {i}: not bad, good news and sad news "
+                            f"from @desk{i} http://x.co/{i} #covid",
+                }
+                handle.write(json.dumps(record) + "\n")
+        args = classify_args(corpus=corpus, limit=matches, out_csv=tmp_path / "d.csv")
+        peaks.append(_traced_peak(args))
+        assert f"tweets scored:  {matches}" in capsys.readouterr().out
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def _oracle_spell_run(keyword, threshold):

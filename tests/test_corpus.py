@@ -7,12 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tweet
-from tweetlex import CorpusEmpty, FileUnreadable, QueryFilter, Tweet, fetch, parse_utc
+from tweetlex import (
+    DEFAULT_LIMIT,
+    CorpusEmpty,
+    FileUnreadable,
+    QueryFilter,
+    Tweet,
+    fetch,
+    parse_utc,
+)
 from tweetlex.cli import main
 
 UTC = timezone.utc
 # Every record built by record() and every fixture tweet contains a space.
 EVERY = QueryFilter(keyword=" ")
+
+
+def read_all(path, query, limit=DEFAULT_LIMIT):
+    """Drain fetch: (the matching tweets as a list, the skipped-line count)."""
+    tweets, counts = fetch(path, query, limit)
+    return list(tweets), counts.skipped
 
 
 def write_corpus(path, records):
@@ -72,7 +86,7 @@ class TestTweet:
 class TestReadCorpus:
     def test_valid_lines_in_order(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1), record(2), record(3)])
-        tweets, skipped = fetch(path, EVERY)
+        tweets, skipped = read_all(path, EVERY)
         assert [t.id for t in tweets] == ["t1", "t2", "t3"]
         assert skipped == 0
 
@@ -80,7 +94,7 @@ class TestReadCorpus:
         path = tmp_path / "c.jsonl"
         lines = [json.dumps(record(1)), "{not json", json.dumps(record(2))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tweets, skipped = fetch(path, EVERY)
+        tweets, skipped = read_all(path, EVERY)
         assert [t.id for t in tweets] == ["t1", "t2"]
         assert skipped == 1
 
@@ -96,13 +110,19 @@ class TestReadCorpus:
             record(1, lat=True, lon=1.0),
             record(1, lat="51.5", lon="-0.1"),
             ["an", "array"],
+            record(1, id=""),
+            record(1, lat=91, lon=0),
+            record(1, created_at="0001-01-01T00:00:00+01:00"),
+            record(1, lat=10**400, lon=0),
         ],
     )
     def test_bad_records_are_skipped(self, tmp_path, bad):
         path = write_corpus(tmp_path / "c.jsonl", [record(2), bad])
-        tweets, skipped = fetch(path, EVERY)
-        assert [t.id for t in tweets] == ["t2"]
-        assert skipped == 1
+        # counted whether or not the query would keep the bad line's text
+        for query in (EVERY, QueryFilter(keyword="number 2")):
+            tweets, skipped = read_all(path, query)
+            assert [t.id for t in tweets] == ["t2"]
+            assert skipped == 1
 
     @pytest.mark.parametrize(
         "raw, ids, skipped",
@@ -129,7 +149,7 @@ class TestReadCorpus:
     def test_lines_split_on_newline_bytes_only(self, tmp_path, raw, ids, skipped):
         path = tmp_path / "c.jsonl"
         path.write_bytes(raw)
-        tweets, got_skipped = fetch(path, EVERY)
+        tweets, got_skipped = read_all(path, EVERY)
         assert [t.id for t in tweets] == ids
         assert got_skipped == skipped
 
@@ -153,27 +173,37 @@ class TestReadCorpus:
     def test_blank_lines_are_not_counted(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(record(1)) + "\n\n\n", encoding="utf-8")
-        tweets, skipped = fetch(path, EVERY)
+        tweets, skipped = read_all(path, EVERY)
         assert len(tweets) == 1
         assert skipped == 0
 
     def test_location_parsed(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1, lat=51.5, lon=-0.1)])
-        tweets, _ = fetch(path, EVERY)
+        tweets, _ = read_all(path, EVERY)
         assert tweets[0].location == (51.5, -0.1)
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(CorpusEmpty):
-            fetch(path, EVERY)
+            read_all(path, EVERY)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileUnreadable):
             fetch(tmp_path / "absent.jsonl", EVERY)
 
+    def test_read_is_lazy(self, tmp_path):
+        path = write_corpus(tmp_path / "c.jsonl", [record(1), record(2)])
+        tweets, counts = fetch(path, EVERY)
+        path.unlink()  # the open handle still reads it
+        assert counts.valid == 0
+        assert next(tweets).id == "t1"
+        assert counts.valid == 1
+        assert [t.id for t in tweets] == ["t2"]
+        assert (counts.valid, counts.skipped) == (2, 0)
+
     def test_fixture_corpus_is_clean(self, corpus_path):
-        tweets, skipped = fetch(corpus_path, EVERY)
+        tweets, skipped = read_all(corpus_path, EVERY)
         assert len(tweets) == 50
         assert skipped == 0
 
@@ -227,24 +257,24 @@ class TestSources:
             tmp_path / "c.jsonl",
             [record(1, id=f"m{i}", text="flu shot") for i in range(10)],
         )
-        tweets, _ = fetch(path, QueryFilter(keyword="flu"), limit=5)
+        tweets, _ = read_all(path, QueryFilter(keyword="flu"), limit=5)
         assert [t.id for t in tweets] == ["m0", "m1", "m2", "m3", "m4"]
 
     def test_read_stops_at_limit(self, tmp_path):
         path = tmp_path / "c.jsonl"
         lines = [json.dumps(record(1)), json.dumps(record(2)), "{broken", "broken"]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tweets, skipped = fetch(path, EVERY, limit=2)
+        tweets, skipped = read_all(path, EVERY, limit=2)
         assert [t.id for t in tweets] == ["t1", "t2"]
         assert skipped == 0
 
     def test_corpus_source_no_match_is_empty(self, corpus_path):
-        assert fetch(corpus_path, QueryFilter(keyword="horoscope")) == ([], 0)
+        assert read_all(corpus_path, QueryFilter(keyword="horoscope")) == ([], 0)
 
     def test_corpus_source_tracks_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(record(1)) + "\nbroken\n", encoding="utf-8")
-        _, skipped = fetch(path, QueryFilter(keyword="tweet"))
+        _, skipped = read_all(path, QueryFilter(keyword="tweet"))
         assert skipped == 1
 
     def test_limit_must_be_positive(self, corpus_path):
@@ -252,7 +282,7 @@ class TestSources:
             fetch(corpus_path, QueryFilter(keyword="x"), limit=0)
 
     def test_fixture_covid_subset(self, corpus_path):
-        tweets, _ = fetch(corpus_path, QueryFilter(keyword="covid"), limit=100)
+        tweets, _ = read_all(corpus_path, QueryFilter(keyword="covid"), limit=100)
         assert len(tweets) == 20
         assert tweets[0].id == "t001"
 
@@ -334,11 +364,11 @@ class TestFilterProperties:
     @settings(max_examples=80)
     def test_idempotent_and_subsequence(self, tmp_path_factory, tweets, query, limit):
         tmp = tmp_path_factory.mktemp("corpus")
-        once, skipped = fetch(write_tweets(tmp / "all.jsonl", tweets), query, limit)
+        once, skipped = read_all(write_tweets(tmp / "all.jsonl", tweets), query, limit)
         assert skipped == 0
         assert once == [t for t in tweets if query.matches(t)][:limit]
         if once:
-            again = fetch(write_tweets(tmp / "once.jsonl", once), query, limit)
+            again = read_all(write_tweets(tmp / "once.jsonl", once), query, limit)
             assert again == (once, 0)
         it = iter(tweets)
         assert all(kept in it for kept in once)

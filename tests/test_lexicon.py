@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import oracle_read_wordlist
 from tweetlex import (
     DroppedEntriesWarning,
     EmptyWordlistWarning,
@@ -42,6 +43,18 @@ class TestLoadWordlist:
     def test_whitespace_entries_are_dropped(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["fine", "two words", "\tok\t"])
         assert load_wordlist(path) == {"fine", "ok"}
+
+    @pytest.mark.parametrize(
+        "sep", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+        ids=lambda sep: f"U+{ord(sep):04X}",
+    )
+    def test_only_newline_ends_an_entry(self, tmp_path, sep):
+        path = tmp_path / "w.txt"
+        path.write_text(f"good\nnice{sep}fine\n", encoding="utf-8")
+        assert load_wordlist(path) == oracle_read_wordlist(path) == {"good"}
+        other = write_list(tmp_path / "other.txt", ["bad"])
+        summary = load_lexicon(path, other, other).source_summary
+        assert (summary.positive, summary.dropped) == (1, 1)
 
     def test_loading_is_idempotent(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["b", "a", "A", "c"])

@@ -64,6 +64,14 @@ class TestWriteCsv:
         write_csv(scored([tweet]), out)
         assert "2022-03-01,10:00:00" in out.read_text(encoding="utf-8")
 
+    def test_years_below_1000_are_zero_padded(self, tmp_path):
+        tweet = make_tweet(
+            "fine", created_at=datetime(5, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+        )
+        out = tmp_path / "d.csv"
+        write_csv(scored([tweet]), out)
+        assert out.read_bytes().split(b"\r\n")[1].startswith(b"0005-01-02,03:04:05,")
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(PathUnwritable):
             write_csv([], tmp_path / "missing" / "d.csv")
