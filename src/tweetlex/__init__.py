@@ -17,9 +17,8 @@ from .lexicon import (
     bundled_lexicon_dir,
     load_bundled_lexicon,
     load_lexicon,
-    load_wordlist,
 )
-from .report import decode_matches, encode_matches, render_summary, write_csv
+from .report import DetailCsv, encode_matches, render_summary
 from .scoring import (
     DEFAULT_SPELL_THRESHOLD,
     Match,
@@ -27,7 +26,6 @@ from .scoring import (
     normalize,
     score_tweet,
     suggest_correction,
-    tokenize,
 )
 
 __version__ = "0.1.0"
@@ -37,6 +35,7 @@ __all__ = [
     "CorpusEmpty",
     "DEFAULT_LIMIT",
     "DEFAULT_SPELL_THRESHOLD",
+    "DetailCsv",
     "DroppedEntriesWarning",
     "EmptyWordlistWarning",
     "FileUnreadable",
@@ -52,17 +51,13 @@ __all__ = [
     "UnusableLexicon",
     "aggregate",
     "bundled_lexicon_dir",
-    "decode_matches",
     "encode_matches",
     "fetch",
     "load_bundled_lexicon",
     "load_lexicon",
-    "load_wordlist",
     "normalize",
     "parse_utc",
     "render_summary",
     "score_tweet",
     "suggest_correction",
-    "tokenize",
-    "write_csv",
 ]

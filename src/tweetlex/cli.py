@@ -85,7 +85,10 @@ def run_classify(
                     file=sys.stderr,
                 )
     if detail is not None:
-        print(f"note: wrote {detail.rows} detail rows to {out_csv}", file=sys.stderr)
+        print(
+            f"note: wrote {result.tweets_scored} detail rows to {out_csv}",
+            file=sys.stderr,
+        )
     print(render_summary(result))
     return EXIT_OK
 
@@ -103,14 +106,16 @@ def _scores(tweets, lexicon, detail, spell_correct, spell_threshold):
 
 def run_lexicon_check(positive_path, negative_path, negators_path) -> int:
     """Load the lexicon and print per-list counts and what loading removed."""
-    summary = load_lexicon(positive_path, negative_path, negators_path).source_summary
-    print(f"positive words:    {summary.positive}")
-    print(f"negative words:    {summary.negative}")
-    print(f"negators:          {summary.negators}")
+    lexicon = load_lexicon(positive_path, negative_path, negators_path)
+    positive, negative = len(lexicon.positive_words), len(lexicon.negative_words)
+    summary = lexicon.source_summary
+    print(f"positive words:    {positive}")
+    print(f"negative words:    {negative}")
+    print(f"negators:          {len(lexicon.negators)}")
     print(f"conflicts removed: {summary.conflicts}")
     print(f"duplicate entries: {summary.duplicates}")
     print(f"dropped entries:   {summary.dropped}")
-    print(f"total sentiment words: {summary.positive + summary.negative}")
+    print(f"total sentiment words: {positive + negative}")
     return EXIT_OK
 
 

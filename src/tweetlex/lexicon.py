@@ -28,11 +28,8 @@ _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 @dataclass(frozen=True)
 class SourceSummary:
-    """Diagnostics collected while loading the three wordlists."""
+    """What loading removed from the three wordlists."""
 
-    positive: int
-    negative: int
-    negators: int
     conflicts: int  # tokens found in both sentiment lists, removed from both
     duplicates: int  # repeated entries within a single file
     dropped: int  # entries rejected because they contain whitespace
@@ -91,15 +88,6 @@ def _read_tokens(path) -> tuple[set[str], int, int]:
     return tokens, duplicates, dropped
 
 
-def load_wordlist(path) -> set[str]:
-    """Load one wordlist file into a set of normalized tokens.
-
-    Duplicates are dropped silently; an empty result triggers an
-    EmptyWordlistWarning but is not an error.
-    """
-    return _read_tokens(path)[0]
-
-
 def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:
     """Load the three wordlists and resolve cross-list conflicts.
 
@@ -129,9 +117,6 @@ def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:
         )
 
     summary = SourceSummary(
-        positive=len(positive),
-        negative=len(negative),
-        negators=len(negators),
         conflicts=len(conflicts),
         duplicates=pos_dup + neg_dup + rev_dup,
         dropped=pos_drop + neg_drop + rev_drop,

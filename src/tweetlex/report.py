@@ -19,35 +19,18 @@ def encode_matches(matches: Iterable[Match]) -> str:
     return "|".join(m.token + ("!" if m.negated else "") for m in matches)
 
 
-def decode_matches(cell: str) -> tuple[Match, ...]:
-    """Inverse of encode_matches.
-
-    Safe because matched tokens come from normalized text and can never
-    contain '|' or '!'.
-    """
-    if not cell:
-        return ()
-    matches = []
-    for part in cell.split("|"):
-        if part.endswith("!"):
-            matches.append(Match(part[:-1], True))
-        else:
-            matches.append(Match(part, False))
-    return tuple(matches)
-
-
 class DetailCsv:
     """A per-tweet detail CSV, open for writing one row at a time.
 
     Opening the file writes the header; use it in a ``with`` block,
-    which closes the file. ``rows`` counts the rows written. Any
-    OSError from opening, writing or closing is raised as
+    which closes the file. Fields go through the stdlib CSV writer, so
+    ones holding commas, quotes or newlines round-trip through any CSV
+    parser. Any OSError from opening, writing or closing is raised as
     PathUnwritable.
     """
 
     def __init__(self, path):
         self.path = path
-        self.rows = 0
         try:
             self._handle = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
@@ -70,7 +53,6 @@ class DetailCsv:
                 encode_matches(score.matched_negative),
             ]
         )
-        self.rows += 1
 
     def _put(self, row) -> None:
         try:
@@ -89,21 +71,6 @@ class DetailCsv:
             self._handle.close()
         except OSError as exc:
             raise self._unwritable(exc) from exc
-
-
-def write_csv(rows: Iterable[tuple[Tweet, TweetScore]], path) -> int:
-    """Write one detail row per (tweet, score) pair; returns the row count.
-
-    Columns: date, time (both UTC), username, raw tweet text, and the
-    encoded positive/negative matches. Quoting follows the usual CSV
-    convention via the stdlib writer, so fields containing commas,
-    quotes, or newlines round-trip through any generic CSV parser.
-    Raises PathUnwritable when the file cannot be opened or written.
-    """
-    with DetailCsv(path) as out:
-        for tweet, score in rows:
-            out.write(tweet, score)
-    return out.rows
 
 
 def render_summary(result: AggregateResult) -> str:

@@ -49,11 +49,6 @@ def normalize(text: str) -> str:
     return " ".join(_words(text))
 
 
-def tokenize(text: str) -> list[str]:
-    """Split normalized text on whitespace into tokens, in order."""
-    return text.split()
-
-
 class Match(NamedTuple):
     """One scored lexicon hit; negated means the hit was flipped."""
 
@@ -65,7 +60,6 @@ class Match(NamedTuple):
 class TweetScore:
     """Positive/negative hits for one tweet, with the matching words."""
 
-    tweet_id: str
     matched_positive: tuple[Match, ...] = ()
     matched_negative: tuple[Match, ...] = ()
 
@@ -202,8 +196,4 @@ def score_tweet(
         elif token in negative_words:
             (positive if negated else negative).append(Match(token, negated))
         negated = False
-    return TweetScore(
-        tweet_id=tweet.id,
-        matched_positive=tuple(positive),
-        matched_negative=tuple(negative),
-    )
+    return TweetScore(tuple(positive), tuple(negative))

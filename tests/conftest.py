@@ -16,14 +16,7 @@ def make_lexicon(positive=(), negative=(), negators=()):
         positive_words=frozenset(positive),
         negative_words=frozenset(negative),
         negators=frozenset(negators),
-        source_summary=SourceSummary(
-            positive=len(positive),
-            negative=len(negative),
-            negators=len(negators),
-            conflicts=0,
-            duplicates=0,
-            dropped=0,
-        ),
+        source_summary=SourceSummary(conflicts=0, duplicates=0, dropped=0),
     )
 
 

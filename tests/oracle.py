@@ -101,9 +101,12 @@ def oracle_score_text(text, positive, negative, negators):
 
 
 def oracle_read_wordlist(path):
-    """Raw one-token-per-line reader (';' comments, lowercase, no whitespace)."""
+    """Raw one-token-per-line reader (';' comments, lowercase, no whitespace).
+
+    Lines end at "\n" only and a leading byte-order mark is skipped.
+    """
     words = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig", newline="\n") as handle:
         for line in handle:
             entry = line.strip().lower()
             if not entry or entry.startswith(";"):

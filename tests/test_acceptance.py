@@ -18,6 +18,7 @@ import pytest
 from conftest import CORPUS_50, GOLDEN_DIR, make_lexicon, make_tweet
 from oracle import oracle_score
 from tweetlex import (
+    DetailCsv,
     Match,
     QueryFilter,
     TweetScore,
@@ -25,7 +26,6 @@ from tweetlex import (
     fetch,
     load_bundled_lexicon,
     score_tweet,
-    write_csv,
 )
 from tweetlex.cli import main
 
@@ -66,7 +66,7 @@ def test_formula_fidelity():
         p, n = rng.randint(0, 100), rng.randint(0, 100)
         if p + n == 0:
             p = 1
-        result = aggregate([TweetScore("x", (up,) * p, (down,) * n)], "t")
+        result = aggregate([TweetScore((up,) * p, (down,) * n)], "t")
         assert result.positivity_pct == pytest.approx(100.0 * p / (p + n), abs=1e-9)
         assert result.negativity_pct == pytest.approx(100.0 * n / (p + n), abs=1e-9)
         assert result.positivity_pct + result.negativity_pct == pytest.approx(
@@ -154,9 +154,10 @@ def test_csv_round_trip(tmp_path):
     ]
     tweets = [make_tweet(text, id=f"n{i}", username=f"u{i}") for i, text in enumerate(texts)]
     lexicon = load_bundled_lexicon()
-    scores = [score_tweet(t, lexicon) for t in tweets]
     out = tmp_path / "round.csv"
-    assert write_csv(zip(tweets, scores), out) == len(texts)
+    with DetailCsv(out) as detail:
+        for tweet in tweets:
+            detail.write(tweet, score_tweet(tweet, lexicon))
     with open(out, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == len(texts) + 1

@@ -370,16 +370,24 @@ def _unusable_lexicon_dir(tmp_path):
     return write_lexicon_dir(tmp_path, [";empty"], [";empty"], ["not"])
 
 
+def _invalid_utf8_list(tmp_path):
+    path = tmp_path / "bad-positive.txt"
+    path.write_bytes(b"good\n\xff\n")
+    return path
+
+
 @pytest.mark.parametrize(
     "code, extra",
     [
         (EXIT_OK, {"corpus": "/dev/stdin"}),
         (EXIT_USAGE, {"limit": 0}),
         (EXIT_UNREADABLE, {"corpus": "absent.jsonl"}),
+        (EXIT_UNREADABLE, {"positive_words": _invalid_utf8_list}),
         (EXIT_BAD_LEXICON, {"lexicon_dir": _unusable_lexicon_dir}),
         (EXIT_UNWRITABLE, {"out_csv": "."}),
     ],
-    ids=["ok-from-pipe", "usage", "unreadable", "bad-lexicon", "unwritable"],
+    ids=["ok-from-pipe", "usage", "unreadable", "invalid-utf8-wordlist",
+         "bad-lexicon", "unwritable"],
 )
 def test_process_exit_code(tmp_path, code, extra):
     extra = {k: v(tmp_path) if callable(v) else v for k, v in extra.items()}
@@ -388,9 +396,13 @@ def test_process_exit_code(tmp_path, code, extra):
     assert b"Traceback" not in proc.stderr
     if code == EXIT_OK:
         assert b"tweets scored:  20" in proc.stdout
-    else:
-        assert proc.stdout == b""
-        assert b"error: " in proc.stderr
+        return
+    assert proc.stdout == b""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith(b"error: ")]
+    assert len(errors) == 1, proc.stderr
+    if "positive_words" in extra:
+        # one bad byte still rejects the whole wordlist, unlike a corpus line
+        assert str(extra["positive_words"]).encode() in errors[0]
 
 
 class TestLexiconCheck:

@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from tweetlex import (
     UnusableLexicon,
     bundled_lexicon_dir,
     load_lexicon,
-    load_wordlist,
 )
+from tweetlex.lexicon import _read_tokens
 
 
 def write_list(path, lines):
@@ -24,44 +26,46 @@ def write_list(path, lines):
 class TestLoadWordlist:
     def test_casefold_comments_dedup(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["good", "Great", "", "; comment", "good"])
-        assert load_wordlist(path) == {"good", "great"}
+        assert _read_tokens(path)[0] == {"good", "great"}
 
     def test_comments_only_is_empty_with_warning(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["; one", "; two", ""])
         with pytest.warns(EmptyWordlistWarning):
-            assert load_wordlist(path) == set()
+            assert _read_tokens(path)[0] == set()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileUnreadable):
-            load_wordlist(tmp_path / "absent.txt")
+            _read_tokens(tmp_path / "absent.txt")
 
     def test_leading_bom_is_not_part_of_first_token(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("good\nfine\n", encoding="utf-8-sig")
-        assert load_wordlist(path) == {"good", "fine"}
+        assert _read_tokens(path)[0] == oracle_read_wordlist(path) == {"good", "fine"}
 
     def test_whitespace_entries_are_dropped(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["fine", "two words", "\tok\t"])
-        assert load_wordlist(path) == {"fine", "ok"}
+        assert _read_tokens(path)[0] == {"fine", "ok"}
 
     @pytest.mark.parametrize(
-        "sep", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+        "sep",
+        ["\r", "\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
         ids=lambda sep: f"U+{ord(sep):04X}",
     )
     def test_only_newline_ends_an_entry(self, tmp_path, sep):
         path = tmp_path / "w.txt"
-        path.write_text(f"good\nnice{sep}fine\n", encoding="utf-8")
-        assert load_wordlist(path) == oracle_read_wordlist(path) == {"good"}
         other = write_list(tmp_path / "other.txt", ["bad"])
-        summary = load_lexicon(path, other, other).source_summary
-        assert (summary.positive, summary.dropped) == (1, 1)
+        for bom in ("", "\ufeff"):
+            path.write_text(f"{bom}good\nnice{sep}fine\n", encoding="utf-8")
+            assert _read_tokens(path)[0] == oracle_read_wordlist(path) == {"good"}
+            lexicon = load_lexicon(path, other, other)
+            assert len(lexicon.positive_words) == lexicon.source_summary.dropped == 1
 
     def test_loading_is_idempotent(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["b", "a", "A", "c"])
-        assert load_wordlist(path) == load_wordlist(path)
+        assert _read_tokens(path)[0] == _read_tokens(path)[0]
 
     def test_bundled_positive_list_size(self):
-        words = load_wordlist(bundled_lexicon_dir() / "positive.txt")
+        words = _read_tokens(bundled_lexicon_dir() / "positive.txt")[0]
         assert 1900 <= len(words) <= 2100
 
 
@@ -108,11 +112,11 @@ class TestLoadLexicon:
         paths = self._paths(
             tmp_path, ["good", "good", "fine"], ["bad"], ["not", "never"]
         )
-        summary = load_lexicon(*paths).source_summary
-        assert summary.positive == 2
-        assert summary.negative == 1
-        assert summary.negators == 2
-        assert summary.duplicates == 1
+        lexicon = load_lexicon(*paths)
+        assert len(lexicon.positive_words) == 2
+        assert len(lexicon.negative_words) == 1
+        assert len(lexicon.negators) == 2
+        assert lexicon.source_summary.duplicates == 1
 
 
 class TestBundledLexicon:
@@ -140,6 +144,17 @@ class TestBundledLexicon:
 
     def test_disjoint(self, bundled_lexicon):
         assert not bundled_lexicon.positive_words & bundled_lexicon.negative_words
+
+    def test_build_script_reproduces_bundled_lists(self, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "build_wordlists.py"
+        spec = importlib.util.spec_from_file_location("build_wordlists", script)
+        build_wordlists = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(build_wordlists)
+        monkeypatch.setattr(build_wordlists, "DATA_DIR", tmp_path)
+        build_wordlists.main()
+        for name in ("positive.txt", "negative.txt", "negators.txt"):
+            built = (tmp_path / name).read_bytes()
+            assert built == (bundled_lexicon_dir() / name).read_bytes(), name
 
 
 entry_text = st.text(

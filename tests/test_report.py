@@ -8,28 +8,33 @@ from hypothesis import strategies as st
 from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon, make_tweet
 from tweetlex import (
     AggregateResult,
+    DetailCsv,
     Match,
     PathUnwritable,
-    TweetScore,
-    decode_matches,
     encode_matches,
     render_summary,
     score_tweet,
-    write_csv,
 )
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 HEADER = "date,time,username,tweet,positive_words,negative_words"
 
 
-def scored(tweets):
-    return [(t, score_tweet(t, TOY)) for t in tweets]
+def write_detail(tweets, path):
+    with DetailCsv(path) as detail:
+        for tweet in tweets:
+            detail.write(tweet, score_tweet(tweet, TOY))
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestWriteCsv:
     def test_empty_writes_header_only(self, tmp_path):
         out = tmp_path / "d.csv"
-        assert write_csv([], out) == 0
+        write_detail([], out)
         assert out.read_bytes() == (HEADER + "\r\n").encode()
 
     def test_canonical_row(self, tmp_path):
@@ -39,16 +44,15 @@ class TestWriteCsv:
             created_at=datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc),
         )
         out = tmp_path / "d.csv"
-        assert write_csv(scored([tweet]), out) == 1
+        write_detail([tweet], out)
         lines = out.read_bytes().split(b"\r\n")
         assert lines[1] == b"2022-03-01,10:00:00,a,I am not sad,sad!,"
 
     def test_comma_field_quoted_and_round_trips(self, tmp_path):
         tweet = make_tweet("good, but bad", username="u,ser")
         out = tmp_path / "d.csv"
-        write_csv(scored([tweet]), out)
-        with open(out, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        write_detail([tweet], out)
+        rows = read_rows(out)
         assert rows[1][2] == "u,ser"
         assert rows[1][3] == "good, but bad"
         assert '"good, but bad"' in out.read_text(encoding="utf-8")
@@ -61,7 +65,7 @@ class TestWriteCsv:
             "fine", created_at=datetime(2022, 3, 1, 12, 0, tzinfo=plus_two)
         )
         out = tmp_path / "d.csv"
-        write_csv(scored([tweet]), out)
+        write_detail([tweet], out)
         assert "2022-03-01,10:00:00" in out.read_text(encoding="utf-8")
 
     def test_years_below_1000_are_zero_padded(self, tmp_path):
@@ -69,16 +73,17 @@ class TestWriteCsv:
             "fine", created_at=datetime(5, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
         )
         out = tmp_path / "d.csv"
-        write_csv(scored([tweet]), out)
+        write_detail([tweet], out)
         assert out.read_bytes().split(b"\r\n")[1].startswith(b"0005-01-02,03:04:05,")
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(PathUnwritable):
-            write_csv([], tmp_path / "missing" / "d.csv")
+            DetailCsv(tmp_path / "missing" / "d.csv")
 
     def test_row_count_matches(self, tmp_path):
         tweets = [make_tweet(f"tweet {i}", id=f"t{i}") for i in range(7)]
-        assert write_csv(iter(scored(tweets)), tmp_path / "d.csv") == 7
+        write_detail(tweets, tmp_path / "d.csv")
+        assert len(read_rows(tmp_path / "d.csv")) == 1 + 7
 
 
 class TestMatchEncoding:
@@ -86,24 +91,6 @@ class TestMatchEncoding:
         assert encode_matches([]) == ""
         assert encode_matches([Match("sad", True)]) == "sad!"
         assert encode_matches([Match("good", False), Match("sad", True)]) == "good|sad!"
-
-    def test_decode_examples(self):
-        assert decode_matches("") == ()
-        assert decode_matches("good|sad!") == (Match("good", False), Match("sad", True))
-
-    @given(
-        matches=st.lists(
-            st.builds(
-                Match,
-                token=st.from_regex(r"[a-z][a-z']{0,8}", fullmatch=True),
-                negated=st.booleans(),
-            ),
-            max_size=8,
-        )
-    )
-    @settings(max_examples=100)
-    def test_decode_inverts_encode(self, matches):
-        assert decode_matches(encode_matches(matches)) == tuple(matches)
 
 
 nasty_text = st.text(
@@ -125,9 +112,8 @@ class TestCsvRoundTrip:
             for i, (user, text) in enumerate(rows)
         ]
         out = tmp / "d.csv"
-        assert write_csv(scored(tweets), out) == len(rows)
-        with open(out, encoding="utf-8", newline="") as fh:
-            parsed = list(csv.reader(fh))
+        write_detail(tweets, out)
+        parsed = read_rows(out)
         assert parsed[0] == HEADER.split(",")
         assert len(parsed) == len(rows) + 1
         for (user, text), row in zip(rows, parsed[1:]):

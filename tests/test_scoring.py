@@ -15,7 +15,6 @@ from tweetlex import (
     normalize,
     score_tweet,
     suggest_correction,
-    tokenize,
 )
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
@@ -103,17 +102,6 @@ class TestNormalize:
     @settings(max_examples=300)
     def test_matches_character_scanner_oracle(self, text):
         assert normalize(text) == oracle_normalize(text)
-
-
-class TestTokenize:
-    def test_example_sentence(self):
-        assert tokenize("i am not sad") == ["i", "am", "not", "sad"]
-
-    def test_empty(self):
-        assert tokenize("") == []
-
-    def test_multiple_spaces(self):
-        assert tokenize("a  b") == ["a", "b"]
 
 
 class TestScoreTweet:
