@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterator
@@ -65,9 +66,10 @@ class QueryFilter:
 
     The keyword is matched case-insensitively as a raw-text substring,
     so hashtags and multi-word phrases match exactly as typed. ``since``
-    is inclusive, ``until`` exclusive. ``bbox`` is
-    (min_lat, min_lon, max_lat, max_lon) with inclusive edges; tweets
-    without a location never match when a bbox is set.
+    is inclusive, ``until`` exclusive; both must be timezone-aware.
+    ``bbox`` is (min_lat, min_lon, max_lat, max_lon) with inclusive
+    edges and no NaN part; tweets without a location never match when a
+    bbox is set.
     """
 
     keyword: str
@@ -78,10 +80,18 @@ class QueryFilter:
     def __post_init__(self):
         if not self.keyword:
             raise ValueError("keyword must be non-empty")
+        for name in ("since", "until"):
+            stamp = getattr(self, name)
+            if stamp is not None and stamp.tzinfo is None:
+                raise ValueError(f"{name} must be timezone-aware")
         if self.since is not None and self.until is not None:
             if not self.since < self.until:
                 raise ValueError("since must be strictly before until")
         if self.bbox is not None:
+            # every comparison with NaN is false, so a NaN edge would
+            # silently keep no tweet
+            if any(math.isnan(part) for part in self.bbox):
+                raise ValueError(f"bbox has a NaN part: {self.bbox}")
             min_lat, min_lon, max_lat, max_lon = self.bbox
             if min_lat > max_lat or min_lon > max_lon:
                 raise ValueError("bbox must be (min_lat, min_lon, max_lat, max_lon)")

@@ -81,47 +81,93 @@ def _min_matches(total: int, threshold: float) -> int:
 
 
 class _SpellIndex:
-    """Lexicon words by length, each with a bitmask of its distinct characters,
-    plus a memo of answers keyed by (threshold, token)."""
+    """Lexicon words by length, with packed-integer tables that find the
+    words the ratio bound allows for a whole length at once, plus a memo
+    of answers keyed by (threshold, token).
+
+    Each length bucket keeps, for every lexicon character, a "holder":
+    an int with one field per word, 1 where the word holds that
+    character; and one int whose fields are the words' counts of
+    distinct characters. A field is whole bytes, wide enough that its
+    top bit is above any count a word of that length can reach, so
+    adding or subtracting counts that stay in range never carries into
+    the next field.
+    """
 
     def __init__(self, words):
         self.bits = {ch: 1 << i for i, ch in enumerate(set().union(*words))}
-        self.buckets: dict[int, list[tuple[str, int]]] = {}
+        by_length: dict[int, list[str]] = {}
         for word in words:
-            # distinct characters have distinct bits, so their sum is their union
-            mask = sum(map(self.bits.__getitem__, set(word)))
-            self.buckets.setdefault(len(word), []).append((word, mask))
+            by_length.setdefault(len(word), []).append(word)
+        row_bytes = max(1, (len(self.bits) + 7) // 8)
+        # translating a byte by bit_of[k] leaves bit k of it: 0 or 1
+        bit_of = [(b"\0" * 2**k + b"\1" * 2**k) * (128 >> k) for k in range(8)]
+        self.buckets = []
+        for la, bucket in by_length.items():
+            field_bytes = (la.bit_length() + 8) // 8
+            # one row of letter-set mask bytes per word; distinct
+            # characters have distinct bits, so their sum is their union
+            rows = b"".join(
+                sum(map(self.bits.__getitem__, set(word))).to_bytes(row_bytes, "little")
+                for word in bucket
+            )
+            holders = {}
+            for at, ch in enumerate(self.bits):
+                column = rows[at >> 3 :: row_bytes].translate(bit_of[at & 7])
+                if field_bytes > 1:
+                    spaced = bytearray(len(bucket) * field_bytes)
+                    spaced[::field_bytes] = column
+                    column = spaced
+                holders[ch] = int.from_bytes(column, "little")
+            width = 8 * field_bytes
+            one = b"\1".ljust(field_bytes, b"\0")
+            ones = int.from_bytes(one * len(bucket), "little")
+            self.buckets.append(
+                (la, bucket, width, ones, ones << (width - 1), holders, sum(holders.values()))
+            )
         self.memo: dict[tuple[float, str], str | None] = {}
 
     def candidates(self, token: str, threshold: float):
         """Yield the words whose ratio with token can reach threshold.
 
         With M matched characters the ratio is 2M / (la + lb). M is at
-        most the shorter length, at most lb minus the distinct token
-        characters missing from the word, and at most la minus the
-        distinct word characters missing from the token; a word whose
-        bound falls short of the needed M is skipped.
+        most the shorter length, at most lb less X, the distinct token
+        characters missing from the word, and at most la less Y, the
+        distinct word characters missing from the token. Both X and Y
+        follow from C, the distinct characters the two share, which one
+        sum of holders gives for every word of a length; two
+        offset-add-and-mask steps then keep the words whose bounds reach
+        the needed M.
         """
         lb = len(token)
-        token_mask = unknown = 0
-        for ch in set(token):
-            bit = self.bits.get(ch)
-            if bit is None:
-                unknown += 1  # in no lexicon word, so missing from every word
-            else:
-                token_mask |= bit
-        for la, entries in self.buckets.items():
-            need = _min_matches(la + lb, threshold)
-            token_slack = lb - unknown - need
-            word_slack = la - need
-            if min(la, lb) < need or token_slack < 0:
+        chars = set(token)
+        known = [ch for ch in chars if ch in self.bits]
+        # a character in no lexicon word is missing from every word
+        missing = len(chars) - len(known)
+        for la, bucket, width, ones, top, holders, distinct in self.buckets:
+            total, shorter = la + lb, min(la, lb)
+            # _min_matches's own test at M = shorter, so this skips exactly
+            # the lengths where need > shorter, without counting up to need
+            if total and 2.0 * shorter / total < threshold:
                 continue
-            for word, mask in entries:
-                if (
-                    (token_mask & ~mask).bit_count() <= token_slack
-                    and (mask & ~token_mask).bit_count() <= word_slack
-                ):
-                    yield word
+            need = _min_matches(total, threshold)
+            # lb - X >= need, with X = len(known) + missing - C, holds
+            # where C >= floor
+            floor = need + len(known) + missing - lb
+            # C is at most both, so no word passes; skipping also keeps
+            # the fields of top - floor * ones from going negative
+            if floor > min(la, len(known)):
+                continue
+            shared = sum(map(holders.__getitem__, known))  # C in every field
+            # la - Y >= need, with Y = distinct - C: the top bit of a
+            # field is set where C + la - need - distinct is not negative
+            hits = (shared + top + (la - need) * ones - distinct) & top
+            if floor > 0:
+                hits &= shared + top - floor * ones
+            while hits:
+                low = hits & -hits
+                yield bucket[low.bit_length() // width - 1]
+                hits ^= low
 
 
 def suggest_correction(
@@ -136,8 +182,9 @@ def suggest_correction(
     ``difflib.get_close_matches`` over the whole lexicon, but difflib
     only sees words that pass an upper bound on M: the shorter length,
     and each length less the distinct characters the other string lacks.
-    The index behind the bound and a memo of answers are built on the
-    first call and kept on the lexicon.
+    The index tests that bound on all words of one length at once with a
+    few operations on packed integers (see _SpellIndex); it and a memo of
+    answers are built on the first call and kept on the lexicon.
     """
     index = lexicon._spell_index
     if index is None:

@@ -381,12 +381,13 @@ def _invalid_utf8_list(tmp_path):
     [
         (EXIT_OK, {"corpus": "/dev/stdin"}),
         (EXIT_USAGE, {"limit": 0}),
+        (EXIT_USAGE, {"bbox": "nan,-180,90,180"}),
         (EXIT_UNREADABLE, {"corpus": "absent.jsonl"}),
         (EXIT_UNREADABLE, {"positive_words": _invalid_utf8_list}),
         (EXIT_BAD_LEXICON, {"lexicon_dir": _unusable_lexicon_dir}),
         (EXIT_UNWRITABLE, {"out_csv": "."}),
     ],
-    ids=["ok-from-pipe", "usage", "unreadable", "invalid-utf8-wordlist",
+    ids=["ok-from-pipe", "usage", "nan-bbox", "unreadable", "invalid-utf8-wordlist",
          "bad-lexicon", "unwritable"],
 )
 def test_process_exit_code(tmp_path, code, extra):

@@ -222,6 +222,18 @@ class TestQueryFilter:
         with pytest.raises(ValueError):
             QueryFilter(keyword="x", bbox=(10.0, 0.0, 5.0, 1.0))
 
+    @pytest.mark.parametrize("at", range(4))
+    def test_bbox_nan_part_rejected(self, at):
+        bbox = [-90.0, -180.0, 90.0, 180.0]
+        bbox[at] = float("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            QueryFilter(keyword="x", bbox=tuple(bbox))
+
+    @pytest.mark.parametrize("field", ["since", "until"])
+    def test_naive_window_edge_rejected(self, field):
+        with pytest.raises(ValueError, match="timezone-aware"):
+            QueryFilter(keyword="x", **{field: datetime(2020, 1, 1)})
+
     def test_keyword_is_case_insensitive_substring(self):
         query = QueryFilter(keyword="Vaccine")
         assert query.matches(make_tweet("the vaccine works"))

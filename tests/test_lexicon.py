@@ -1,3 +1,4 @@
+import codecs
 import importlib.util
 import warnings
 from pathlib import Path
@@ -162,7 +163,48 @@ entry_text = st.text(
 )
 
 
+# every separator str.splitlines knows, CRLF, a BOM past the start
+_ODD_BYTES = [
+    sep.encode()
+    for sep in ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85")
+] + ["\u2028".encode(), "\u2029".encode(), codecs.BOM_UTF8, b" ", b"\t", "É".encode()]
+# a stray byte, a truncated sequence, an encoded surrogate
+_INVALID_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80"]
+
+
+@st.composite
+def wordlist_bytes(draw):
+    """Raw wordlist bytes, sometimes with a leading BOM or one invalid run."""
+    pieces = draw(
+        st.lists(
+            st.one_of(entry_text.map(str.encode), st.sampled_from(_ODD_BYTES)),
+            max_size=20,
+        )
+    )
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(pieces)))
+        pieces.insert(at, draw(st.sampled_from(_INVALID_UTF8)))
+    return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + b"".join(pieces)
+
+
 class TestLexiconProperties:
+    @given(raw=wordlist_bytes())
+    @settings(max_examples=200)
+    def test_reader_matches_oracle_on_raw_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("raw") / "list.txt"
+        path.write_bytes(raw)
+        try:
+            expected = oracle_read_wordlist(path)
+        except UnicodeDecodeError:
+            expected = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                tokens = _read_tokens(path)[0]
+            except FileUnreadable:
+                tokens = None
+        assert tokens == expected
+
     @given(
         positive=st.lists(entry_text, max_size=20),
         negative=st.lists(entry_text, max_size=20),

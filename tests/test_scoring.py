@@ -16,6 +16,7 @@ from tweetlex import (
     score_tweet,
     suggest_correction,
 )
+from tweetlex.scoring import _SpellIndex
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 
@@ -280,6 +281,89 @@ class TestSuggestCorrection:
         for threshold in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="cutoff"):
                 suggest_correction("gud", lex, threshold)
+
+
+def _reaching(words, token, threshold):
+    """The words whose difflib ratio with token reaches threshold, measured
+    as get_close_matches measures it."""
+    return {
+        word
+        for word in words
+        if difflib.SequenceMatcher(None, word, token).ratio() >= threshold
+    }
+
+
+# (alphabet, shortest word, longest word) for each extreme shape
+_SHAPES = {
+    # 64+ letters: a count still fits a one-byte field
+    "words-of-64": ("abc'", 64, 72),
+    # 128+ letters: each field takes two bytes
+    "words-of-128": ("abcd", 128, 136),
+    "alphabet-of-90": ("".join(map(chr, range(0x21, 0x7B))), 1, 12),
+    # tokens of 200+ characters, where difflib junks popular characters
+    "autojunk-tokens": ("abcde", 203, 215),
+}
+
+
+@st.composite
+def _extreme_case(draw, shape):
+    alphabet, shortest, longest = _SHAPES[shape]
+    words = draw(
+        st.lists(
+            st.text(alphabet=alphabet, min_size=shortest, max_size=longest),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    if shortest >= 200:
+        # at most three edits, so the token keeps 200+ characters
+        token = draw(_edited_word(sorted(words)))
+    else:
+        token = draw(
+            st.one_of(
+                _edited_word(sorted(words)),
+                st.text(alphabet=alphabet + "é", min_size=shortest, max_size=longest),
+            )
+        )
+    return frozenset(words), token
+
+
+class TestSpellCandidates:
+    """The index's candidates are a superset of what difflib can accept."""
+
+    @given(
+        words=st.frozensets(
+            st.text(alphabet="abdeo'é", min_size=1, max_size=9), min_size=1, max_size=30
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_every_word_difflib_accepts_is_a_candidate(self, words, data):
+        token = data.draw(
+            st.one_of(
+                _edited_word(sorted(words)), st.text(alphabet="abdeoz'é1", max_size=12)
+            ),
+            label="token",
+        )
+        threshold = data.draw(_threshold, label="threshold")
+        found = list(_SpellIndex(words).candidates(token, threshold))
+        assert len(found) == len(set(found))
+        assert _reaching(words, token, threshold) <= set(found) <= words
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_extreme_shapes_match_difflib(self, shape, data):
+        words, token = data.draw(_extreme_case(shape), label="case")
+        threshold = data.draw(_threshold, label="threshold")
+        found = list(_SpellIndex(words).candidates(token, threshold))
+        assert len(found) == len(set(found))
+        assert _reaching(words, token, threshold) <= set(found)
+        lex = make_lexicon(words, set(), set())
+        assert suggest_correction(token, lex, threshold) == oracle_correct(
+            token, words, threshold
+        )
 
 
 class TestSpellMemo:
