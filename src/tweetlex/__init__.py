@@ -3,7 +3,6 @@
 from .aggregate import AggregateResult, aggregate
 from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, Tweet, fetch, parse_utc
 from .errors import (
-    CorpusEmpty,
     DroppedEntriesWarning,
     EmptyWordlistWarning,
     FileUnreadable,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateResult",
-    "CorpusEmpty",
     "DEFAULT_LIMIT",
     "DEFAULT_SPELL_THRESHOLD",
     "DetailCsv",

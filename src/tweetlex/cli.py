@@ -9,6 +9,7 @@ unreadable input file, 4 unusable lexicon, 5 unwritable output path.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from contextlib import nullcontext
@@ -17,11 +18,11 @@ from pathlib import Path
 from .aggregate import aggregate
 from .corpus import DEFAULT_LIMIT, QueryFilter, fetch, parse_utc
 from .errors import (
-    CorpusEmpty,
     DroppedEntriesWarning,
     EmptyWordlistWarning,
     FileUnreadable,
     PathUnwritable,
+    TweetlexError,
     UnusableLexicon,
 )
 from .lexicon import bundled_lexicon_dir, load_lexicon
@@ -73,17 +74,18 @@ def run_classify(
     tweets, counts = fetch(corpus, query, limit)
     with DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail:
         scores = _scores(tweets, lexicon, detail, spell_correct, spell_threshold)
-        try:
-            result = aggregate(scores, query.keyword)
-        except CorpusEmpty as exc:
-            print(f"note: {exc}", file=sys.stderr)
-            result = aggregate((), query.keyword)
-        else:
-            if counts.skipped:
-                print(
-                    f"note: skipped {counts.skipped} malformed corpus lines",
-                    file=sys.stderr,
-                )
+        result = aggregate(scores, query.keyword)
+        if not counts.valid:
+            print(
+                f"note: corpus {corpus} has no valid records "
+                f"({counts.skipped} malformed lines skipped)",
+                file=sys.stderr,
+            )
+        elif counts.skipped:
+            print(
+                f"note: skipped {counts.skipped} malformed corpus lines",
+                file=sys.stderr,
+            )
     if detail is not None:
         print(
             f"note: wrote {result.tweets_scored} detail rows to {out_csv}",
@@ -122,7 +124,7 @@ def run_lexicon_check(positive_path, negative_path, negators_path) -> int:
 def _utc_arg(value: str):
     try:
         return parse_utc(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad timestamp {value!r}: {exc}")
 
 
@@ -227,6 +229,12 @@ def main(argv=None) -> int:
                 return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
             if args.limit <= 0:
                 return _fail(EXIT_USAGE, "--limit must be positive")
+            lexicon_paths = _lexicon_paths(args)
+            # the CSV is truncated when opened, so it must not be an input
+            if args.out_csv is not None and os.path.isfile(args.out_csv):
+                for path in (args.corpus, *lexicon_paths.values()):
+                    if os.path.exists(path) and os.path.samefile(path, args.out_csv):
+                        return _fail(EXIT_USAGE, f"--out-csv would overwrite {path}")
             try:
                 query = QueryFilter(
                     keyword=args.query,
@@ -239,13 +247,13 @@ def main(argv=None) -> int:
             return run_classify(
                 query=query,
                 corpus=args.corpus,
-                **_lexicon_paths(args),
+                **lexicon_paths,
                 limit=args.limit,
                 spell_correct=args.spell_correct,
                 spell_threshold=args.spell_threshold,
                 out_csv=args.out_csv,
             )
-        except (FileUnreadable, UnusableLexicon, PathUnwritable) as exc:
+        except TweetlexError as exc:
             return _fail(_EXIT_CODES[type(exc)], exc)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterator
 
-from .errors import CorpusEmpty, FileUnreadable
+from .errors import FileUnreadable
 
 DEFAULT_LIMIT = 500
 
@@ -181,11 +181,6 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                         return
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
-    if not counts.valid:
-        raise CorpusEmpty(
-            f"corpus {path} has no valid records "
-            f"({counts.skipped} malformed lines skipped)"
-        )
 
 
 def fetch(
@@ -198,9 +193,8 @@ def fetch(
     here, so FileUnreadable is raised by this call; lines are read only
     as the iterator is advanced, and reading stops at the ``limit``-th
     match, so lines after it are never read or counted. The iterator
-    raises FileUnreadable when a read fails and, at the end of the file,
-    CorpusEmpty, whose message names the path and the skip count, when
-    the whole file yielded zero valid records.
+    raises FileUnreadable when a read fails. An empty or all-malformed
+    file yields nothing and leaves ``counts.valid`` at 0.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")

@@ -13,10 +13,6 @@ class UnusableLexicon(TweetlexError):
     """Both sentiment wordlists ended up empty after loading."""
 
 
-class CorpusEmpty(TweetlexError):
-    """A corpus file contained no valid records."""
-
-
 class PathUnwritable(TweetlexError):
     """An output path cannot be opened for writing."""
 

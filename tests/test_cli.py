@@ -11,6 +11,7 @@ import pytest
 from conftest import CORPUS_50
 from oracle import oracle_correct, oracle_normalize, oracle_read_wordlist, oracle_score
 from tweetlex.cli import (
+    _EXIT_CODES,
     EXIT_BAD_LEXICON,
     EXIT_OK,
     EXIT_UNREADABLE,
@@ -18,6 +19,7 @@ from tweetlex.cli import (
     EXIT_USAGE,
     main,
 )
+from tweetlex.errors import TweetlexError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BUNDLED_DIR = SRC_DIR / "tweetlex" / "data"
@@ -88,10 +90,20 @@ class TestClassify:
     def test_bad_limit_rejected(self, capsys):
         assert main(classify_args(limit=0)) == EXIT_USAGE
 
-    def test_bad_timestamp_is_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("since", "whenever"),
+            ("since", "0001-01-01T00:00:00+01:00"),
+            ("until", "9999-12-31T23:00:00-05:00"),
+        ],
+        ids=["not-iso", "before-year-1-in-utc", "after-year-9999-in-utc"],
+    )
+    def test_bad_timestamp_is_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
-            main(classify_args(since="whenever"))
+            main(classify_args(**{flag: value}))
         assert err.value.code == EXIT_USAGE
+        assert f"argument --{flag}: bad timestamp" in capsys.readouterr().err
 
     def test_inverted_window_is_usage_error(self, capsys):
         code = main(
@@ -202,6 +214,26 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "/dev/full" in captured.err
+
+    @pytest.mark.parametrize("kind", ["same-path", "symlink", "wordlist"])
+    def test_out_csv_naming_an_input_is_usage_error(self, tmp_path, capsys, kind):
+        lex = write_lexicon_dir(tmp_path, ["good"], ["bad"], ["not"])
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(CORPUS_50.read_bytes())
+        args = {"corpus": corpus, "lexicon_dir": lex, "out_csv": corpus}
+        if kind == "symlink":
+            args["corpus"] = tmp_path / "link.jsonl"
+            args["corpus"].symlink_to(corpus)
+        elif kind == "wordlist":
+            args["out_csv"] = lex / "negators.txt"
+        victim = args["out_csv"]
+        before = victim.read_bytes()
+        assert main(classify_args(**args)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: --out-csv ")
+        assert victim.read_bytes() == before
 
     @pytest.mark.parametrize("threshold", [None, 0.6], ids=["default", "0.6"])
     def test_spell_correct_matches_oracle(self, tmp_path, capsys, threshold):
@@ -404,6 +436,10 @@ def test_process_exit_code(tmp_path, code, extra):
     if "positive_words" in extra:
         # one bad byte still rejects the whole wordlist, unlike a corpus line
         assert str(extra["positive_words"]).encode() in errors[0]
+
+
+def test_every_error_type_has_an_exit_code():
+    assert set(TweetlexError.__subclasses__()) == set(_EXIT_CODES)
 
 
 class TestLexiconCheck:

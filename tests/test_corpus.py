@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_tweet
 from tweetlex import (
     DEFAULT_LIMIT,
-    CorpusEmpty,
     FileUnreadable,
     QueryFilter,
     Tweet,
@@ -182,11 +181,17 @@ class TestReadCorpus:
         tweets, _ = read_all(path, EVERY)
         assert tweets[0].location == (51.5, -0.1)
 
-    def test_empty_file_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, skipped",
+        [("", 0), ("broken\n{}\n", 2)],
+        ids=["empty", "all-malformed"],
+    )
+    def test_empty_file_yields_nothing(self, tmp_path, content, skipped):
         path = tmp_path / "c.jsonl"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusEmpty):
-            read_all(path, EVERY)
+        path.write_text(content, encoding="utf-8")
+        tweets, counts = fetch(path, EVERY)
+        assert list(tweets) == []
+        assert (counts.valid, counts.skipped) == (0, skipped)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileUnreadable):

@@ -2,7 +2,6 @@ import tweetlex
 
 PUBLIC_NAMES = {
     "AggregateResult",
-    "CorpusEmpty",
     "DEFAULT_LIMIT",
     "DEFAULT_SPELL_THRESHOLD",
     "DetailCsv",
@@ -35,6 +34,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned_and_resolve():
     assert set(tweetlex.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 28
     assert len(tweetlex.__all__) == len(PUBLIC_NAMES)
     for name in tweetlex.__all__:
         assert hasattr(tweetlex, name), name
