@@ -4,10 +4,12 @@ A corpus is a JSON-lines file standing in for a live platform query:
 one UTF-8 object per line with fields ``id``, ``created_at`` (ISO-8601,
 naive values taken as UTC), ``username``, ``text``, and optional
 ``lat``/``lon``. Lines end at a newline byte only (CRLF is accepted),
-and a leading byte-order mark is ignored. Each line is decoded on its
-own, so a malformed line, invalid UTF-8 included, is skipped and
-counted rather than aborting the read. The read is a stream: every line
-is checked, but a Tweet is built only for a line the query keeps.
+and a leading byte-order mark is ignored. JSON whitespace (space, tab,
+CR) may surround the object, and a line of Unicode whitespace alone is
+blank. Each line is decoded on its own, so a malformed line, invalid
+UTF-8 included, is skipped and counted rather than aborting the read.
+The read is a stream: every line is checked, but a Tweet is built only
+for a line the query keeps.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ from __future__ import annotations
 import codecs
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator
 
 from .errors import FileUnreadable
 
 DEFAULT_LIMIT = 500
+# The C scanner behind json.loads, without the wrapper's whitespace and
+# trailing-data checks, which _read makes itself.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def parse_utc(value: str) -> datetime:
@@ -29,6 +34,8 @@ def parse_utc(value: str) -> datetime:
     if value.endswith(("Z", "z")):
         value = value[:-1] + "+00:00"
     stamp = datetime.fromisoformat(value)
+    if stamp.tzinfo is timezone.utc:
+        return stamp
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.astimezone(timezone.utc)
@@ -76,10 +83,12 @@ class QueryFilter:
     since: datetime | None = None
     until: datetime | None = None
     bbox: tuple[float, float, float, float] | None = None
+    _keyword: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.keyword:
             raise ValueError("keyword must be non-empty")
+        object.__setattr__(self, "_keyword", self.keyword.lower())
         for name in ("since", "until"):
             stamp = getattr(self, name)
             if stamp is not None and stamp.tzinfo is None:
@@ -101,7 +110,7 @@ class QueryFilter:
 
     def _accepts(self, text: str, created_at: datetime, location) -> bool:
         """matches() on a tweet's fields, so a reader can test them first."""
-        if self.keyword.lower() not in text.lower():
+        if self._keyword not in text.lower():
             return False
         if self.since is not None and created_at < self.since:
             return False
@@ -134,10 +143,18 @@ def _record_fields(obj) -> tuple:
     Tweet's order and raises on a bad record."""
     if not isinstance(obj, dict):
         raise TypeError("record must be a JSON object")
-    for field in ("id", "created_at", "username", "text"):
-        if not isinstance(obj.get(field), str):
-            raise ValueError(f"record field {field!r} missing or not a string")
-    lat, lon = obj.get("lat"), obj.get("lon")
+    get = obj.get
+    tweet_id, stamp, username, text = (
+        get("id"), get("created_at"), get("username"), get("text")
+    )
+    if not (
+        isinstance(tweet_id, str)
+        and isinstance(stamp, str)
+        and isinstance(username, str)
+        and isinstance(text, str)
+    ):
+        raise ValueError("id, created_at, username and text must be strings")
+    lat, lon = get("lat"), get("lon")
     if (lat is None) != (lon is None):
         raise ValueError("lat and lon must appear together")
     if lat is None:
@@ -147,10 +164,8 @@ def _record_fields(obj) -> tuple:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"lat/lon must be numbers, got {value!r}")
         location = (float(lat), float(lon))
-    tweet_id = obj["id"]
     _check_id_and_location(tweet_id, location)
-    created_at = parse_utc(obj["created_at"])
-    return tweet_id, created_at, obj["username"], obj["text"], location
+    return tweet_id, parse_utc(stamp), username, text, location
 
 
 def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
@@ -165,12 +180,16 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                 # OverflowError: a huge lat/lon or a timestamp that leaves
                 # datetime's range in UTC; RecursionError: deep JSON nesting
                 try:
-                    decoded = line.decode("utf-8")
-                    if not decoded.strip():
-                        continue
-                    fields = _record_fields(json.loads(decoded))
+                    doc = line.decode("utf-8").strip(" \t\n\r")
+                    obj, end = _raw_decode(doc)
+                    if end != len(doc):
+                        raise ValueError("extra data after the JSON value")
+                    fields = _record_fields(obj)
                 except (ValueError, TypeError, OverflowError, RecursionError):
-                    counts.skipped += 1
+                    # a line of Unicode whitespace alone is blank: it is
+                    # neither valid nor skipped
+                    if line.decode("utf-8", "replace").strip():
+                        counts.skipped += 1
                     continue
                 counts.valid += 1
                 _, created_at, _, text, location = fields

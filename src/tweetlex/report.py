@@ -25,14 +25,18 @@ class DetailCsv:
     Opening the file writes the header; use it in a ``with`` block,
     which closes the file. Fields go through the stdlib CSV writer, so
     ones holding commas, quotes or newlines round-trip through any CSV
-    parser. Any OSError from opening, writing or closing is raised as
-    PathUnwritable.
+    parser. A lone surrogate, which a JSON ``\\ud800`` escape can put in
+    a field, is written as that escape's six ASCII characters, so the
+    file stays valid UTF-8. Any OSError from opening, writing or closing
+    is raised as PathUnwritable.
     """
 
     def __init__(self, path):
         self.path = path
         try:
-            self._handle = open(path, "w", encoding="utf-8", newline="")
+            self._handle = open(
+                path, "w", encoding="utf-8", errors="backslashreplace", newline=""
+            )
         except OSError as exc:
             raise self._unwritable(exc) from exc
         self._writerow = csv.writer(self._handle).writerow

@@ -7,6 +7,8 @@ free of tweetlex imports.
 """
 
 import difflib
+import json
+from datetime import datetime, timezone
 
 URL_PREFIXES = ("http://", "https://", "www.")
 
@@ -115,3 +117,73 @@ def oracle_read_wordlist(path):
                 continue
             words.add(entry)
     return words
+
+
+def _oracle_record(text):
+    """A corpus line's (id, text) when it holds a valid record, else None."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if type(obj) is not dict:
+        return None
+    tweet_id, stamp, username, body = (
+        obj.get(key) for key in ("id", "created_at", "username", "text")
+    )
+    if not all(type(value) is str for value in (tweet_id, stamp, username, body)):
+        return None
+    if tweet_id == "":
+        return None
+    lat, lon = obj.get("lat"), obj.get("lon")
+    if (lat is None) != (lon is None):
+        return None
+    if lat is not None:
+        if type(lat) not in (int, float) or type(lon) not in (int, float):
+            return None
+        try:
+            lat, lon = float(lat), float(lon)
+        except OverflowError:
+            return None
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+            return None
+    if stamp[-1:] in ("Z", "z"):
+        stamp = stamp[:-1] + "+00:00"
+    try:
+        when = datetime.fromisoformat(stamp)
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        when.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
+        return None
+    return tweet_id, body
+
+
+def oracle_read_corpus(raw, keyword):
+    """Raw-bytes corpus reader: (ids of records whose text holds the keyword,
+    valid records, skipped lines).
+
+    Lines end at b"\\n" only and a byte-order mark opening the first line
+    is dropped. A line that decodes to Unicode whitespace alone is blank
+    and counts as neither valid nor skipped; a line that is not UTF-8,
+    not one JSON object, or not a valid record is skipped. The keyword is
+    a case-insensitive substring of the text.
+    """
+    if raw.startswith(b"\xef\xbb\xbf"):
+        raw = raw[3:]
+    kept, valid, skipped = [], 0, 0
+    for line in raw.split(b"\n"):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            skipped += 1
+            continue
+        if text.isspace() or text == "":
+            continue
+        record = _oracle_record(text)
+        if record is None:
+            skipped += 1
+            continue
+        valid += 1
+        if keyword.lower() in record[1].lower():
+            kept.append(record[0])
+    return kept, valid, skipped

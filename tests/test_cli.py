@@ -187,6 +187,26 @@ class TestClassify:
         assert "tweets scored:  2" in captured.out
         assert "skipped 1 malformed" in captured.err
 
+    def test_lone_surrogate_is_escaped_in_csv(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            '{"id": "a", "created_at": "2021-01-01T00:00:00Z",'
+            ' "username": "u\\ud800", "text": "covid good \\ud800"}\n'
+            '{"id": "b", "created_at": "2021-01-02T00:00:00Z",'
+            ' "username": "v", "text": "covid bad"}\n',
+            encoding="utf-8",
+        )
+        assert main(classify_args(corpus=corpus)) == 0
+        summary = capsys.readouterr().out
+        out_csv = tmp_path / "details.csv"
+        assert main(classify_args(corpus=corpus, out_csv=out_csv)) == 0
+        assert capsys.readouterr().out == summary
+        rows = list(csv.reader(out_csv.read_text(encoding="utf-8").splitlines()))
+        assert [row[2:4] for row in rows[1:]] == [
+            ["u\\ud800", "covid good \\ud800"],
+            ["v", "covid bad"],
+        ]
+
     def test_device_corpus_is_read(self, capsys):
         # /dev/null is not a regular file, like a pipe or <(zcat ...)
         assert main(classify_args(corpus="/dev/null")) == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tweet
+from oracle import oracle_read_corpus
 from tweetlex import (
     DEFAULT_LIMIT,
     FileUnreadable,
@@ -64,6 +65,32 @@ class TestParseUtc:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_utc("yesterday")
+
+    @pytest.mark.parametrize(
+        "value, spelled_out",
+        [
+            ("2021-01-01T10:00:00Z", "2021-01-01T10:00:00+00:00"),
+            ("2021-01-01T10:00:00z", "2021-01-01T10:00:00+00:00"),
+            ("2021-01-01T10:00:00+00:00", "2021-01-01T10:00:00+00:00"),
+            ("2021-01-01T10:00:00-00:00", "2021-01-01T10:00:00-00:00"),
+            ("2021-01-01T10:00:00+05:30", "2021-01-01T10:00:00+05:30"),
+            ("2021-01-01T10:00:00", "2021-01-01T10:00:00+00:00"),
+            ("2021-01-01T10:00:00.123456Z", "2021-01-01T10:00:00.123456+00:00"),
+            ("2021-01-01T10:00:00.123456-03:00", "2021-01-01T10:00:00.123456-03:00"),
+        ],
+        ids=["Z", "z", "+00:00", "-00:00", "+05:30", "naive", "us-Z", "us-offset"],
+    )
+    def test_result_is_utc(self, value, spelled_out):
+        stamp = parse_utc(value)
+        assert stamp == datetime.fromisoformat(spelled_out).astimezone(UTC)
+        assert stamp.tzinfo is UTC
+
+    @pytest.mark.parametrize(
+        "value", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+    )
+    def test_leaving_datetime_range_in_utc_raises(self, value):
+        with pytest.raises(OverflowError):
+            parse_utc(value)
 
 
 class TestTweet:
@@ -239,6 +266,11 @@ class TestQueryFilter:
         with pytest.raises(ValueError, match="timezone-aware"):
             QueryFilter(keyword="x", **{field: datetime(2020, 1, 1)})
 
+    def test_lowered_keyword_is_outside_eq_hash_and_repr(self):
+        query = QueryFilter(keyword="Flu")
+        assert repr(query) == "QueryFilter(keyword='Flu', since=None, until=None, bbox=None)"
+        assert hash(query) == hash(QueryFilter(keyword="Flu"))
+
     def test_keyword_is_case_insensitive_substring(self):
         query = QueryFilter(keyword="Vaccine")
         assert query.matches(make_tweet("the vaccine works"))
@@ -396,3 +428,79 @@ class TestFilterProperties:
         query = QueryFilter(keyword=keyword)
         for kept in filter(query.matches, tweets):
             assert keyword.lower() in kept.text.lower()
+
+
+# Around a record: JSON whitespace, which the reader accepts, and other
+# Unicode whitespace (and U+FEFF), which makes the line malformed unless
+# the line holds nothing else.
+PAD_ST = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\u3000\ufeff", max_size=3)
+
+# A valid record, or one with a field overridden, most often into a defect.
+corpus_record_st = st.builds(
+    lambda fields, location, defect: {**fields, **location, **defect},
+    st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(["a", "b"]),
+            "created_at": st.sampled_from(
+                [
+                    "2021-01-01T10:00:00Z",
+                    "2021-01-01T10:00:00z",
+                    "2021-01-01 10:00:00",
+                    "2021-01-01T10:00:00.250-00:00",
+                    "2021-01-01T10:00:00+05:30",
+                ]
+            ),
+            "username": st.just("u"),
+            "text": st.sampled_from(["Flu shot", "no match", "flu\u3000"]),
+        }
+    ),
+    st.sampled_from([{}, {"lat": 51.5, "lon": -0.1}, {"lat": -90, "lon": 180}]),
+    st.one_of(
+        st.just({}),
+        st.sampled_from(
+            [
+                {"id": ""},
+                {"id": 7},
+                {"created_at": "0001-01-01T00:00:00+01:00"},
+                {"created_at": "yesterday"},
+                {"username": None},
+                {"text": 3},
+                {"lat": 10},
+                {"lat": 91.0, "lon": 0},
+                {"lat": True, "lon": 0},
+                {"lat": "1", "lon": 2},
+                {"lat": 10**400, "lon": 0},
+            ]
+        ),
+    ),
+)
+
+
+@st.composite
+def corpus_line_st(draw):
+    body = draw(
+        st.one_of(
+            st.builds(json.dumps, corpus_record_st, ensure_ascii=st.booleans()),
+            st.sampled_from(["{} x", "{}{}", "[1]", "null", "{", ""]),
+        )
+    )
+    line = (draw(PAD_ST) + body + draw(PAD_ST)).encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        line += b"\xff"
+    return line
+
+
+class TestReaderOracle:
+    @given(
+        lines=st.lists(corpus_line_st(), max_size=12),
+        bom=st.booleans(),
+        keyword=st.sampled_from(["flu", "FLU", "o"]),
+    )
+    @settings(max_examples=200)
+    def test_fetch_matches_oracle(self, tmp_path_factory, lines, bom, keyword):
+        raw = codecs.BOM_UTF8 * bom + b"\n".join(lines) + b"\n"
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_bytes(raw)
+        tweets, counts = fetch(path, QueryFilter(keyword=keyword), limit=100)
+        got = ([t.id for t in tweets], counts.valid, counts.skipped)
+        assert got == oracle_read_corpus(raw, keyword)
