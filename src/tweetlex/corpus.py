@@ -57,6 +57,21 @@ class Tweet:
             raise ValueError("created_at must be timezone-aware")
 
 
+def _checked_tweet(fields) -> Tweet:
+    """Tweet(*fields) for fields that _record_fields has checked, without
+    re-running the checks of Tweet's __init__ and __post_init__."""
+    tweet = object.__new__(Tweet)
+    attrs = tweet.__dict__
+    (
+        attrs["id"],
+        attrs["created_at"],
+        attrs["username"],
+        attrs["text"],
+        attrs["location"],
+    ) = fields
+    return tweet
+
+
 def _check_id_and_location(tweet_id: str, location) -> None:
     """Raise ValueError for an empty id or a (lat, lon) out of range."""
     if not tweet_id:
@@ -194,7 +209,7 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                 counts.valid += 1
                 _, created_at, _, text, location = fields
                 if query._accepts(text, created_at, location):
-                    yield Tweet(*fields)
+                    yield _checked_tweet(fields)
                     kept += 1
                     if kept == limit:
                         return

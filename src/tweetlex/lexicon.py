@@ -21,7 +21,7 @@ from .errors import (
     UnusableLexicon,
 )
 
-COMMENT_PREFIX = ";"
+COMMENT_PREFIX = ";"  # one character: _read_tokens tests line[0]
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -67,25 +67,21 @@ def _read_tokens(path) -> tuple[set[str], int, int]:
         text = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read wordlist {path}: {exc}") from exc
-    tokens: set[str] = set()
-    duplicates = dropped = 0
-    for raw in text.split("\n"):
-        line = raw.strip()  # also drops the "\r" of a CRLF ending
-        if not line or line.startswith(COMMENT_PREFIX):
-            continue
-        token = line.lower()
-        if len(token.split()) != 1:
-            dropped += 1
-            continue
-        if token in tokens:
-            duplicates += 1
-            continue
-        tokens.add(token)
+    # Lowering maps whitespace to itself, makes no whitespace and no ";",
+    # and lowers a line alone as it does inside the text, so the whole
+    # text is lowered in one call; strip also drops a CRLF's "\r".
+    entries = [
+        line
+        for line in map(str.strip, text.lower().split("\n"))
+        if line and line[0] != COMMENT_PREFIX
+    ]
+    words = [entry for entry in entries if len(entry.split()) == 1]
+    tokens = set(words)
     if not tokens:
         warnings.warn(
             f"wordlist {path} contains no usable tokens", EmptyWordlistWarning
         )
-    return tokens, duplicates, dropped
+    return tokens, len(words) - len(tokens), len(entries) - len(words)
 
 
 def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:

@@ -80,6 +80,12 @@ def _min_matches(total: int, threshold: float) -> int:
     return m
 
 
+# a page translate numbers at most this many characters, from 1 up, and
+# maps every other character to 0, so that its output is ASCII
+_PAGE = 120
+_PLANE_BITS = bytes(1 << k for k in range(8))
+
+
 class _SpellIndex:
     """Lexicon words by length, with packed-integer tables that find the
     words the ratio bound allows for a whole length at once, plus a memo
@@ -92,28 +98,58 @@ class _SpellIndex:
     top bit is above any count a word of that length can reach, so
     adding or subtracting counts that stay in range never carries into
     the next field.
+
+    Past grouping the words by length, the build makes no Python call
+    per word. Lexicon character i owns bit i of a word's letter-set
+    mask, and the masks are built one "plane" of eight bits at a time,
+    one byte per word. A bucket of length la is joined into one string
+    and translated through a page table, which gives each of up to
+    _PAGE characters a code from 1 up and every other character 0, so
+    the text stays ASCII and encodes to one byte per character. A
+    plane's byte table turns the code of its k-th character into bit k
+    and every other code into 0; OR-ing the la stride slices of that,
+    each read as one int, folds a word's la bytes into its mask byte.
+    The column of bit k across those mask bytes is that character's
+    holder. str.translate is fast only on ASCII text, so a lexicon of
+    many characters pays one slow translate per page, not one per plane.
     """
 
     def __init__(self, words):
-        self.bits = {ch: 1 << i for i, ch in enumerate(set().union(*words))}
         by_length: dict[int, list[str]] = {}
         for word in words:
             by_length.setdefault(len(word), []).append(word)
-        row_bytes = max(1, (len(self.bits) + 7) // 8)
+        self.chars = frozenset("".join(words))
+        numbered = list(enumerate(self.chars))
+        pages = []
+        for start in range(0, len(numbered), _PAGE):
+            codes = {
+                ch: chr(at - start + 1) if start <= at < start + _PAGE else "\0"
+                for at, ch in numbered
+            }
+            # plane q of the page: code 1 + 8q + k -> bit k, other codes -> 0
+            planes = [
+                bytes(1 + at) + _PLANE_BITS + bytes(247 - at)
+                for at in range(0, min(_PAGE, len(numbered) - start), 8)
+            ]
+            pages.append((str.maketrans(codes), planes))
         # translating a byte by bit_of[k] leaves bit k of it: 0 or 1
         bit_of = [(b"\0" * 2**k + b"\1" * 2**k) * (128 >> k) for k in range(8)]
         self.buckets = []
         for la, bucket in by_length.items():
+            joined = "".join(bucket)
+            masks = []  # masks[p]: one byte per word, its bits 8p to 8p + 7
+            for page, planes in pages:
+                coded = joined.translate(page).encode("ascii")
+                for plane in planes:
+                    bits = coded.translate(plane)
+                    mask = 0
+                    for j in range(la):
+                        mask |= int.from_bytes(bits[j::la], "little")
+                    masks.append(mask.to_bytes(len(bucket), "little"))
             field_bytes = (la.bit_length() + 8) // 8
-            # one row of letter-set mask bytes per word; distinct
-            # characters have distinct bits, so their sum is their union
-            rows = b"".join(
-                sum(map(self.bits.__getitem__, set(word))).to_bytes(row_bytes, "little")
-                for word in bucket
-            )
             holders = {}
-            for at, ch in enumerate(self.bits):
-                column = rows[at >> 3 :: row_bytes].translate(bit_of[at & 7])
+            for at, ch in numbered:
+                column = masks[at >> 3].translate(bit_of[at & 7])
                 if field_bytes > 1:
                     spaced = bytearray(len(bucket) * field_bytes)
                     spaced[::field_bytes] = column
@@ -141,7 +177,7 @@ class _SpellIndex:
         """
         lb = len(token)
         chars = set(token)
-        known = [ch for ch in chars if ch in self.bits]
+        known = [ch for ch in chars if ch in self.chars]
         # a character in no lexicon word is missing from every word
         missing = len(chars) - len(known)
         for la, bucket, width, ones, top, holders, distinct in self.buckets:

@@ -103,20 +103,32 @@ def oracle_score_text(text, positive, negative, negators):
 
 
 def oracle_read_wordlist(path):
-    """Raw one-token-per-line reader (';' comments, lowercase, no whitespace).
+    """The words oracle_read_wordlist_counts keeps from the file at path."""
+    return oracle_read_wordlist_counts(path)[0]
 
-    Lines end at "\n" only and a leading byte-order mark is skipped.
+
+def oracle_read_wordlist_counts(path):
+    """Raw one-token-per-line reader (';' comments, lowercase, no whitespace);
+    returns (words, duplicates, dropped).
+
+    Lines end at "\n" only and a leading byte-order mark is skipped. An
+    entry holding whitespace is dropped; a repeat of a kept word is a
+    duplicate.
     """
     words = set()
+    duplicates = dropped = 0
     with open(path, encoding="utf-8-sig", newline="\n") as handle:
         for line in handle:
             entry = line.strip().lower()
             if not entry or entry.startswith(";"):
                 continue
             if any(c.isspace() for c in entry):
-                continue
-            words.add(entry)
-    return words
+                dropped += 1
+            elif entry in words:
+                duplicates += 1
+            else:
+                words.add(entry)
+    return words, duplicates, dropped
 
 
 def _oracle_record(text):

@@ -1,4 +1,5 @@
 import codecs
+import dataclasses
 import json
 from datetime import datetime, timezone
 
@@ -233,6 +234,37 @@ class TestReadCorpus:
         assert counts.valid == 1
         assert [t.id for t in tweets] == ["t2"]
         assert (counts.valid, counts.skipped) == (2, 0)
+
+    def test_read_tweets_equal_checked_tweets(self, tmp_path, corpus_path):
+        # the reader builds each Tweet without re-running Tweet's checks
+        path = write_corpus(
+            tmp_path / "c.jsonl",
+            [
+                record(1, lat=51.5, lon=-0.1),
+                record(2, created_at="2021-01-02T15:30:00+05:30"),
+                record(3, lat=-90, lon=180),
+            ],
+        )
+        tweets = read_all(path, EVERY)[0]
+        assert tweets == [
+            Tweet(
+                f"t{i}",
+                datetime(2021, 1, i, 10, tzinfo=UTC),
+                f"user{i}",
+                f"tweet number {i}",
+                location,
+            )
+            for i, location in [(1, (51.5, -0.1)), (2, None), (3, (-90.0, 180.0))]
+        ]
+        for tweet in tweets + read_all(corpus_path, EVERY)[0]:
+            checked = Tweet(
+                tweet.id, tweet.created_at, tweet.username, tweet.text, tweet.location
+            )
+            assert type(tweet) is Tweet
+            assert tweet == checked and hash(tweet) == hash(checked)
+            assert vars(tweet) == vars(checked) and repr(tweet) == repr(checked)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                tweet.text = "changed"
 
     def test_fixture_corpus_is_clean(self, corpus_path):
         tweets, skipped = read_all(corpus_path, EVERY)

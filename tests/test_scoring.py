@@ -366,6 +366,66 @@ class TestSpellCandidates:
         )
 
 
+def _check_index_layout(words):
+    """Every field of every holder and of distinct, read one by one."""
+    chars = set("".join(words))
+    indexed = []
+    for la, bucket, width, _, _, holders, distinct in _SpellIndex(words).buckets:
+        assert set(holders) == chars
+        field = (1 << width) - 1
+        for i, word in enumerate(bucket):
+            assert len(word) == la
+            assert distinct >> i * width & field == len(set(word))
+            for ch, holder in holders.items():
+                assert holder >> i * width & field == (ch in word)
+        assert distinct >> len(bucket) * width == 0
+        indexed += bucket
+    assert sorted(indexed) == sorted(words)
+
+
+class TestSpellIndexLayout:
+    """Holder field i is 1 exactly where word i holds the character, and
+    distinct's field i is the word's count of distinct characters."""
+
+    @given(
+        words=st.frozensets(
+            st.text(alphabet="abdeo'é", min_size=1, max_size=9), min_size=1, max_size=30
+        )
+    )
+    @settings(max_examples=100)
+    def test_small_sets(self, words):
+        _check_index_layout(words)
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_extreme_shapes(self, shape, data):
+        _check_index_layout(data.draw(_extreme_case(shape), label="case")[0])
+
+    # up to 420 distinct characters, none of them ASCII
+    @given(
+        words=st.frozensets(
+            st.text(
+                alphabet=st.characters(min_codepoint=0x3B1, max_codepoint=0x3B1 + 419),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_wide_non_ascii_alphabets(self, words):
+        _check_index_layout(words)
+
+    def test_bundled_and_mixed_words(self):
+        _check_index_layout(SPELL_LEXICONS["bundled"].all_words())
+        _check_index_layout(
+            {"café", "naïve", "日本語", "x", "\0", "a" * 130, "ß" * 256}
+            | {chr(0x4E00 + i) * 2 for i in range(200)}
+        )
+
+
 class TestSpellMemo:
     def test_each_lexicon_keeps_its_own_answers(self, tmp_path):
         lexicons = []
