@@ -33,8 +33,8 @@ def aggregate(scores: Iterable[TweetScore], topic: str) -> AggregateResult:
     tweets = total_positive = total_negative = 0
     for score in scores:
         tweets += 1
-        total_positive += score.positive_count
-        total_negative += score.negative_count
+        total_positive += len(score.matched_positive)
+        total_negative += len(score.matched_negative)
     found = total_positive + total_negative
     if found:
         # multiply before dividing so shares never round above 100

@@ -24,16 +24,28 @@ from typing import Iterator
 from .errors import FileUnreadable
 
 DEFAULT_LIMIT = 500
-# The C scanner behind json.loads, without the wrapper's whitespace and
-# trailing-data checks, which _read makes itself.
-_raw_decode = json.JSONDecoder().raw_decode
+# The C scanner behind json.loads, without the wrappers' whitespace and
+# trailing-data checks, which _read makes itself. It raises StopIteration
+# where no JSON value starts, and ValueError for other malformed JSON.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_utc(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime."""
-    if value.endswith(("Z", "z")):
-        value = value[:-1] + "+00:00"
-    stamp = datetime.fromisoformat(value)
+    """Parse an ISO-8601 timestamp into an aware UTC datetime.
+
+    Takes what ``datetime.fromisoformat`` takes, plus a trailing ``z``
+    or ``Z`` read as ``+00:00`` where fromisoformat rejects it: in lower
+    case, or after a date alone (``2021-01-01Z``). Naive values are taken
+    as UTC.
+    """
+    try:
+        stamp = datetime.fromisoformat(value)
+    except ValueError:
+        # fromisoformat takes the common "...T10:00:00Z" itself, so the
+        # rewrite is paid only where it can change the answer
+        if not value.endswith(("Z", "z")):
+            raise
+        stamp = datetime.fromisoformat(value[:-1] + "+00:00")
     if stamp.tzinfo is timezone.utc:
         return stamp
     if stamp.tzinfo is None:
@@ -196,11 +208,13 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                 # datetime's range in UTC; RecursionError: deep JSON nesting
                 try:
                     doc = line.decode("utf-8").strip(" \t\n\r")
-                    obj, end = _raw_decode(doc)
+                    obj, end = _scan_once(doc, 0)
                     if end != len(doc):
                         raise ValueError("extra data after the JSON value")
                     fields = _record_fields(obj)
-                except (ValueError, TypeError, OverflowError, RecursionError):
+                except (
+                    ValueError, TypeError, OverflowError, RecursionError, StopIteration
+                ):
                     # a line of Unicode whitespace alone is blank: it is
                     # neither valid nor skipped
                     if line.decode("utf-8", "replace").strip():

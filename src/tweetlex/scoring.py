@@ -21,8 +21,10 @@ DEFAULT_SPELL_THRESHOLD = 0.85
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-# letter/digit runs; an apostrophe survives only between two of them ("don't")
-_WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+# letter/digit runs; an apostrophe survives only between two of them
+# ("don't"). On text with no "_", \w is exactly [^\W_], and the simpler
+# class matches faster.
+_WORD_RE = re.compile(r"\w+(?:'\w+)*")
 
 
 def _words(text: str) -> list[str]:
@@ -34,7 +36,9 @@ def _words(text: str) -> list[str]:
         text = _URL_RE.sub(" ", text)
     if "@" in text:
         text = _MENTION_RE.sub(" ", text)
-    return _WORD_RE.findall(text)
+    # a space separates tokens just as the "_" did; mentions and URLs,
+    # which may hold "_", are gone by now
+    return _WORD_RE.findall(text.replace("_", " "))
 
 
 def normalize(text: str) -> str:
@@ -70,6 +74,20 @@ class TweetScore:
     @property
     def negative_count(self) -> int:
         return len(self.matched_negative)
+
+
+# Match(token, negated) without the Python frame of NamedTuple's __new__
+_new_tuple = tuple.__new__
+
+
+def _checked_score(matched_positive, matched_negative) -> TweetScore:
+    """TweetScore(matched_positive, matched_negative) for tuples of Match,
+    without the frozen dataclass's __init__."""
+    score = object.__new__(TweetScore)
+    attrs = score.__dict__
+    attrs["matched_positive"] = matched_positive
+    attrs["matched_negative"] = matched_negative
+    return score
 
 
 def _min_matches(total: int, threshold: float) -> int:
@@ -275,8 +293,10 @@ def score_tweet(
             negated = True
             continue
         if token in positive_words:
-            (negative if negated else positive).append(Match(token, negated))
+            match = _new_tuple(Match, (token, negated))
+            (negative if negated else positive).append(match)
         elif token in negative_words:
-            (positive if negated else negative).append(Match(token, negated))
+            match = _new_tuple(Match, (token, negated))
+            (positive if negated else negative).append(match)
         negated = False
-    return TweetScore(tuple(positive), tuple(negative))
+    return _checked_score(tuple(positive), tuple(negative))

@@ -131,6 +131,21 @@ def oracle_read_wordlist_counts(path):
     return words, duplicates, dropped
 
 
+def oracle_parse_utc(stamp):
+    """An ISO-8601 stamp as an aware UTC datetime, the trailing "Z"/"z"
+    rewritten to "+00:00" before parsing and a naive value taken as UTC.
+
+    Raises ValueError for a bad stamp and OverflowError for one that
+    leaves datetime's range in UTC.
+    """
+    if stamp[-1:] in ("Z", "z"):
+        stamp = stamp[:-1] + "+00:00"
+    when = datetime.fromisoformat(stamp)
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return when.astimezone(timezone.utc)
+
+
 def _oracle_record(text):
     """A corpus line's (id, text) when it holds a valid record, else None."""
     try:
@@ -158,13 +173,8 @@ def _oracle_record(text):
             return None
         if not (-90 <= lat <= 90 and -180 <= lon <= 180):
             return None
-    if stamp[-1:] in ("Z", "z"):
-        stamp = stamp[:-1] + "+00:00"
     try:
-        when = datetime.fromisoformat(stamp)
-        if when.tzinfo is None:
-            when = when.replace(tzinfo=timezone.utc)
-        when.astimezone(timezone.utc)
+        oracle_parse_utc(stamp)
     except (ValueError, OverflowError):
         return None
     return tweet_id, body

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tweet
-from oracle import oracle_read_corpus
+from oracle import oracle_parse_utc, oracle_read_corpus
 from tweetlex import (
     DEFAULT_LIMIT,
     FileUnreadable,
@@ -52,6 +52,66 @@ LINE1 = json.dumps(record(1)).encode("utf-8")
 LINE2 = json.dumps(record(2)).encode("utf-8")
 
 
+def _parsed(parse, stamp):
+    """parse(stamp) if it gives a UTC datetime, else the class it raised."""
+    try:
+        when = parse(stamp)
+    except Exception as exc:
+        return type(exc)
+    assert when.tzinfo is UTC
+    return when
+
+
+# ISO-8601 stamps: a date (near datetime's edges too), an optional time
+# after "T" or " " as hh, hh:mm or hh:mm:ss with a fraction, and an
+# ending; plus the overflow edges and garbage.
+_date_st = st.one_of(
+    st.sampled_from(["0001-01-01", "2021-01-01", "9999-12-31"]),
+    st.builds(
+        "{:04d}-{:02d}-{:02d}".format,
+        st.integers(1, 9999),
+        st.integers(1, 12),
+        st.integers(1, 31),
+    ),
+)
+_time_st = st.one_of(
+    st.just(""),
+    st.builds(
+        "{}{}".format,
+        st.sampled_from("T "),
+        st.one_of(
+            st.builds("{:02d}".format, st.integers(0, 24)),
+            st.builds("{:02d}:{:02d}".format, st.integers(0, 24), st.integers(0, 60)),
+            st.sampled_from(["00:00:00", "23:59:59"]),
+            st.builds(
+                "10:00:00{}{}".format,
+                st.sampled_from(".,"),
+                st.text(alphabet="0123456789", min_size=1, max_size=9),
+            ),
+        ),
+    ),
+)
+# "+" and "x": one stray character, which only a "Z"/"z" may be rewritten from
+_ending_st = st.sampled_from(
+    ["", "Z", "z", "+00:00", "-00:00", "+05:30", "+00:00Z", "+", "x"]
+)
+stamp_st = st.one_of(
+    st.builds("{}{}{}".format, _date_st, _time_st, _ending_st),
+    st.sampled_from(
+        [
+            "2021-01-01Z",
+            "2021-01-01z",
+            "0001-01-01T00:00:00+01:00",
+            "9999-12-31T23:59:59-01:00",
+            "0001-01-01T00:00:00Z",
+            "9999-12-31T23:59:59.999999z",
+        ]
+    ),
+    st.text(alphabet="0123456789-:T .+Zz", max_size=26),
+    st.text(max_size=12),
+)
+
+
 class TestParseUtc:
     def test_z_suffix(self):
         assert parse_utc("2021-01-01T00:00:00Z") == datetime(2021, 1, 1, tzinfo=UTC)
@@ -92,6 +152,12 @@ class TestParseUtc:
     def test_leaving_datetime_range_in_utc_raises(self, value):
         with pytest.raises(OverflowError):
             parse_utc(value)
+
+    @given(stamp_st)
+    @settings(max_examples=500)
+    def test_matches_rewrite_first_oracle(self, stamp):
+        assert _parsed(parse_utc, stamp) == _parsed(oracle_parse_utc, stamp)
+
 
 
 class TestTweet:

@@ -1,3 +1,4 @@
+import dataclasses
 import difflib
 import sys
 import threading
@@ -10,6 +11,7 @@ from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon, mak
 from oracle import URL_PREFIXES, oracle_correct, oracle_normalize, oracle_score
 from tweetlex import (
     Match,
+    TweetScore,
     load_bundled_lexicon,
     load_lexicon,
     normalize,
@@ -40,6 +42,8 @@ _piece = st.one_of(
     st.builds("@{}'s".format, _handle),
     _url,
     st.builds("{}_{}".format, _word, _word),
+    st.builds("{}_'{}".format, _word, _word),
+    st.builds("_{}_".format, _word),
     st.builds("{}'{}".format, _word, _url),
     st.sampled_from(["😀", "!!", "...", "-", ":)", "'", "''", "@", "#", "'s"]),
 )
@@ -80,6 +84,13 @@ class TestNormalize:
             ("@bob_www.x.com", ""),
             ("a_'b a''b", "a b a b"),
             ("İstanbul", "i stanbul"),
+            ("a_'b", "a b"),
+            ("don't_x", "don't x"),
+            ("_'s_", "s"),
+            ("@a_b's c_d", "s c d"),
+            ("www.a_b c_d", "c d"),
+            ("é_ß_1", "é ß 1"),
+            ("x__y", "x y"),
         ],
     )
     def test_edge_cases(self, text, expected):
@@ -152,11 +163,37 @@ class TestScoreTweet:
         score = score_tweet(make_tweet("GOOD!!! #good @good https://good.example"), TOY)
         assert score.positive_count == 2
 
+    def test_scores_equal_constructed_scores(self):
+        # score_tweet builds each TweetScore and Match without their constructors
+        score = score_tweet(make_tweet("not sad, great! never good bad"), TOY)
+        built = TweetScore(
+            (Match("sad", True), Match("great", False)),
+            (Match("good", True), Match("bad", False)),
+        )
+        for got, want in [(score, built), (score_tweet(make_tweet(""), TOY), TweetScore())]:
+            assert type(got) is TweetScore
+            assert got == want and hash(got) == hash(want)
+            assert vars(got) == vars(want) and repr(got) == repr(want)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.matched_positive = ()
+        for got, want in zip(
+            score.matched_positive + score.matched_negative,
+            built.matched_positive + built.matched_negative,
+        ):
+            assert type(got) is Match and isinstance(got, Match)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert got._asdict() == want._asdict()
+            with pytest.raises(AttributeError):
+                got.token = "changed"
+
 
 FILLER_WORDS = ("the", "a", "is", "i", "it", "so", "really", "very", "today")
 toy_token = st.sampled_from(
     sorted(TOY_POSITIVE | TOY_NEGATIVE | TOY_NEGATORS) + list(FILLER_WORDS)
 )
+# the alphabet of directly built lexicons whose three lists may overlap,
+# which load_lexicon never builds
+overlap_token = st.sampled_from(["aa", "bb", "cc", "dd", "ee", "ff"])
 
 
 class TestScoringProperties:
@@ -165,6 +202,22 @@ class TestScoringProperties:
     def test_matches_brute_force_oracle(self, tokens):
         score = score_tweet(make_tweet(" ".join(tokens)), TOY)
         pos, neg = oracle_score(tokens, TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
+        assert [tuple(m) for m in score.matched_positive] == pos
+        assert [tuple(m) for m in score.matched_negative] == neg
+
+    @given(
+        positive=st.frozensets(overlap_token),
+        negative=st.frozensets(overlap_token),
+        negators=st.frozensets(overlap_token),
+        tokens=st.lists(overlap_token, max_size=12),
+    )
+    @settings(max_examples=300)
+    def test_overlapping_lists_match_oracle(self, positive, negative, negators, tokens):
+        # a word in several lists counts as a negator first, then as positive
+        score = score_tweet(
+            make_tweet(" ".join(tokens)), make_lexicon(positive, negative, negators)
+        )
+        pos, neg = oracle_score(tokens, positive, negative, negators)
         assert [tuple(m) for m in score.matched_positive] == pos
         assert [tuple(m) for m in score.matched_negative] == neg
 
