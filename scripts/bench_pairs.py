@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --first-seed S
+
+Both ``src/`` trees are byte-compiled first, so that neither side's
+``setup_s`` includes compiling its modules. Pair i runs
+``perfbench/run.py --workload W --seed S+i --seconds 18 --trace 0`` in
+each checkout, one run at a time; the parent goes first in even pairs
+and the change in odd ones. The script prints every seed's end-to-end
+metrics, each side's median and quartiles, how many pairs the change
+won (ties count for neither side) and whether the medians differ by
+more than the parent's interquartile range. It exits 1 when a run fails
+or reports failed calls. The metric names and directions are read from
+the parent's ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SECONDS = 18
+RUN_TIMEOUT_S = 240
+
+
+def compile_tree(checkout: Path) -> None:
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", str(checkout / "src")],
+        check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """The last stdout line of one untraced benchmark run, as a dict."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    if proc.returncode != 0 or not proc.stdout.strip():
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"bench_pairs: run in {checkout} (seed {seed}) "
+                         f"exited with code {proc.returncode}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    for checkout in sides.values():
+        compile_tree(checkout)
+    values = {side: {name: [] for name in better} for side in sides}
+    failed = 0
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            result = run_once(sides[side], args.workload, seed)
+            failed += result["failed"]
+            metrics = result["metrics"]
+            for name in better:
+                values[side][name].append(metrics[name]["value"])
+            shown = " ".join(f"{name}={metrics[name]['value']:.6g}" for name in better)
+            print(f"seed {seed} {side:<6} failed={result['failed']}/{result['attempted']} "
+                  f"{shown}", flush=True)
+
+    print(f"\n{args.workload}, {args.pairs} pairs, seeds "
+          f"{args.first_seed}-{args.first_seed + args.pairs - 1}")
+    for name, direction in better.items():
+        parent, change = values["parent"][name], values["change"][name]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        print(f"  {name:<12} parent median {p_med:.6g} (q1 {p_q1:.6g}, q3 {p_q3:.6g})  "
+              f"change median {c_med:.6g} (q1 {c_q1:.6g}, q3 {c_q3:.6g})  "
+              f"change {(c_med - p_med) / p_med:+.1%}, wins {wins}/{args.pairs}, "
+              f"|median diff| > parent IQR: {abs(c_med - p_med) > p_q3 - p_q1}")
+    if failed:
+        print(f"bench_pairs: {failed} failed calls", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

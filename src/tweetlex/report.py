@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import re
 from datetime import timezone
 from typing import Iterable
 
@@ -13,22 +13,35 @@ from .scoring import Match, TweetScore
 
 CSV_COLUMNS = ["date", "time", "username", "tweet", "positive_words", "negative_words"]
 
+# The characters for which the stdlib writer's default dialect quotes a field.
+_needs_quotes = re.compile('[\n\r",]').search
+
 
 def encode_matches(matches: Iterable[Match]) -> str:
     """Join match tokens with '|'; a '!' suffix marks a flipped hit."""
-    return "|".join(m.token + ("!" if m.negated else "") for m in matches)
+    return "|".join([token + "!" if negated else token for token, negated in matches])
+
+
+def _field(text: str) -> str:
+    """text as one CSV field: quoted, inner quotes doubled, when it holds
+    a comma, quote, CR or LF; else as it is."""
+    if _needs_quotes(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 class DetailCsv:
     """A per-tweet detail CSV, open for writing one row at a time.
 
     Opening the file writes the header; use it in a ``with`` block,
-    which closes the file. Fields go through the stdlib CSV writer, so
-    ones holding commas, quotes or newlines round-trip through any CSV
-    parser. A lone surrogate, which a JSON ``\\ud800`` escape can put in
-    a field, is written as that escape's six ASCII characters, so the
-    file stays valid UTF-8. Any OSError from opening, writing or closing
-    is raised as PathUnwritable.
+    which closes the file. A field holding a comma, quote, CR or LF is
+    quoted, with its inner quotes doubled; every other field is written
+    as it is, and each row ends in CRLF. The bytes are those of the
+    stdlib ``csv.writer`` in its default dialect, so every field
+    round-trips through any CSV parser. A lone surrogate, which a JSON
+    ``\\ud800`` escape can put in a field, is written as that escape's
+    six ASCII characters, so the file stays valid UTF-8. Any OSError
+    from opening, writing or closing is raised as PathUnwritable.
     """
 
     def __init__(self, path):
@@ -39,28 +52,25 @@ class DetailCsv:
             )
         except OSError as exc:
             raise self._unwritable(exc) from exc
-        self._writerow = csv.writer(self._handle).writerow
-        self._put(CSV_COLUMNS)
+        self._put(",".join(CSV_COLUMNS) + "\r\n")
 
     def write(self, tweet: Tweet, score: TweetScore) -> None:
         """Write one row: UTC date and time, username, raw text, and the
         encoded positive and negative matches."""
-        # isoformat pads the year to four digits, where %Y may not
-        stamp = tweet.created_at.astimezone(timezone.utc).isoformat(" ", "seconds")
+        when = tweet.created_at
+        if when.tzinfo is not timezone.utc:
+            when = when.astimezone(timezone.utc)
+        # "YYYY-MM-DD,HH:MM:SS": isoformat pads the year to four digits,
+        # where %Y may not, and neither field ever needs quoting
         self._put(
-            [
-                stamp[:10],
-                stamp[11:19],
-                tweet.username,
-                tweet.text,
-                encode_matches(score.matched_positive),
-                encode_matches(score.matched_negative),
-            ]
+            f"{when.isoformat(',', 'seconds')[:19]},{_field(tweet.username)},"
+            f"{_field(tweet.text)},{_field(encode_matches(score.matched_positive))},"
+            f"{_field(encode_matches(score.matched_negative))}\r\n"
         )
 
-    def _put(self, row) -> None:
+    def _put(self, line: str) -> None:
         try:
-            self._writerow(row)
+            self._handle.write(line)
         except OSError as exc:
             raise self._unwritable(exc) from exc
 

@@ -6,7 +6,9 @@ line parsing) so the two routes can disagree loudly in tests. Keep it
 free of tweetlex imports.
 """
 
+import csv
 import difflib
+import io
 import json
 from datetime import datetime, timezone
 
@@ -209,3 +211,16 @@ def oracle_read_corpus(raw, keyword):
         if keyword.lower() in record[1].lower():
             kept.append(record[0])
     return kept, valid, skipped
+
+
+def oracle_csv_bytes(rows):
+    """The bytes the stdlib csv.writer, default dialect, writes for rows
+    (lists of str) to a file opened as UTF-8 with backslashreplace and
+    newline=""."""
+    buffer = io.BytesIO()
+    handle = io.TextIOWrapper(
+        buffer, encoding="utf-8", errors="backslashreplace", newline=""
+    )
+    csv.writer(handle).writerows(rows)
+    handle.flush()
+    return buffer.getvalue()

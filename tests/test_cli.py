@@ -168,6 +168,21 @@ class TestClassify:
         main(args)
         assert "positive words: 1" in capsys.readouterr().out
 
+    def test_spell_corrected_matches_are_quoted_in_csv(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        record = {"id": "a", "created_at": "2021-01-01T00:00:00Z",
+                  "username": "u", "text": "so nice and not sad #q"}
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        lex = write_lexicon_dir(tmp_path, ["nice,"], ['sa"d'], ["not"])
+        out_csv = tmp_path / "details.csv"
+        args = classify_args(corpus=corpus, lexicon_dir=lex, query="#q",
+                             out_csv=out_csv) + ["--spell-correct"]
+        assert main(args) == EXIT_OK
+        row = out_csv.read_bytes().split(b"\r\n")[1]
+        assert row == b'2021-01-01,00:00:00,u,so nice and not sad #q,"nice,|sa""d!",'
+        with open(out_csv, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle))[1][4:] == ['nice,|sa"d!', ""]
+
     def test_bad_spell_threshold(self, capsys):
         assert main(classify_args(spell_threshold=1.5)) == EXIT_USAGE
 

@@ -1,16 +1,18 @@
 import csv
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon, make_tweet
+from oracle import oracle_csv_bytes
 from tweetlex import (
     AggregateResult,
     DetailCsv,
     Match,
     PathUnwritable,
+    TweetScore,
     encode_matches,
     render_summary,
     score_tweet,
@@ -119,6 +121,61 @@ class TestCsvRoundTrip:
         for (user, text), row in zip(rows, parsed[1:]):
             assert row[2] == user
             assert row[3] == text
+
+
+csv_text = st.text(
+    alphabet=st.sampled_from(list(',"\r\n\0\ud800|!é a')), max_size=12
+)
+csv_matches = st.lists(st.tuples(csv_text, st.booleans()), max_size=3)
+# Local times whose UTC value stays in datetime's range under every offset.
+csv_stamps = st.builds(
+    lambda local, offset: local.replace(tzinfo=timezone(offset)),
+    st.datetimes(min_value=datetime(5, 1, 1), max_value=datetime(9999, 12, 31, 15, 59)),
+    st.sampled_from([timedelta(0), timedelta(hours=5, minutes=30), timedelta(hours=-8)]),
+)
+IST, PST = timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8))
+
+
+def _oracle_row(user, text, positive, negative, when):
+    utc = (when - when.utcoffset()).replace(tzinfo=None)
+    return [
+        f"{utc.year:04d}-{utc.month:02d}-{utc.day:02d}",
+        f"{utc.hour:02d}:{utc.minute:02d}:{utc.second:02d}",
+        user,
+        text,
+        "|".join(token + ("!" if negated else "") for token, negated in positive),
+        "|".join(token + ("!" if negated else "") for token, negated in negative),
+    ]
+
+
+class TestCsvBytes:
+    @given(
+        rows=st.lists(
+            st.tuples(csv_text, csv_text, csv_matches, csv_matches, csv_stamps),
+            max_size=6,
+        )
+    )
+    @example(rows=[
+        ("u", "a,b", [("nice,", False)], [('sa"d', True)],
+         datetime(5, 1, 1, 3, 0, 0, 999999, tzinfo=IST)),
+        ("", "", [("", True)], [], datetime(9999, 12, 31, 15, 59, 59, tzinfo=PST)),
+        (" x\0 ", "\ud800\r\n", [], [("é", False), ("!", True)],
+         datetime(2021, 6, 30, 20, 0, 0, 123456, tzinfo=PST)),
+    ])
+    @settings(max_examples=80)
+    def test_bytes_equal_stdlib_writer(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("csv") / "d.csv"
+        with DetailCsv(out) as detail:
+            for i, (user, text, positive, negative, when) in enumerate(rows):
+                score = TweetScore(
+                    tuple(Match(*hit) for hit in positive),
+                    tuple(Match(*hit) for hit in negative),
+                )
+                detail.write(
+                    make_tweet(text, id=f"t{i}", username=user, created_at=when), score
+                )
+        expected = [HEADER.split(",")] + [_oracle_row(*row) for row in rows]
+        assert out.read_bytes() == oracle_csv_bytes(expected)
 
 
 class TestRenderSummary:
