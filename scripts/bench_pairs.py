@@ -3,16 +3,19 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --first-seed S
 
-Both ``src/`` trees are byte-compiled first, so that neither side's
-``setup_s`` includes compiling its modules. Pair i runs
+``W`` names one workload, several separated by commas, or ``all`` for
+every workload in the parent's ``BENCHMARK.json``. Both ``src/`` trees
+are byte-compiled first, so that neither side's ``setup_s`` includes
+compiling its modules. The workloads run in turn. For each, pair i runs
 ``perfbench/run.py --workload W --seed S+i --seconds 18 --trace 0`` in
 each checkout, one run at a time; the parent goes first in even pairs
 and the change in odd ones. The script prints every seed's end-to-end
-metrics, each side's median and quartiles, how many pairs the change
-won (ties count for neither side) and whether the medians differ by
-more than the parent's interquartile range. It exits 1 when a run fails
-or reports failed calls. The metric names and directions are read from
-the parent's ``BENCHMARK.json``.
+metrics and, after each workload's last pair, one summary block: each
+side's median and quartiles, how many pairs the change won (ties count
+for neither side) and whether the medians differ by more than the
+parent's interquartile range. It exits 1 when a run fails or reports
+failed calls. The metric names and directions are read from the
+parent's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -56,39 +59,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--first-seed", type=int, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-    for checkout in sides.values():
-        compile_tree(checkout)
+def run_pairs(sides: dict, workload: str, pairs: int, first_seed: int,
+              better: dict) -> tuple[dict, int]:
+    """Each side's values of every metric over the pairs, and the failed
+    calls, printing each run's metrics as it ends."""
     values = {side: {name: [] for name in better} for side in sides}
     failed = 0
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(pairs):
+        seed = first_seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            result = run_once(sides[side], args.workload, seed)
+            result = run_once(sides[side], workload, seed)
             failed += result["failed"]
             metrics = result["metrics"]
             for name in better:
                 values[side][name].append(metrics[name]["value"])
             shown = " ".join(f"{name}={metrics[name]['value']:.6g}" for name in better)
-            print(f"seed {seed} {side:<6} failed={result['failed']}/{result['attempted']} "
-                  f"{shown}", flush=True)
+            print(f"{workload} seed {seed} {side:<6} failed="
+                  f"{result['failed']}/{result['attempted']} {shown}", flush=True)
+    return values, failed
 
-    print(f"\n{args.workload}, {args.pairs} pairs, seeds "
-          f"{args.first_seed}-{args.first_seed + args.pairs - 1}")
+
+def print_summary(workload: str, pairs: int, first_seed: int, values: dict,
+                  better: dict) -> None:
+    print(f"\n{workload}, {pairs} pairs, seeds {first_seed}-{first_seed + pairs - 1}")
     for name, direction in better.items():
         parent, change = values["parent"][name], values["change"][name]
         sign = 1 if direction == "lower" else -1
@@ -97,8 +91,40 @@ def main(argv=None) -> int:
         c_q1, c_med, c_q3 = quartiles(change)
         print(f"  {name:<12} parent median {p_med:.6g} (q1 {p_q1:.6g}, q3 {p_q3:.6g})  "
               f"change median {c_med:.6g} (q1 {c_q1:.6g}, q3 {c_q3:.6g})  "
-              f"change {(c_med - p_med) / p_med:+.1%}, wins {wins}/{args.pairs}, "
+              f"change {(c_med - p_med) / p_med:+.1%}, wins {wins}/{pairs}, "
               f"|median diff| > parent IQR: {abs(c_med - p_med) > p_q3 - p_q1}")
+    print(flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list of them, or 'all'")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; "
+                     f"choose from {', '.join(known)} or all")
+
+    for checkout in sides.values():
+        compile_tree(checkout)
+    failed = 0
+    for workload in workloads:
+        values, workload_failed = run_pairs(
+            sides, workload, args.pairs, args.first_seed, better)
+        failed += workload_failed
+        print_summary(workload, args.pairs, args.first_seed, values, better)
     if failed:
         print(f"bench_pairs: {failed} failed calls", file=sys.stderr)
         return 1

@@ -35,18 +35,23 @@ def aggregate(scores: Iterable[TweetScore], topic: str) -> AggregateResult:
         tweets += 1
         total_positive += len(score.matched_positive)
         total_negative += len(score.matched_negative)
-    found = total_positive + total_negative
+    return _result(topic, tweets, total_positive, total_negative)
+
+
+def _result(topic: str, tweets: int, positive: int, negative: int) -> AggregateResult:
+    """The AggregateResult of tweets scored with these hit totals."""
+    found = positive + negative
     if found:
         # multiply before dividing so shares never round above 100
-        positivity = 100.0 * total_positive / found
-        negativity = 100.0 * total_negative / found
+        positivity = 100.0 * positive / found
+        negativity = 100.0 * negative / found
     else:
         positivity = negativity = 0.0
     return AggregateResult(
         topic=topic,
         tweets_scored=tweets,
-        total_positive=total_positive,
-        total_negative=total_negative,
+        total_positive=positive,
+        total_negative=negative,
         positivity_pct=positivity,
         negativity_pct=negativity,
         no_signal=found == 0,

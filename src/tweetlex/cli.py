@@ -15,8 +15,8 @@ import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
-from .aggregate import aggregate
-from .corpus import DEFAULT_LIMIT, QueryFilter, fetch, parse_utc
+from .aggregate import _result
+from .corpus import DEFAULT_LIMIT, QueryFilter, _records, parse_utc
 from .errors import (
     DroppedEntriesWarning,
     EmptyWordlistWarning,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .lexicon import bundled_lexicon_dir, load_lexicon
 from .report import DetailCsv, render_summary
-from .scoring import DEFAULT_SPELL_THRESHOLD, score_tweet
+from .scoring import DEFAULT_SPELL_THRESHOLD, _corrected, _hits, _words
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,13 +68,28 @@ def run_classify(
     The corpus is opened first, then the CSV, so a missing corpus leaves
     an existing CSV untouched; each tweet is scored, written to the CSV
     and counted as it is read. Nothing is printed on stdout until the
-    pass has ended, so a failed run prints no summary.
+    pass has ended, so a failed run prints no summary. The loop works on
+    the reader's checked fields and plain (token, negated) hits, with
+    the same rules as ``fetch``, ``score_tweet``, ``DetailCsv.write`` and
+    ``aggregate``, but builds none of their objects.
     """
     lexicon = load_lexicon(positive_path, negative_path, negators_path)
-    tweets, counts = fetch(corpus, query, limit)
+    records, counts = _records(corpus, query, limit)
+    table = lexicon._sides()
+    tweets = total_positive = total_negative = 0
     with DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail:
-        scores = _scores(tweets, lexicon, detail, spell_correct, spell_threshold)
-        result = aggregate(scores, query.keyword)
+        row = detail._row if detail is not None else None
+        for _, created_at, username, text, _ in records:
+            tokens = _words(text)
+            if spell_correct:
+                tokens = [_corrected(t, lexicon, spell_threshold) for t in tokens]
+            positive, negative = _hits(tokens, table)
+            if row is not None:
+                row(created_at, username, text, positive, negative)
+            tweets += 1
+            total_positive += len(positive)
+            total_negative += len(negative)
+        result = _result(query.keyword, tweets, total_positive, total_negative)
         if not counts.valid:
             print(
                 f"note: corpus {corpus} has no valid records "
@@ -93,17 +108,6 @@ def run_classify(
         )
     print(render_summary(result))
     return EXIT_OK
-
-
-def _scores(tweets, lexicon, detail, spell_correct, spell_threshold):
-    """Score each tweet, writing its detail row first when a CSV is open."""
-    for tweet in tweets:
-        score = score_tweet(
-            tweet, lexicon, spell_correct=spell_correct, spell_threshold=spell_threshold
-        )
-        if detail is not None:
-            detail.write(tweet, score)
-        yield score
 
 
 def run_lexicon_check(positive_path, negative_path, negators_path) -> int:

@@ -9,7 +9,8 @@ CR) may surround the object, and a line of Unicode whitespace alone is
 blank. Each line is decoded on its own, so a malformed line, invalid
 UTF-8 included, is skipped and counted rather than aborting the read.
 The read is a stream: every line is checked, but a Tweet is built only
-for a line the query keeps.
+for a line the query keeps, and only by ``fetch``; the CLI reads the
+checked fields themselves.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _record_fields(obj) -> tuple:
 
 
 def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
-    """The generator behind fetch; its first step only opens the file."""
+    """The generator behind _records; its first step only opens the file."""
     try:
         with open(path, "rb") as handle:
             yield
@@ -223,12 +224,25 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                 counts.valid += 1
                 _, created_at, _, text, location = fields
                 if query._accepts(text, created_at, location):
-                    yield _checked_tweet(fields)
+                    yield fields
                     kept += 1
                     if kept == limit:
                         return
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
+
+
+def _records(
+    path, query: QueryFilter, limit: int
+) -> tuple[Iterator[tuple], ReadCounts]:
+    """fetch, with each match as the field tuple _record_fields checked
+    (id, created_at, username, text, location) instead of a Tweet."""
+    if limit <= 0:
+        raise ValueError("limit must be positive")
+    counts = ReadCounts()
+    records = _read(path, query, limit, counts)
+    next(records)
+    return records, counts
 
 
 def fetch(
@@ -242,11 +256,9 @@ def fetch(
     as the iterator is advanced, and reading stops at the ``limit``-th
     match, so lines after it are never read or counted. The iterator
     raises FileUnreadable when a read fails. An empty or all-malformed
-    file yields nothing and leaves ``counts.valid`` at 0.
+    file yields nothing and leaves ``counts.valid`` at 0. Each Tweet is
+    built from fields the read has already checked, so its checks do
+    not run twice.
     """
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    counts = ReadCounts()
-    tweets = _read(path, query, limit, counts)
-    next(tweets)
-    return tweets, counts
+    records, counts = _records(path, query, limit)
+    return map(_checked_tweet, records), counts

@@ -23,6 +23,10 @@ from .errors import (
 
 COMMENT_PREFIX = ";"  # one character: _read_tokens tests line[0]
 
+# The sides of Lexicon._sides. A hit on a sentiment word lands in bucket
+# side ^ negated, so the two sentiment sides must be 0 and 1.
+_POSITIVE, _NEGATIVE, _NEGATOR = 0, 1, 2
+
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -39,20 +43,41 @@ class SourceSummary:
 class Lexicon:
     """Immutable sentiment vocabulary; safe to share across workers.
 
-    The spell-correction index and its memo (``scoring.suggest_correction``)
-    are built on first use and live on the instance, outside equality,
-    hashing and repr, so they die with it.
+    Two private structures are built on first use and live on the
+    instance, outside equality, hashing and repr, so they die with it:
+    the polarity table that scoring looks each token up in (see
+    ``_sides``), and the spell-correction index with its memo
+    (``scoring.suggest_correction``), whose pool is the table's keys.
     """
 
     positive_words: frozenset[str]
     negative_words: frozenset[str]
     negators: frozenset[str]
     source_summary: SourceSummary
+    _polarity: object = field(default=None, init=False, compare=False, repr=False)
     _spell_index: object = field(default=None, init=False, compare=False, repr=False)
 
     def all_words(self) -> frozenset[str]:
-        """Every known token, including negators (spell-correction pool)."""
+        """Every known token: the sentiment words and the negators."""
         return self.positive_words | self.negative_words | self.negators
+
+    def _sides(self) -> dict[str, int]:
+        """The polarity table: each known token mapped to _POSITIVE,
+        _NEGATIVE or _NEGATOR.
+
+        Later writes win, so a token in several sets gets the side that
+        scoring tests first: a negator beats a sentiment word, and
+        positive beats negative (``load_lexicon`` leaves no such overlap,
+        but a Lexicon built by hand may have one).
+        """
+        table = self._polarity
+        if table is None:
+            table = dict.fromkeys(self.negative_words, _NEGATIVE)
+            table.update(dict.fromkeys(self.positive_words, _POSITIVE))
+            table.update(dict.fromkeys(self.negators, _NEGATOR))
+            # a racing thread may build its own; both are equal
+            object.__setattr__(self, "_polarity", table)
+        return table
 
 
 def _read_tokens(path) -> tuple[set[str], int, int]:

@@ -57,15 +57,25 @@ class DetailCsv:
     def write(self, tweet: Tweet, score: TweetScore) -> None:
         """Write one row: UTC date and time, username, raw text, and the
         encoded positive and negative matches."""
-        when = tweet.created_at
-        if when.tzinfo is not timezone.utc:
-            when = when.astimezone(timezone.utc)
+        self._row(
+            tweet.created_at,
+            tweet.username,
+            tweet.text,
+            score.matched_positive,
+            score.matched_negative,
+        )
+
+    def _row(self, created_at, username, text, positive, negative) -> None:
+        """write() on a tweet's fields and its hits as (token, negated)
+        pairs, so a caller that builds neither object can write a row."""
+        if created_at.tzinfo is not timezone.utc:
+            created_at = created_at.astimezone(timezone.utc)
         # "YYYY-MM-DD,HH:MM:SS": isoformat pads the year to four digits,
         # where %Y may not, and neither field ever needs quoting
         self._put(
-            f"{when.isoformat(',', 'seconds')[:19]},{_field(tweet.username)},"
-            f"{_field(tweet.text)},{_field(encode_matches(score.matched_positive))},"
-            f"{_field(encode_matches(score.matched_negative))}\r\n"
+            f"{created_at.isoformat(',', 'seconds')[:19]},{_field(username)},"
+            f"{_field(text)},{_field(encode_matches(positive))},"
+            f"{_field(encode_matches(negative))}\r\n"
         )
 
     def _put(self, line: str) -> None:

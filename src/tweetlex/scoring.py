@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import Tweet
-from .lexicon import Lexicon
+from .lexicon import _NEGATOR, Lexicon
 
 DEFAULT_SPELL_THRESHOLD = 0.85
 
@@ -25,6 +25,11 @@ _MENTION_RE = re.compile(r"@\w+")
 # ("don't"). On text with no "_", \w is exactly [^\W_], and the simpler
 # class matches faster.
 _WORD_RE = re.compile(r"\w+(?:'\w+)*")
+# ASCII letters, digits and "'" stay; every other ASCII character, "_"
+# included, becomes a space
+_ASCII_WORD_CHARS = str.maketrans(
+    {ch: ch if ch.isalnum() or ch == "'" else " " for ch in map(chr, range(128))}
+)
 
 
 def _words(text: str) -> list[str]:
@@ -36,9 +41,18 @@ def _words(text: str) -> list[str]:
         text = _URL_RE.sub(" ", text)
     if "@" in text:
         text = _MENTION_RE.sub(" ", text)
-    # a space separates tokens just as the "_" did; mentions and URLs,
-    # which may hold "_", are gone by now
-    return _WORD_RE.findall(text.replace("_", " "))
+    if not text.isascii():
+        # a space separates tokens just as the "_" did; mentions and URLs,
+        # which may hold "_", are gone by now
+        return _WORD_RE.findall(text.replace("_", " "))
+    # _WORD_RE's tokens without a regex: once each pair of apostrophes is
+    # a space, no two are adjacent, so an apostrophe beside a space or an
+    # edge is one that no word holds
+    text = text.translate(_ASCII_WORD_CHARS)
+    if "'" in text:
+        text = " " + text.replace("''", " ") + " "
+        text = text.replace(" '", " ").replace("' ", " ")
+    return text.split()
 
 
 def normalize(text: str) -> str:
@@ -74,20 +88,6 @@ class TweetScore:
     @property
     def negative_count(self) -> int:
         return len(self.matched_negative)
-
-
-# Match(token, negated) without the Python frame of NamedTuple's __new__
-_new_tuple = tuple.__new__
-
-
-def _checked_score(matched_positive, matched_negative) -> TweetScore:
-    """TweetScore(matched_positive, matched_negative) for tuples of Match,
-    without the frozen dataclass's __init__."""
-    score = object.__new__(TweetScore)
-    attrs = score.__dict__
-    attrs["matched_positive"] = matched_positive
-    attrs["matched_negative"] = matched_negative
-    return score
 
 
 def _min_matches(total: int, threshold: float) -> int:
@@ -242,7 +242,8 @@ def suggest_correction(
     """
     index = lexicon._spell_index
     if index is None:
-        index = _SpellIndex(lexicon.all_words())
+        # the table's keys are all_words(), without building that union
+        index = _SpellIndex(lexicon._sides())
         # a racing thread may build its own; both give the same answers
         object.__setattr__(lexicon, "_spell_index", index)
     key = (threshold, token)
@@ -257,12 +258,33 @@ def suggest_correction(
 
 
 def _corrected(token: str, lexicon: Lexicon, threshold: float) -> str:
-    if token in lexicon.positive_words or token in lexicon.negative_words:
-        return token
-    if token in lexicon.negators:
+    if token in lexicon._sides():
         return token
     suggestion = suggest_correction(token, lexicon, threshold)
     return suggestion if suggestion is not None else token
+
+
+def _hits(tokens, table: dict[str, int]) -> tuple[list, list]:
+    """The positive and the negative hits among tokens, as lists of
+    (token, negated) pairs, with one polarity-table lookup per token.
+
+    A negator sets negated for the next token only; a sentiment word
+    lands in bucket side ^ negated, its own side or, when negated, the
+    other one.
+    """
+    hits = ([], [])  # indexed by _POSITIVE and _NEGATIVE
+    get = table.get
+    negated = False  # the previous token was a negator
+    for token in tokens:
+        side = get(token)
+        if side is None:
+            negated = False
+        elif side == _NEGATOR:
+            negated = True
+        else:
+            hits[side ^ negated].append((token, negated))
+            negated = False
+    return hits
 
 
 def score_tweet(
@@ -276,27 +298,16 @@ def score_tweet(
 
     Every occurrence counts independently. A sentiment word directly
     preceded by a negator lands in the opposite bucket with
-    negated=True. Negators themselves never count as sentiment words.
-    With spell_correct on, unknown tokens are first replaced by their
+    negated=True. Negators themselves never count as sentiment words,
+    and a word in both sentiment lists counts as positive. With
+    spell_correct on, unknown tokens are first replaced by their
     closest lexicon word (off by default to keep results lexicon-exact).
+    Each token is looked up once in the lexicon's polarity table.
     """
     tokens = _words(tweet.text)
     if spell_correct:
         tokens = [_corrected(t, lexicon, spell_threshold) for t in tokens]
-    negators = lexicon.negators
-    positive_words, negative_words = lexicon.positive_words, lexicon.negative_words
-    positive: list[Match] = []
-    negative: list[Match] = []
-    negated = False  # the previous token was a negator
-    for token in tokens:
-        if token in negators:
-            negated = True
-            continue
-        if token in positive_words:
-            match = _new_tuple(Match, (token, negated))
-            (negative if negated else positive).append(match)
-        elif token in negative_words:
-            match = _new_tuple(Match, (token, negated))
-            (positive if negated else negative).append(match)
-        negated = False
-    return _checked_score(tuple(positive), tuple(negative))
+    positive, negative = _hits(tokens, lexicon._sides())
+    return TweetScore(
+        tuple(map(Match._make, positive)), tuple(map(Match._make, negative))
+    )

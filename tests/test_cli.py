@@ -1,15 +1,29 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_50
 from oracle import oracle_correct, oracle_normalize, oracle_read_wordlist, oracle_score
+from tweetlex import (
+    DetailCsv,
+    QueryFilter,
+    aggregate,
+    fetch,
+    load_lexicon,
+    render_summary,
+    score_tweet,
+)
 from tweetlex.cli import (
     _EXIT_CODES,
     EXIT_BAD_LEXICON,
@@ -284,6 +298,144 @@ class TestClassify:
         assert capsys.readouterr().out == expected_summary
         with open(out_csv, encoding="utf-8", newline="") as handle:
             assert list(csv.reader(handle))[1:] == expected_rows
+
+
+# The drawn wordlists' words, and the text words built from them: the
+# misspellings give --spell-correct work, and the rest are normalize's
+# noise around the sentiment words.
+_ROUTE_VOCAB = ["good", "bad", "not", "never", "nice", "sad"]
+_ROUTE_TEXT = _ROUTE_VOCAB + [
+    "gud", "nott", "baad", "nicee", "day", "covid", "COVID!", "#covid", "don't",
+    "x'y", "'", "@not", "http://x.co/good", "café", "sad_day", "good,", 'q"',
+]
+_ROUTE_BAD_LINES = [b"broken", b"{}", b'{"id": ""}', b"[1]", b"\xff", b'{"id": "z"']
+_ROUTE_BLANK_LINES = [b"", b"  ", b"\t"]
+
+
+@st.composite
+def _route_corpus(draw):
+    lines = []
+    for i, kind in enumerate(
+        draw(st.lists(st.sampled_from(["tweet", "tweet", "bad", "blank"]), max_size=12))
+    ):
+        if kind == "bad":
+            lines.append(draw(st.sampled_from(_ROUTE_BAD_LINES)))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(_ROUTE_BLANK_LINES)))
+        else:
+            record = {
+                "id": f"t{i}",
+                "created_at": draw(st.sampled_from(
+                    ["2021-01-01T10:00:00Z", "2021-06-30T23:59:59+05:30",
+                     "2021-03-01 08:00:00"])),
+                "username": draw(st.sampled_from(["u", "a,b", 'q"'])),
+                "text": " ".join(
+                    draw(st.lists(st.sampled_from(_ROUTE_TEXT), max_size=10))
+                ),
+            }
+            lines.append(json.dumps(record, ensure_ascii=False).encode("utf-8"))
+    return b"\n".join(lines) + b"\n"
+
+
+def _library_run(corpus, lex, limit, spell_correct, threshold, out_csv):
+    """The classify run composed from the public API: (stdout, the skip
+    note as a list of at most one line, each scored tweet with its score,
+    the lexicon)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lexicon = load_lexicon(
+            lex / "positive.txt", lex / "negative.txt", lex / "negators.txt"
+        )
+    tweets, counts = fetch(corpus, QueryFilter("covid"), limit)
+    scored = []
+    with DetailCsv(out_csv) as detail:
+        for tweet in tweets:
+            score = score_tweet(
+                tweet, lexicon, spell_correct=spell_correct, spell_threshold=threshold
+            )
+            detail.write(tweet, score)
+            scored.append((tweet, score))
+    result = aggregate((score for _, score in scored), "covid")
+    if not counts.valid:
+        notes = [f"note: corpus {corpus} has no valid records "
+                 f"({counts.skipped} malformed lines skipped)"]
+    elif counts.skipped:
+        notes = [f"note: skipped {counts.skipped} malformed corpus lines"]
+    else:
+        notes = []
+    return render_summary(result) + "\n", notes, scored, lexicon
+
+
+def _cli_run(args):
+    """(exit code, stdout, the "note:" lines of stderr) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    notes = [line for line in err.getvalue().splitlines() if line.startswith("note:")]
+    return code, out.getvalue(), notes
+
+
+class TestRoutesAgree:
+    """The CLI's object-free loop counts, scores and writes exactly what the
+    public fetch -> score_tweet -> aggregate -> DetailCsv.write ->
+    render_summary composition does, and both score as the oracle does."""
+
+    @given(
+        raw=_route_corpus(),
+        positive=st.sets(st.sampled_from(_ROUTE_VOCAB), min_size=1),
+        negative=st.sets(st.sampled_from(_ROUTE_VOCAB)),
+        negators=st.sets(st.sampled_from(_ROUTE_VOCAB)),
+        limit=st.integers(1, 12),
+        spell_correct=st.booleans(),
+        threshold=st.sampled_from([0.6, 0.85]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_cli_equals_library_and_oracle(
+        self, tmp_path_factory, raw, positive, negative, negators, limit,
+        spell_correct, threshold,
+    ):
+        # load_lexicon removes words on both sentiment lists; one must be left
+        if not positive ^ negative:
+            negative = set()
+        tmp = tmp_path_factory.mktemp("routes")
+        lex = write_lexicon_dir(
+            tmp, sorted(positive), sorted(negative), sorted(negators)
+        )
+        corpus = tmp / "c.jsonl"
+        corpus.write_bytes(raw)
+        cli_csv, library_csv = tmp / "cli.csv", tmp / "library.csv"
+        args = classify_args(corpus=corpus, lexicon_dir=lex, limit=limit,
+                             spell_threshold=threshold)
+        if spell_correct:
+            args.append("--spell-correct")
+
+        code, out, notes = _cli_run(args + ["--out-csv", str(cli_csv)])
+        expected_out, skip_notes, scored, lexicon = _library_run(
+            corpus, lex, limit, spell_correct, threshold, library_csv
+        )
+        assert code == EXIT_OK
+        assert out == expected_out
+        assert notes == skip_notes + [
+            f"note: wrote {len(scored)} detail rows to {cli_csv}"
+        ]
+        assert cli_csv.read_bytes() == library_csv.read_bytes()
+        # without a CSV the loop takes its other branch
+        assert _cli_run(args) == (EXIT_OK, expected_out, skip_notes)
+
+        known = lexicon.all_words()
+        for tweet, score in scored:
+            tokens = oracle_normalize(tweet.text).split()
+            if spell_correct:
+                tokens = [
+                    t if t in known else oracle_correct(t, known, threshold) or t
+                    for t in tokens
+                ]
+            assert (list(score.matched_positive), list(score.matched_negative)) == (
+                oracle_score(
+                    tokens, lexicon.positive_words, lexicon.negative_words,
+                    lexicon.negators,
+                )
+            )
 
 
 NO_SIGNAL_SUMMARY = """\

@@ -18,7 +18,8 @@ from tweetlex import (
     score_tweet,
     suggest_correction,
 )
-from tweetlex.scoring import _SpellIndex
+from tweetlex.lexicon import _NEGATIVE, _NEGATOR, _POSITIVE
+from tweetlex.scoring import _corrected, _SpellIndex
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 
@@ -116,6 +117,56 @@ class TestNormalize:
         assert normalize(text) == oracle_normalize(text)
 
 
+# ASCII pieces dense in what the translate tokenizer must get right. A
+# URL piece starts with a space, so that no "@" or handle is glued to it
+# (see tweet_text); "://" alone, with no "http" or "www." before it, is
+# plain punctuation.
+_ascii_piece = st.sampled_from(
+    ["a", "b", "Z", "s", "9", "'", "''", "'''", "_", "@x", "@", "://", " http://a'b",
+     " www.c_d", " ", "\t", "\n", "\x00", "\x1c", "\x1f", "\x7f", "-", "#", "."]
+)
+ascii_text = st.lists(_ascii_piece, max_size=30).map("".join)
+
+
+class TestAsciiTokenizer:
+    """ASCII text takes a translate-and-split path instead of _WORD_RE."""
+
+    @given(ascii_text)
+    @settings(max_examples=500)
+    def test_matches_character_scanner_oracle(self, text):
+        assert normalize(text) == oracle_normalize(text)
+
+    @given(ascii_text)
+    @settings(max_examples=300)
+    def test_matches_the_regex_path(self, text):
+        # a trailing non-ASCII word sends the same text down the regex path
+        # and adds only itself as a last token
+        words = normalize(text).split()
+        assert normalize(text + " é").split() == words + ["é"]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("'tis", "tis"),
+            ("rock'n'roll", "rock'n'roll"),
+            ("a''b", "a b"),
+            ("a'''b", "a b"),
+            ("'", ""),
+            ("don't'", "don't"),
+            ("'a' 'b'", "a b"),
+            ("a_'b_", "a b"),
+            ("x\x1fy\x00z", "x y z"),
+        ],
+    )
+    def test_apostrophes_and_separators(self, text, expected):
+        assert normalize(text) == expected == oracle_normalize(text)
+
+    def test_ascii_once_its_url_is_removed(self):
+        text = "Good http://bücher.example/ü day, isn't it"
+        assert not text.isascii()
+        assert normalize(text) == "good day isn't it" == oracle_normalize(text)
+
+
 class TestScoreTweet:
     def test_negated_negative_flips_positive(self):
         score = score_tweet(make_tweet("I am not sad"), TOY)
@@ -164,7 +215,7 @@ class TestScoreTweet:
         assert score.positive_count == 2
 
     def test_scores_equal_constructed_scores(self):
-        # score_tweet builds each TweetScore and Match without their constructors
+        # score_tweet builds each TweetScore and Match from plain (token, negated) pairs
         score = score_tweet(make_tweet("not sad, great! never good bad"), TOY)
         built = TweetScore(
             (Match("sad", True), Match("great", False)),
@@ -472,11 +523,86 @@ class TestSpellIndexLayout:
         _check_index_layout(words)
 
     def test_bundled_and_mixed_words(self):
-        _check_index_layout(SPELL_LEXICONS["bundled"].all_words())
+        # suggest_correction indexes the polarity table's keys
+        _check_index_layout(SPELL_LEXICONS["bundled"]._sides())
         _check_index_layout(
             {"café", "naïve", "日本語", "x", "\0", "a" * 130, "ß" * 256}
             | {chr(0x4E00 + i) * 2 for i in range(200)}
         )
+
+
+# "no" is a negator and positive, "fine" positive and negative, "meh" all three
+OVERLAP = make_lexicon(
+    {"good", "no", "fine", "meh"}, {"bad", "fine", "meh"}, {"not", "no", "meh"}
+)
+
+
+class TestPolarityTable:
+    """One table lookup per token gives the answers of the three set tests:
+    a negator first, then positive, then negative."""
+
+    def test_sides(self):
+        assert make_lexicon(
+            OVERLAP.positive_words, OVERLAP.negative_words, OVERLAP.negators
+        )._sides() == {
+            "good": _POSITIVE,
+            "fine": _POSITIVE,
+            "bad": _NEGATIVE,
+            "not": _NEGATOR,
+            "no": _NEGATOR,
+            "meh": _NEGATOR,
+        }
+
+    @pytest.mark.parametrize(
+        "text, positive, negative",
+        [
+            ("no good", [], [("good", True)]),
+            ("fine", [("fine", False)], []),
+            ("not fine", [], [("fine", True)]),
+            ("meh bad", [("bad", True)], []),
+            ("good no", [("good", False)], []),
+            ("no meh fine bad", [], [("fine", True), ("bad", False)]),
+        ],
+    )
+    def test_score_tweet(self, text, positive, negative):
+        score = score_tweet(make_tweet(text), OVERLAP)
+        assert list(score.matched_positive) == positive
+        assert list(score.matched_negative) == negative
+        assert (positive, negative) == oracle_score(
+            text.split(), OVERLAP.positive_words, OVERLAP.negative_words,
+            OVERLAP.negators,
+        )
+
+    def test_corrected_keeps_every_known_token(self):
+        # at threshold 0 every other token is replaced by some lexicon word
+        for token in OVERLAP.all_words():
+            assert _corrected(token, OVERLAP, 0.0) == token
+        assert _corrected("goood", OVERLAP, 0.6) == "good"
+        assert _corrected("zzzz", OVERLAP, 0.6) == "zzzz"
+
+    def test_outside_equality_hash_and_repr(self):
+        lex = make_lexicon({"good", "no"}, {"bad"}, {"no"})
+        fresh = make_lexicon({"good", "no"}, {"bad"}, {"no"})
+        before_hash, before_repr = hash(lex), repr(lex)
+        assert lex._sides() is lex._sides()
+        assert fresh._polarity is None
+        assert lex == fresh
+        assert hash(lex) == before_hash == hash(fresh)
+        assert repr(lex) == before_repr == repr(fresh)
+        assert "_polarity" not in repr(lex)
+
+    @given(token=st.text(alphabet="gobdfinemhz", max_size=6), threshold=_threshold)
+    @settings(max_examples=200)
+    def test_suggestions_equal_difflib_over_all_words(self, token, threshold):
+        hits = difflib.get_close_matches(
+            token, OVERLAP.all_words(), n=1, cutoff=threshold
+        )
+        assert suggest_correction(token, OVERLAP, threshold) == (
+            hits[0] if hits else None
+        )
+        # the index's pool is the table's keys: all_words(), each once
+        indexed = [word for b in OVERLAP._spell_index.buckets for word in b[1]]
+        assert sorted(indexed) == sorted(OVERLAP.all_words())
 
 
 class TestSpellMemo:
