@@ -1,7 +1,7 @@
 """tweetlex: wordlist-based sentiment scoring for short social posts."""
 
-from .aggregate import AggregateResult, aggregate
-from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, Tweet, fetch, parse_utc
+from .aggregate import AggregateResult, classify
+from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, fetch, parse_utc
 from .errors import (
     DroppedEntriesWarning,
     EmptyWordlistWarning,
@@ -20,10 +20,8 @@ from .lexicon import (
 from .report import DetailCsv, encode_matches, render_summary
 from .scoring import (
     DEFAULT_SPELL_THRESHOLD,
-    Match,
-    TweetScore,
     normalize,
-    score_tweet,
+    score_text,
     suggest_correction,
 )
 
@@ -38,17 +36,14 @@ __all__ = [
     "EmptyWordlistWarning",
     "FileUnreadable",
     "Lexicon",
-    "Match",
     "PathUnwritable",
     "QueryFilter",
     "ReadCounts",
     "SourceSummary",
-    "Tweet",
-    "TweetScore",
     "TweetlexError",
     "UnusableLexicon",
-    "aggregate",
     "bundled_lexicon_dir",
+    "classify",
     "encode_matches",
     "fetch",
     "load_bundled_lexicon",
@@ -56,6 +51,6 @@ __all__ = [
     "normalize",
     "parse_utc",
     "render_summary",
-    "score_tweet",
+    "score_text",
     "suggest_correction",
 ]

@@ -1,11 +1,13 @@
-"""Corpus-level aggregation of per-tweet scores into percentage shares."""
+"""One classify pass: score each record, write its detail row, and sum
+the hits into percentage shares."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .scoring import TweetScore
+from .lexicon import Lexicon
+from .scoring import DEFAULT_SPELL_THRESHOLD, score_text
 
 
 @dataclass(frozen=True)
@@ -21,25 +23,42 @@ class AggregateResult:
     no_signal: bool
 
 
-def aggregate(scores: Iterable[TweetScore], topic: str) -> AggregateResult:
-    """Sum per-tweet counts and convert them to percentage shares.
+def classify(
+    records: Iterable[tuple],
+    topic: str,
+    lexicon: Lexicon,
+    *,
+    spell_correct: bool = False,
+    spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
+    detail=None,
+) -> AggregateResult:
+    """Score each record with score_text and sum the hits.
 
-    Each share is one hundred divided by the total number of sentiment
-    words found, times that side's count, so the two always sum to 100.
-    When nothing matched the division is undefined; both shares are
-    reported as 0.0 and no_signal is set instead of raising. The scores
+    ``records`` are the (id, created_at, username, text, location)
+    tuples that ``fetch`` yields. When ``detail`` is an open DetailCsv,
+    each record's row is written to it as the record is scored. Records
     are counted as they arrive, so a stream of them is never held.
     """
+    write = detail.write if detail is not None else None
     tweets = total_positive = total_negative = 0
-    for score in scores:
+    for _, created_at, username, text, _ in records:
+        positive, negative = score_text(text, lexicon, spell_correct, spell_threshold)
+        if write is not None:
+            write(created_at, username, text, positive, negative)
         tweets += 1
-        total_positive += len(score.matched_positive)
-        total_negative += len(score.matched_negative)
+        total_positive += len(positive)
+        total_negative += len(negative)
     return _result(topic, tweets, total_positive, total_negative)
 
 
 def _result(topic: str, tweets: int, positive: int, negative: int) -> AggregateResult:
-    """The AggregateResult of tweets scored with these hit totals."""
+    """The AggregateResult of tweets scored with these hit totals.
+
+    Each share is one hundred divided by the total number of sentiment
+    words found, times that side's count, so the two always sum to 100.
+    When nothing matched the division is undefined; both shares are
+    reported as 0.0 and no_signal is set instead of raising.
+    """
     found = positive + negative
     if found:
         # multiply before dividing so shares never round above 100

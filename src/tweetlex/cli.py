@@ -3,7 +3,8 @@
 Only the readers open input paths, so pipes work. ``main`` maps their
 errors to exit codes in ``_EXIT_CODES``: 0 success (including runs that
 found no sentiment words), 2 bad usage or invalid option values, 3
-unreadable input file, 4 unusable lexicon, 5 unwritable output path.
+unreadable input file, 4 unusable lexicon, 5 unwritable output path or
+a stdout whose reader has gone (``tweetlex classify ... | true``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
-from .aggregate import _result
-from .corpus import DEFAULT_LIMIT, QueryFilter, _records, parse_utc
+from .aggregate import classify
+from .corpus import DEFAULT_LIMIT, QueryFilter, fetch, parse_utc
 from .errors import (
     DroppedEntriesWarning,
     EmptyWordlistWarning,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .lexicon import bundled_lexicon_dir, load_lexicon
 from .report import DetailCsv, render_summary
-from .scoring import DEFAULT_SPELL_THRESHOLD, _corrected, _hits, _words
+from .scoring import DEFAULT_SPELL_THRESHOLD
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,30 +67,22 @@ def run_classify(
     """Score a corpus in one pass and print the summary after it.
 
     The corpus is opened first, then the CSV, so a missing corpus leaves
-    an existing CSV untouched; each tweet is scored, written to the CSV
-    and counted as it is read. Nothing is printed on stdout until the
-    pass has ended, so a failed run prints no summary. The loop works on
-    the reader's checked fields and plain (token, negated) hits, with
-    the same rules as ``fetch``, ``score_tweet``, ``DetailCsv.write`` and
-    ``aggregate``, but builds none of their objects.
+    an existing CSV untouched; ``classify`` scores each tweet, writes it
+    to the CSV and counts it as ``fetch`` reads it. Nothing is printed
+    on stdout until the pass has ended, so a failed run prints no
+    summary.
     """
     lexicon = load_lexicon(positive_path, negative_path, negators_path)
-    records, counts = _records(corpus, query, limit)
-    table = lexicon._sides()
-    tweets = total_positive = total_negative = 0
+    records, counts = fetch(corpus, query, limit)
     with DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail:
-        row = detail._row if detail is not None else None
-        for _, created_at, username, text, _ in records:
-            tokens = _words(text)
-            if spell_correct:
-                tokens = [_corrected(t, lexicon, spell_threshold) for t in tokens]
-            positive, negative = _hits(tokens, table)
-            if row is not None:
-                row(created_at, username, text, positive, negative)
-            tweets += 1
-            total_positive += len(positive)
-            total_negative += len(negative)
-        result = _result(query.keyword, tweets, total_positive, total_negative)
+        result = classify(
+            records,
+            query.keyword,
+            lexicon,
+            spell_correct=spell_correct,
+            spell_threshold=spell_threshold,
+            detail=detail,
+        )
         if not counts.valid:
             print(
                 f"note: corpus {corpus} has no valid records "
@@ -106,7 +99,8 @@ def run_classify(
             f"note: wrote {result.tweets_scored} detail rows to {out_csv}",
             file=sys.stderr,
         )
-    print(render_summary(result))
+    # flushed here, so a closed stdout fails inside main and not at exit
+    print(render_summary(result), flush=True)
     return EXIT_OK
 
 
@@ -121,7 +115,7 @@ def run_lexicon_check(positive_path, negative_path, negators_path) -> int:
     print(f"conflicts removed: {summary.conflicts}")
     print(f"duplicate entries: {summary.duplicates}")
     print(f"dropped entries:   {summary.dropped}")
-    print(f"total sentiment words: {positive + negative}")
+    print(f"total sentiment words: {positive + negative}", flush=True)
     return EXIT_OK
 
 
@@ -257,6 +251,10 @@ def main(argv=None) -> int:
                 spell_threshold=args.spell_threshold,
                 out_csv=args.out_csv,
             )
+        except BrokenPipeError as exc:
+            # the reader of stdout is gone; the flush at exit must not fail too
+            sys.stdout = open(os.devnull, "w")
+            return _fail(EXIT_UNWRITABLE, f"cannot write to stdout: {exc}")
         except TweetlexError as exc:
             return _fail(_EXIT_CODES[type(exc)], exc)
 

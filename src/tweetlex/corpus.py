@@ -1,4 +1,4 @@
-"""Tweet records, query filters, and reading matching tweets from a corpus.
+"""Query filters, and reading matching tweets from a corpus.
 
 A corpus is a JSON-lines file standing in for a live platform query:
 one UTF-8 object per line with fields ``id``, ``created_at`` (ISO-8601,
@@ -8,9 +8,8 @@ and a leading byte-order mark is ignored. JSON whitespace (space, tab,
 CR) may surround the object, and a line of Unicode whitespace alone is
 blank. Each line is decoded on its own, so a malformed line, invalid
 UTF-8 included, is skipped and counted rather than aborting the read.
-The read is a stream: every line is checked, but a Tweet is built only
-for a line the query keeps, and only by ``fetch``; the CLI reads the
-checked fields themselves.
+The read is a stream: every line is checked, and a line the query keeps
+is yielded as one plain tuple of its checked fields.
 """
 
 from __future__ import annotations
@@ -52,37 +51,6 @@ def parse_utc(value: str) -> datetime:
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.astimezone(timezone.utc)
-
-
-@dataclass(frozen=True)
-class Tweet:
-    """One post: id, UTC timestamp, author, raw text, optional (lat, lon)."""
-
-    id: str
-    created_at: datetime
-    username: str
-    text: str
-    location: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        _check_id_and_location(self.id, self.location)
-        if self.created_at.tzinfo is None:
-            raise ValueError("created_at must be timezone-aware")
-
-
-def _checked_tweet(fields) -> Tweet:
-    """Tweet(*fields) for fields that _record_fields has checked, without
-    re-running the checks of Tweet's __init__ and __post_init__."""
-    tweet = object.__new__(Tweet)
-    attrs = tweet.__dict__
-    (
-        attrs["id"],
-        attrs["created_at"],
-        attrs["username"],
-        attrs["text"],
-        attrs["location"],
-    ) = fields
-    return tweet
 
 
 def _check_id_and_location(tweet_id: str, location) -> None:
@@ -133,11 +101,9 @@ class QueryFilter:
             if min_lat > max_lat or min_lon > max_lon:
                 raise ValueError("bbox must be (min_lat, min_lon, max_lat, max_lon)")
 
-    def matches(self, tweet: Tweet) -> bool:
-        return self._accepts(tweet.text, tweet.created_at, tweet.location)
-
-    def _accepts(self, text: str, created_at: datetime, location) -> bool:
-        """matches() on a tweet's fields, so a reader can test them first."""
+    def matches(self, text: str, created_at: datetime, location) -> bool:
+        """Whether a tweet with this raw text, aware UTC timestamp and
+        (lat, lon) or None passes the filter."""
         if self._keyword not in text.lower():
             return False
         if self.since is not None and created_at < self.since:
@@ -167,8 +133,9 @@ class ReadCounts:
 
 
 def _record_fields(obj) -> tuple:
-    """Check one decoded JSON value as a Tweet would; returns its fields in
-    Tweet's order and raises on a bad record."""
+    """Check one decoded JSON value as a corpus record; returns its fields
+    as (id, created_at, username, text, location) and raises on a bad
+    record."""
     if not isinstance(obj, dict):
         raise TypeError("record must be a JSON object")
     get = obj.get
@@ -197,7 +164,7 @@ def _record_fields(obj) -> tuple:
 
 
 def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
-    """The generator behind _records; its first step only opens the file."""
+    """The generator behind fetch; its first step only opens the file."""
     try:
         with open(path, "rb") as handle:
             yield
@@ -223,7 +190,7 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                     continue
                 counts.valid += 1
                 _, created_at, _, text, location = fields
-                if query._accepts(text, created_at, location):
+                if query.matches(text, created_at, location):
                     yield fields
                     kept += 1
                     if kept == limit:
@@ -232,33 +199,25 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
 
 
-def _records(
-    path, query: QueryFilter, limit: int
+def fetch(
+    path, query: QueryFilter, limit: int = DEFAULT_LIMIT
 ) -> tuple[Iterator[tuple], ReadCounts]:
-    """fetch, with each match as the field tuple _record_fields checked
-    (id, created_at, username, text, location) instead of a Tweet."""
+    """Open a JSON-lines corpus file and stream the tweets that match ``query``.
+
+    Returns (an iterator over up to ``limit`` matching tweets in file
+    order, the ReadCounts it fills as it reads). Each tweet is one
+    tuple (id, created_at, username, text, location): ``created_at`` is
+    an aware UTC datetime and ``location`` a (lat, lon) pair of floats
+    or None. The file is opened here, so FileUnreadable is raised by
+    this call; lines are read only as the iterator is advanced, and
+    reading stops at the ``limit``-th match, so lines after it are
+    never read or counted. The iterator raises FileUnreadable when a
+    read fails. An empty or all-malformed file yields nothing and
+    leaves ``counts.valid`` at 0.
+    """
     if limit <= 0:
         raise ValueError("limit must be positive")
     counts = ReadCounts()
     records = _read(path, query, limit, counts)
     next(records)
     return records, counts
-
-
-def fetch(
-    path, query: QueryFilter, limit: int = DEFAULT_LIMIT
-) -> tuple[Iterator[Tweet], ReadCounts]:
-    """Open a JSON-lines corpus file and stream the tweets that match ``query``.
-
-    Returns (an iterator over up to ``limit`` matching tweets in file
-    order, the ReadCounts it fills as it reads). The file is opened
-    here, so FileUnreadable is raised by this call; lines are read only
-    as the iterator is advanced, and reading stops at the ``limit``-th
-    match, so lines after it are never read or counted. The iterator
-    raises FileUnreadable when a read fails. An empty or all-malformed
-    file yields nothing and leaves ``counts.valid`` at 0. Each Tweet is
-    built from fields the read has already checked, so its checks do
-    not run twice.
-    """
-    records, counts = _records(path, query, limit)
-    return map(_checked_tweet, records), counts

@@ -7,9 +7,7 @@ from datetime import timezone
 from typing import Iterable
 
 from .aggregate import AggregateResult
-from .corpus import Tweet
 from .errors import PathUnwritable
-from .scoring import Match, TweetScore
 
 CSV_COLUMNS = ["date", "time", "username", "tweet", "positive_words", "negative_words"]
 
@@ -17,7 +15,7 @@ CSV_COLUMNS = ["date", "time", "username", "tweet", "positive_words", "negative_
 _needs_quotes = re.compile('[\n\r",]').search
 
 
-def encode_matches(matches: Iterable[Match]) -> str:
+def encode_matches(matches: Iterable[tuple[str, bool]]) -> str:
     """Join match tokens with '|'; a '!' suffix marks a flipped hit."""
     return "|".join([token + "!" if negated else token for token, negated in matches])
 
@@ -54,21 +52,14 @@ class DetailCsv:
             raise self._unwritable(exc) from exc
         self._put(",".join(CSV_COLUMNS) + "\r\n")
 
-    def write(self, tweet: Tweet, score: TweetScore) -> None:
+    def write(self, created_at, username, text, positive, negative) -> None:
         """Write one row: UTC date and time, username, raw text, and the
-        encoded positive and negative matches."""
-        self._row(
-            tweet.created_at,
-            tweet.username,
-            tweet.text,
-            score.matched_positive,
-            score.matched_negative,
-        )
-
-    def _row(self, created_at, username, text, positive, negative) -> None:
-        """write() on a tweet's fields and its hits as (token, negated)
-        pairs, so a caller that builds neither object can write a row."""
+        encoded positive and negative hits, each a list of (token,
+        negated) pairs. created_at must be timezone-aware; a naive one
+        raises ValueError rather than being read as local time."""
         if created_at.tzinfo is not timezone.utc:
+            if created_at.utcoffset() is None:
+                raise ValueError("created_at must be timezone-aware")
             created_at = created_at.astimezone(timezone.utc)
         # "YYYY-MM-DD,HH:MM:SS": isoformat pads the year to four digits,
         # where %Y may not, and neither field ever needs quoting

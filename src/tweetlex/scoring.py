@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
 
-from .corpus import Tweet
 from .lexicon import _NEGATOR, Lexicon
 
 DEFAULT_SPELL_THRESHOLD = 0.85
@@ -65,29 +62,6 @@ def normalize(text: str) -> str:
     Idempotent: normalizing twice changes nothing.
     """
     return " ".join(_words(text))
-
-
-class Match(NamedTuple):
-    """One scored lexicon hit; negated means the hit was flipped."""
-
-    token: str
-    negated: bool
-
-
-@dataclass(frozen=True)
-class TweetScore:
-    """Positive/negative hits for one tweet, with the matching words."""
-
-    matched_positive: tuple[Match, ...] = ()
-    matched_negative: tuple[Match, ...] = ()
-
-    @property
-    def positive_count(self) -> int:
-        return len(self.matched_positive)
-
-    @property
-    def negative_count(self) -> int:
-        return len(self.matched_negative)
 
 
 def _min_matches(total: int, threshold: float) -> int:
@@ -287,27 +261,25 @@ def _hits(tokens, table: dict[str, int]) -> tuple[list, list]:
     return hits
 
 
-def score_tweet(
-    tweet: Tweet,
+def score_text(
+    text: str,
     lexicon: Lexicon,
-    *,
     spell_correct: bool = False,
     spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
-) -> TweetScore:
-    """Count positive and negative lexicon hits in one tweet.
+) -> tuple[list, list]:
+    """Count positive and negative lexicon hits in one tweet's text.
 
-    Every occurrence counts independently. A sentiment word directly
-    preceded by a negator lands in the opposite bucket with
-    negated=True. Negators themselves never count as sentiment words,
-    and a word in both sentiment lists counts as positive. With
+    Returns (positive, negative): each a list of (token, negated) pairs
+    in text order. Every occurrence counts independently. A sentiment
+    word directly preceded by a negator lands in the opposite bucket
+    with negated=True. Negators themselves never count as sentiment
+    words, and a word in both sentiment lists counts as positive. With
     spell_correct on, unknown tokens are first replaced by their
     closest lexicon word (off by default to keep results lexicon-exact).
     Each token is looked up once in the lexicon's polarity table.
     """
-    tokens = _words(tweet.text)
+    tokens = _words(text)
     if spell_correct:
         tokens = [_corrected(t, lexicon, spell_threshold) for t in tokens]
-    positive, negative = _hits(tokens, lexicon._sides())
-    return TweetScore(
-        tuple(map(Match._make, positive)), tuple(map(Match._make, negative))
-    )
+    # the table once built, read without a method call per text
+    return _hits(tokens, lexicon._polarity or lexicon._sides())

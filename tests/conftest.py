@@ -1,9 +1,8 @@
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
-from tweetlex import Lexicon, SourceSummary, Tweet, load_bundled_lexicon
+from tweetlex import Lexicon, SourceSummary, load_bundled_lexicon
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -17,16 +16,6 @@ def make_lexicon(positive=(), negative=(), negators=()):
         negative_words=frozenset(negative),
         negators=frozenset(negators),
         source_summary=SourceSummary(conflicts=0, duplicates=0, dropped=0),
-    )
-
-
-def make_tweet(text, id="t1", username="user", created_at=None, location=None):
-    return Tweet(
-        id=id,
-        created_at=created_at or datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc),
-        username=username,
-        text=text,
-        location=location,
     )
 
 

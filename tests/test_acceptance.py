@@ -11,22 +11,20 @@ import functools
 import json
 import random
 import time
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
 
-from conftest import CORPUS_50, GOLDEN_DIR, make_lexicon, make_tweet
+from conftest import CORPUS_50, GOLDEN_DIR, make_lexicon
 from oracle import oracle_score
 from tweetlex import (
     DetailCsv,
-    Match,
     QueryFilter,
-    TweetScore,
-    aggregate,
     fetch,
     load_bundled_lexicon,
-    score_tweet,
+    score_text,
 )
+from tweetlex.aggregate import _result
 from tweetlex.cli import main
 
 COVID_IDS = [
@@ -60,13 +58,12 @@ def criterion(label):
 @criterion("1 formula fidelity")
 def test_formula_fidelity():
     rng = random.Random(1405)
-    up, down = Match("up", False), Match("down", False)
     start = time.perf_counter()
     for _ in range(1000):
         p, n = rng.randint(0, 100), rng.randint(0, 100)
         if p + n == 0:
             p = 1
-        result = aggregate([TweetScore((up,) * p, (down,) * n)], "t")
+        result = _result("t", 1, p, n)
         assert result.positivity_pct == pytest.approx(100.0 * p / (p + n), abs=1e-9)
         assert result.negativity_pct == pytest.approx(100.0 * n / (p + n), abs=1e-9)
         assert result.positivity_pct + result.negativity_pct == pytest.approx(
@@ -78,9 +75,9 @@ def test_formula_fidelity():
 @criterion("2 negation correctness")
 def test_negation_correctness():
     lexicon = make_lexicon({"happy"}, {"sad"}, {"not"})
-    score = score_tweet(make_tweet("I am not sad"), lexicon)
-    assert score.negative_count == 0
-    assert score.positive_count == 1
+    positive, negative = score_text("I am not sad", lexicon)
+    assert len(negative) == 0
+    assert len(positive) == 1
 
     expectations = {
         ("not", "sad"): (1, 0, True),
@@ -89,10 +86,9 @@ def test_negation_correctness():
         ("am", "happy"): (1, 0, False),
     }
     for (middle, word), (pos, neg, negated) in expectations.items():
-        score = score_tweet(make_tweet(f"i am {middle} {word}"), lexicon)
-        assert (score.positive_count, score.negative_count) == (pos, neg), (middle, word)
-        hits = score.matched_positive + score.matched_negative
-        assert hits == (Match(word, negated),)
+        positive, negative = score_text(f"i am {middle} {word}", lexicon)
+        assert (len(positive), len(negative)) == (pos, neg), (middle, word)
+        assert positive + negative == [(word, negated)]
 
 
 @criterion("3 oracle equivalence")
@@ -108,10 +104,8 @@ def test_oracle_equivalence():
     start = time.perf_counter()
     for i in range(10_000):
         tokens = rng.choices(vocabulary, k=rng.randint(0, 20))
-        score = score_tweet(make_tweet(" ".join(tokens), id=f"r{i}"), lexicon)
-        expected_pos, expected_neg = oracle_score(tokens, positive, negative, negators)
-        assert list(score.matched_positive) == expected_pos
-        assert list(score.matched_negative) == expected_neg
+        got = score_text(" ".join(tokens), lexicon)
+        assert got == oracle_score(tokens, positive, negative, negators), i
     assert time.perf_counter() - start < 5.0
 
 
@@ -152,18 +146,18 @@ def test_csv_round_trip(tmp_path):
         "pipe|and!bang",
         "trailing space ",
     ]
-    tweets = [make_tweet(text, id=f"n{i}", username=f"u{i}") for i, text in enumerate(texts)]
+    stamp = datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc)
     lexicon = load_bundled_lexicon()
     out = tmp_path / "round.csv"
     with DetailCsv(out) as detail:
-        for tweet in tweets:
-            detail.write(tweet, score_tweet(tweet, lexicon))
+        for i, text in enumerate(texts):
+            detail.write(stamp, f"u{i}", text, *score_text(text, lexicon))
     with open(out, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == len(texts) + 1
-    for tweet, row in zip(tweets, rows[1:]):
-        assert row[2] == tweet.username
-        assert row[3] == tweet.text
+    for i, (text, row) in enumerate(zip(texts, rows[1:])):
+        assert row[2] == f"u{i}"
+        assert row[3] == text
 
 
 @criterion("7 degenerate inputs")
@@ -204,7 +198,7 @@ def test_filter_correctness():
         keyword="vaccine", since=parse_utc(since), until=parse_utc(until)
     )
     window = list(fetch(CORPUS_50, window_query)[0])
-    got_window = [t.id for t in window]
+    got_window = [t[0] for t in window]
     assert got_window == expected_window == VACCINE_MARCH_IDS
 
     min_lat, min_lon, max_lat, max_lon = LONDON_BBOX
@@ -218,10 +212,11 @@ def test_filter_correctness():
     ]
     bbox_query = QueryFilter(keyword="hospital", bbox=LONDON_BBOX)
     bbox = list(fetch(CORPUS_50, bbox_query)[0])
-    got_bbox = [t.id for t in bbox]
+    got_bbox = [t[0] for t in bbox]
     assert got_bbox == expected_bbox == HOSPITAL_LONDON_IDS
 
     covid = list(fetch(CORPUS_50, QueryFilter("covid"))[0])
-    assert [t.id for t in covid] == COVID_IDS
+    assert [t[0] for t in covid] == COVID_IDS
 
-    assert all(t.created_at.tzinfo == timezone.utc for t in window + bbox + covid)
+    # fetch yields (id, created_at, username, text, location)
+    assert all(t[1].tzinfo == timezone.utc for t in window + bbox + covid)

@@ -1,15 +1,28 @@
+import csv
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetlex import Match, TweetScore, aggregate
+from conftest import make_lexicon
+from tweetlex import DetailCsv, classify
 
-POS = Match("up", False)
-NEG = Match("down", False)
+UP_DOWN = make_lexicon({"up"}, {"down"})
+STAMP = datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc)
 
 
-def score_of(positive, negative):
-    return TweetScore((POS,) * positive, (NEG,) * negative)
+def records_of(counts):
+    """One fetch-shaped record per (positive, negative) pair, its text
+    holding that many "up" and "down" words."""
+    return [
+        (f"t{i}", STAMP, "u", " ".join(["up"] * p + ["down"] * n), None)
+        for i, (p, n) in enumerate(counts)
+    ]
+
+
+def classify_counts(counts, topic="t"):
+    return classify(records_of(counts), topic, UP_DOWN)
 
 
 counts_st = st.lists(
@@ -19,56 +32,84 @@ counts_st = st.lists(
 
 class TestAggregate:
     def test_three_to_one(self):
-        result = aggregate([score_of(3, 1)], "demo")
+        result = classify_counts([(3, 1)], "demo")
         assert result.positivity_pct == 75.0
         assert result.negativity_pct == 25.0
         assert not result.no_signal
 
     def test_no_signal(self):
-        result = aggregate([score_of(0, 0)], "demo")
+        result = classify_counts([(0, 0)], "demo")
         assert result.positivity_pct == 0.0
         assert result.negativity_pct == 0.0
         assert result.no_signal
 
     def test_empty_input(self):
-        result = aggregate([], "demo")
+        result = classify_counts([], "demo")
         assert result.tweets_scored == 0
         assert result.no_signal
 
     def test_totals_and_counts(self):
-        scores = [score_of(2, 0), score_of(1, 3)]
-        result = aggregate(scores, "topic")
+        result = classify_counts([(2, 0), (1, 3)], "topic")
         assert result.topic == "topic"
         assert result.tweets_scored == 2
         assert result.total_positive == 3
         assert result.total_negative == 3
         assert result.positivity_pct == pytest.approx(50.0, abs=1e-9)
 
+    def test_records_are_streamed(self):
+        drawn = []
+
+        def stream():
+            for record in records_of([(1, 0), (0, 1), (2, 2)]):
+                drawn.append(record[0])
+                yield record
+
+        assert classify_counts([(1, 0), (0, 1), (2, 2)]) == classify(stream(), "t", UP_DOWN)
+        assert drawn == ["t0", "t1", "t2"]
+
+    def test_detail_gets_one_row_per_record(self, tmp_path):
+        out = tmp_path / "d.csv"
+        with DetailCsv(out) as detail:
+            result = classify(
+                records_of([(1, 0), (0, 0)]), "t", UP_DOWN, detail=detail
+            )
+        assert result == classify_counts([(1, 0), (0, 0)])
+        with open(out, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle))[1:] == [
+                ["2022-03-01", "10:00:00", "u", "up", "up", ""],
+                ["2022-03-01", "10:00:00", "u", "", "", ""],
+            ]
+
+    def test_spell_correct_is_passed_on(self):
+        records = [("t0", STAMP, "u", "upp dwn", None)]
+        assert classify(records, "t", UP_DOWN).no_signal
+        corrected = classify(
+            records, "t", UP_DOWN, spell_correct=True, spell_threshold=0.5
+        )
+        assert (corrected.total_positive, corrected.total_negative) == (1, 1)
+
 
 class TestAggregateProperties:
     @given(counts=counts_st)
     @settings(max_examples=100)
     def test_order_independent(self, counts):
-        scores = [score_of(p, n) for p, n in counts]
-        forward = aggregate(scores, "t")
-        backward = aggregate(list(reversed(scores)), "t")
+        forward = classify_counts(counts)
+        backward = classify_counts(list(reversed(counts)))
         assert forward == backward
 
     @given(counts=counts_st, split=st.integers(0, 20))
     @settings(max_examples=100)
     def test_merge_consistent(self, counts, split):
-        scores = [score_of(p, n) for p, n in counts]
-        split = min(split, len(scores))
-        left = aggregate(scores[:split], "t")
-        right = aggregate(scores[split:], "t")
-        combined = aggregate(
+        split = min(split, len(counts))
+        left = classify_counts(counts[:split])
+        right = classify_counts(counts[split:])
+        combined = classify_counts(
             [
-                score_of(left.total_positive, left.total_negative),
-                score_of(right.total_positive, right.total_negative),
-            ],
-            "t",
+                (left.total_positive, left.total_negative),
+                (right.total_positive, right.total_negative),
+            ]
         )
-        whole = aggregate(scores, "t")
+        whole = classify_counts(counts)
         assert combined.total_positive == whole.total_positive
         assert combined.total_negative == whole.total_negative
         assert combined.positivity_pct == whole.positivity_pct
@@ -77,24 +118,23 @@ class TestAggregateProperties:
     @given(counts=counts_st, extra=st.integers(1, 50))
     @settings(max_examples=100)
     def test_appending_positive_never_lowers_positivity(self, counts, extra):
-        scores = [score_of(p, n) for p, n in counts]
-        before = aggregate(scores, "t")
-        after = aggregate(scores + [score_of(extra, 0)], "t")
+        before = classify_counts(counts)
+        after = classify_counts(counts + [(extra, 0)])
         assert after.positivity_pct >= before.positivity_pct
 
     @given(counts=counts_st.filter(lambda c: any(p + n for p, n in c)),
            factor=st.integers(1, 7))
     @settings(max_examples=100)
     def test_scaling_counts_keeps_percentages(self, counts, factor):
-        base = aggregate([score_of(p, n) for p, n in counts], "t")
-        scaled = aggregate([score_of(p * factor, n * factor) for p, n in counts], "t")
+        base = classify_counts(counts)
+        scaled = classify_counts([(p * factor, n * factor) for p, n in counts])
         assert scaled.positivity_pct == pytest.approx(base.positivity_pct, abs=1e-9)
         assert scaled.negativity_pct == pytest.approx(base.negativity_pct, abs=1e-9)
 
     @given(counts=counts_st)
     @settings(max_examples=100)
     def test_percentages_sum_to_hundred_or_no_signal(self, counts):
-        result = aggregate([score_of(p, n) for p, n in counts], "t")
+        result = classify_counts(counts)
         assert 0.0 <= result.positivity_pct <= 100.0
         assert 0.0 <= result.negativity_pct <= 100.0
         if result.no_signal:

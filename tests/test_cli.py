@@ -6,24 +6,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_50
 from oracle import oracle_correct, oracle_normalize, oracle_read_wordlist, oracle_score
-from tweetlex import (
-    DetailCsv,
-    QueryFilter,
-    aggregate,
-    fetch,
-    load_lexicon,
-    render_summary,
-    score_tweet,
-)
+from tweetlex import QueryFilter, fetch
 from tweetlex.cli import (
     _EXIT_CODES,
     EXIT_BAD_LEXICON,
@@ -302,12 +293,15 @@ class TestClassify:
 
 # The drawn wordlists' words, and the text words built from them: the
 # misspellings give --spell-correct work, and the rest are normalize's
-# noise around the sentiment words.
+# noise around the sentiment words. Each text holds one topic word, most
+# of which the "covid" query keeps.
 _ROUTE_VOCAB = ["good", "bad", "not", "never", "nice", "sad"]
 _ROUTE_TEXT = _ROUTE_VOCAB + [
-    "gud", "nott", "baad", "nicee", "day", "covid", "COVID!", "#covid", "don't",
-    "x'y", "'", "@not", "http://x.co/good", "café", "sad_day", "good,", 'q"',
+    "gud", "nott", "baad", "nicee", "day", "don't", "x'y", "'", "@not",
+    "http://x.co/good", "café", "sad_day", "good,", 'q"', "not good",
+    "never sad", "not nicee",
 ]
+_ROUTE_TOPIC = ["covid", "COVID!", "#covid", "covid:", "flu"]
 _ROUTE_BAD_LINES = [b"broken", b"{}", b'{"id": ""}', b"[1]", b"\xff", b'{"id": "z"']
 _ROUTE_BLANK_LINES = [b"", b"  ", b"\t"]
 
@@ -329,41 +323,14 @@ def _route_corpus(draw):
                     ["2021-01-01T10:00:00Z", "2021-06-30T23:59:59+05:30",
                      "2021-03-01 08:00:00"])),
                 "username": draw(st.sampled_from(["u", "a,b", 'q"'])),
-                "text": " ".join(
-                    draw(st.lists(st.sampled_from(_ROUTE_TEXT), max_size=10))
-                ),
             }
+            words = draw(st.lists(st.sampled_from(_ROUTE_TEXT), max_size=10))
+            words.insert(
+                draw(st.integers(0, len(words))), draw(st.sampled_from(_ROUTE_TOPIC))
+            )
+            record["text"] = " ".join(words)
             lines.append(json.dumps(record, ensure_ascii=False).encode("utf-8"))
     return b"\n".join(lines) + b"\n"
-
-
-def _library_run(corpus, lex, limit, spell_correct, threshold, out_csv):
-    """The classify run composed from the public API: (stdout, the skip
-    note as a list of at most one line, each scored tweet with its score,
-    the lexicon)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lexicon = load_lexicon(
-            lex / "positive.txt", lex / "negative.txt", lex / "negators.txt"
-        )
-    tweets, counts = fetch(corpus, QueryFilter("covid"), limit)
-    scored = []
-    with DetailCsv(out_csv) as detail:
-        for tweet in tweets:
-            score = score_tweet(
-                tweet, lexicon, spell_correct=spell_correct, spell_threshold=threshold
-            )
-            detail.write(tweet, score)
-            scored.append((tweet, score))
-    result = aggregate((score for _, score in scored), "covid")
-    if not counts.valid:
-        notes = [f"note: corpus {corpus} has no valid records "
-                 f"({counts.skipped} malformed lines skipped)"]
-    elif counts.skipped:
-        notes = [f"note: skipped {counts.skipped} malformed corpus lines"]
-    else:
-        notes = []
-    return render_summary(result) + "\n", notes, scored, lexicon
 
 
 def _cli_run(args):
@@ -375,10 +342,9 @@ def _cli_run(args):
     return code, out.getvalue(), notes
 
 
-class TestRoutesAgree:
-    """The CLI's object-free loop counts, scores and writes exactly what the
-    public fetch -> score_tweet -> aggregate -> DetailCsv.write ->
-    render_summary composition does, and both score as the oracle does."""
+class TestCliOracle:
+    """Each CSV row of a classify run scores its tweet as the oracle does,
+    and the summary sums those rows."""
 
     @given(
         raw=_route_corpus(),
@@ -389,8 +355,15 @@ class TestRoutesAgree:
         spell_correct=st.booleans(),
         threshold=st.sampled_from([0.6, 0.85]),
     )
+    # a flipped hit on each side, and a misspelled negator and sentiment word
+    @example(
+        raw=b'{"id": "t0", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
+        b' "text": "covid: not good, never sad, nott baad"}\n',
+        positive={"good"}, negative={"sad", "bad"}, negators={"not", "never"},
+        limit=12, spell_correct=True, threshold=0.6,
+    )
     @settings(max_examples=120, deadline=None)
-    def test_cli_equals_library_and_oracle(
+    def test_cli_equals_oracle(
         self, tmp_path_factory, raw, positive, negative, negators, limit,
         spell_correct, threshold,
     ):
@@ -403,39 +376,50 @@ class TestRoutesAgree:
         )
         corpus = tmp / "c.jsonl"
         corpus.write_bytes(raw)
-        cli_csv, library_csv = tmp / "cli.csv", tmp / "library.csv"
+        out_csv = tmp / "d.csv"
         args = classify_args(corpus=corpus, lexicon_dir=lex, limit=limit,
                              spell_threshold=threshold)
         if spell_correct:
             args.append("--spell-correct")
 
-        code, out, notes = _cli_run(args + ["--out-csv", str(cli_csv)])
-        expected_out, skip_notes, scored, lexicon = _library_run(
-            corpus, lex, limit, spell_correct, threshold, library_csv
-        )
+        code, out, notes = _cli_run(args + ["--out-csv", str(out_csv)])
         assert code == EXIT_OK
-        assert out == expected_out
-        assert notes == skip_notes + [
-            f"note: wrote {len(scored)} detail rows to {cli_csv}"
-        ]
-        assert cli_csv.read_bytes() == library_csv.read_bytes()
-        # without a CSV the loop takes its other branch
-        assert _cli_run(args) == (EXIT_OK, expected_out, skip_notes)
+        # without a CSV the pass takes its other branch
+        assert _cli_run(args) == (EXIT_OK, out, notes[:-1])
 
-        known = lexicon.all_words()
-        for tweet, score in scored:
-            tokens = oracle_normalize(tweet.text).split()
+        records, counts = fetch(corpus, QueryFilter("covid"), limit)
+        records = list(records)
+        if not counts.valid:
+            skip_notes = [f"note: corpus {corpus} has no valid records "
+                          f"({counts.skipped} malformed lines skipped)"]
+        elif counts.skipped:
+            skip_notes = [f"note: skipped {counts.skipped} malformed corpus lines"]
+        else:
+            skip_notes = []
+        assert notes == skip_notes + [
+            f"note: wrote {len(records)} detail rows to {out_csv}"
+        ]
+
+        positive = oracle_read_wordlist(lex / "positive.txt")
+        negative = oracle_read_wordlist(lex / "negative.txt")
+        negators = oracle_read_wordlist(lex / "negators.txt")
+        positive, negative = positive - negative, negative - positive
+        known = positive | negative | negators
+        with open(out_csv, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [row[2:4] for row in rows] == [[r[2], r[3]] for r in records]
+        total_pos = total_neg = 0
+        for row in rows:
+            tokens = oracle_normalize(row[3]).split()
             if spell_correct:
                 tokens = [
                     t if t in known else oracle_correct(t, known, threshold) or t
                     for t in tokens
                 ]
-            assert (list(score.matched_positive), list(score.matched_negative)) == (
-                oracle_score(
-                    tokens, lexicon.positive_words, lexicon.negative_words,
-                    lexicon.negators,
-                )
-            )
+            pos, neg = oracle_score(tokens, positive, negative, negators)
+            assert row[4:] == [_encode(pos), _encode(neg)]
+            total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
+        assert out == _oracle_summary("covid", len(rows), total_pos, total_neg)
 
 
 NO_SIGNAL_SUMMARY = """\
@@ -553,10 +537,15 @@ def _oracle_spell_run(keyword, threshold):
         stamp = record["created_at"]
         rows.append([stamp[:10], stamp[11:19], record["username"], record["text"],
                      _encode(pos), _encode(neg)])
+    return _oracle_summary(keyword, len(rows), total_pos, total_neg), rows, corrected
+
+
+def _oracle_summary(keyword, tweets, total_pos, total_neg):
+    """The summary classify prints for these totals, stdout's newline included."""
     found = total_pos + total_neg
     lines = [
         f'Sentiment summary for "{keyword}"',
-        f"  tweets scored:  {len(rows)}",
+        f"  tweets scored:  {tweets}",
         f"  positive words: {total_pos}",
         f"  negative words: {total_neg}",
         f"  positivity:     {100.0 * total_pos / found if found else 0.0:.1f}%",
@@ -564,21 +553,22 @@ def _oracle_spell_run(keyword, threshold):
     ]
     if not found:
         lines.append("  no sentiment words found")
-    return "\n".join(lines) + "\n", rows, corrected
+    return "\n".join(lines) + "\n"
 
 
 def _encode(hits):
     return "|".join(token + ("!" if negated else "") for token, negated in hits)
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, stdout=subprocess.PIPE):
     """Run ``python -m tweetlex.cli`` from this checkout, the fixture on stdin."""
     pythonpath = [str(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     return subprocess.run(
         [sys.executable, "-m", "tweetlex.cli", *args],
         input=CORPUS_50.read_bytes(),
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         cwd=cwd,
         env=env,
         timeout=60,
@@ -623,6 +613,21 @@ def test_process_exit_code(tmp_path, code, extra):
     if "positive_words" in extra:
         # one bad byte still rejects the whole wordlist, unlike a corpus line
         assert str(extra["positive_words"]).encode() in errors[0]
+
+
+@pytest.mark.parametrize("command", ["classify", "lexicon-check"])
+def test_closed_stdout_is_unwritable(tmp_path, command):
+    """As in ``tweetlex classify ... | true``: the reader of stdout is gone."""
+    args = classify_args() if command == "classify" else [command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(args, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_UNWRITABLE, proc.stderr
+    [line] = proc.stderr.decode("utf-8").splitlines()
+    assert line.startswith("error: cannot write to stdout: ")
 
 
 def test_every_error_type_has_an_exit_code():

@@ -1,33 +1,42 @@
 import codecs
-import dataclasses
 import json
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tweet
 from oracle import oracle_parse_utc, oracle_read_corpus
 from tweetlex import (
     DEFAULT_LIMIT,
     FileUnreadable,
     QueryFilter,
-    Tweet,
     fetch,
     parse_utc,
 )
 from tweetlex.cli import main
 
 UTC = timezone.utc
+STAMP = datetime(2022, 3, 1, 10, 0, tzinfo=UTC)
 # Every record built by record() and every fixture tweet contains a space.
 EVERY = QueryFilter(keyword=" ")
+
+
+class Rec(NamedTuple):
+    """A tuple that fetch yields, with its fields named."""
+
+    id: str
+    created_at: datetime
+    username: str
+    text: str
+    location: tuple[float, float] | None = None
 
 
 def read_all(path, query, limit=DEFAULT_LIMIT):
     """Drain fetch: (the matching tweets as a list, the skipped-line count)."""
     tweets, counts = fetch(path, query, limit)
-    return list(tweets), counts.skipped
+    return list(map(Rec._make, tweets)), counts.skipped
 
 
 def write_corpus(path, records):
@@ -160,22 +169,6 @@ class TestParseUtc:
 
 
 
-class TestTweet:
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            make_tweet("hi", id="")
-
-    def test_naive_timestamp_rejected(self):
-        with pytest.raises(ValueError):
-            Tweet("t1", datetime(2021, 1, 1), "u", "hi")
-
-    def test_location_range_checked(self):
-        with pytest.raises(ValueError):
-            make_tweet("hi", location=(91.0, 0.0))
-        with pytest.raises(ValueError):
-            make_tweet("hi", location=(0.0, -181.0))
-
-
 class TestReadCorpus:
     def test_valid_lines_in_order(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1), record(2), record(3)])
@@ -207,6 +200,7 @@ class TestReadCorpus:
             record(1, lat=91, lon=0),
             record(1, created_at="0001-01-01T00:00:00+01:00"),
             record(1, lat=10**400, lon=0),
+            record(1, lat=0.0, lon=-181.0),
         ],
     )
     def test_bad_records_are_skipped(self, tmp_path, bad):
@@ -296,13 +290,12 @@ class TestReadCorpus:
         tweets, counts = fetch(path, EVERY)
         path.unlink()  # the open handle still reads it
         assert counts.valid == 0
-        assert next(tweets).id == "t1"
+        assert next(tweets)[0] == "t1"
         assert counts.valid == 1
-        assert [t.id for t in tweets] == ["t2"]
+        assert [t[0] for t in tweets] == ["t2"]
         assert (counts.valid, counts.skipped) == (2, 0)
 
-    def test_read_tweets_equal_checked_tweets(self, tmp_path, corpus_path):
-        # the reader builds each Tweet without re-running Tweet's checks
+    def test_records_are_checked_field_tuples(self, tmp_path):
         path = write_corpus(
             tmp_path / "c.jsonl",
             [
@@ -311,9 +304,9 @@ class TestReadCorpus:
                 record(3, lat=-90, lon=180),
             ],
         )
-        tweets = read_all(path, EVERY)[0]
-        assert tweets == [
-            Tweet(
+        tweets, counts = fetch(path, EVERY)
+        assert list(tweets) == [
+            (
                 f"t{i}",
                 datetime(2021, 1, i, 10, tzinfo=UTC),
                 f"user{i}",
@@ -322,15 +315,6 @@ class TestReadCorpus:
             )
             for i, location in [(1, (51.5, -0.1)), (2, None), (3, (-90.0, 180.0))]
         ]
-        for tweet in tweets + read_all(corpus_path, EVERY)[0]:
-            checked = Tweet(
-                tweet.id, tweet.created_at, tweet.username, tweet.text, tweet.location
-            )
-            assert type(tweet) is Tweet
-            assert tweet == checked and hash(tweet) == hash(checked)
-            assert vars(tweet) == vars(checked) and repr(tweet) == repr(checked)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                tweet.text = "changed"
 
     def test_fixture_corpus_is_clean(self, corpus_path):
         tweets, skipped = read_all(corpus_path, EVERY)
@@ -371,31 +355,29 @@ class TestQueryFilter:
 
     def test_keyword_is_case_insensitive_substring(self):
         query = QueryFilter(keyword="Vaccine")
-        assert query.matches(make_tweet("the vaccine works"))
-        assert not query.matches(make_tweet("the jab works"))
+        assert query.matches("the vaccine works", STAMP, None)
+        assert not query.matches("the jab works", STAMP, None)
 
     def test_hash_is_matched_literally(self):
         query = QueryFilter(keyword="#covid")
-        assert query.matches(make_tweet("news #covid19 update"))
-        assert not query.matches(make_tweet("covid news"))
+        assert query.matches("news #covid19 update", STAMP, None)
+        assert not query.matches("covid news", STAMP, None)
 
     def test_since_inclusive_until_exclusive(self):
         since = datetime(2021, 1, 1, tzinfo=UTC)
         until = datetime(2021, 2, 1, tzinfo=UTC)
         query = QueryFilter(keyword="flu", since=since, until=until)
-        before = make_tweet("flu", created_at=datetime(2020, 12, 31, 23, 59, tzinfo=UTC))
-        at_since = make_tweet("flu", created_at=since)
-        at_until = make_tweet("flu", created_at=until)
-        assert not query.matches(before)
-        assert query.matches(at_since)
-        assert not query.matches(at_until)
+        before = datetime(2020, 12, 31, 23, 59, tzinfo=UTC)
+        assert not query.matches("flu", before, None)
+        assert query.matches("flu", since, None)
+        assert not query.matches("flu", until, None)
 
     def test_bbox_keeps_inside_and_drops_unlocated(self):
         query = QueryFilter(keyword="x", bbox=(50.0, -1.0, 52.0, 1.0))
-        assert query.matches(make_tweet("x", location=(51.0, 0.0)))
-        assert query.matches(make_tweet("x", location=(50.0, -1.0)))
-        assert not query.matches(make_tweet("x", location=(49.9, 0.0)))
-        assert not query.matches(make_tweet("x", location=None))
+        assert query.matches("x", STAMP, (51.0, 0.0))
+        assert query.matches("x", STAMP, (50.0, -1.0))
+        assert not query.matches("x", STAMP, (49.9, 0.0))
+        assert not query.matches("x", STAMP, None)
 
 
 class TestSources:
@@ -435,7 +417,7 @@ class TestSources:
 
 
 tweet_st = st.builds(
-    Tweet,
+    Rec,
     id=st.text(alphabet="abc123", min_size=1, max_size=6),
     created_at=st.datetimes(
         min_value=datetime(2019, 1, 1), max_value=datetime(2023, 1, 1)
@@ -486,7 +468,7 @@ def filter_st(draw):
 
 
 def write_tweets(path, tweets):
-    """Write Tweets as corpus records, with non-ASCII text left unescaped."""
+    """Write Recs as corpus records, with non-ASCII text left unescaped."""
     lines = []
     for tweet in tweets:
         obj = {
@@ -513,7 +495,8 @@ class TestFilterProperties:
         tmp = tmp_path_factory.mktemp("corpus")
         once, skipped = read_all(write_tweets(tmp / "all.jsonl", tweets), query, limit)
         assert skipped == 0
-        assert once == [t for t in tweets if query.matches(t)][:limit]
+        kept = [t for t in tweets if query.matches(t.text, t.created_at, t.location)]
+        assert once == kept[:limit]
         if once:
             again = read_all(write_tweets(tmp / "once.jsonl", once), query, limit)
             assert again == (once, 0)
@@ -524,8 +507,9 @@ class TestFilterProperties:
     @settings(max_examples=80)
     def test_kept_tweets_contain_keyword(self, tweets, keyword):
         query = QueryFilter(keyword=keyword)
-        for kept in filter(query.matches, tweets):
-            assert keyword.lower() in kept.text.lower()
+        for tweet in tweets:
+            if query.matches(tweet.text, tweet.created_at, tweet.location):
+                assert keyword.lower() in tweet.text.lower()
 
 
 # Around a record: JSON whitespace, which the reader accepts, and other
@@ -600,5 +584,5 @@ class TestReaderOracle:
         path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
         path.write_bytes(raw)
         tweets, counts = fetch(path, QueryFilter(keyword=keyword), limit=100)
-        got = ([t.id for t in tweets], counts.valid, counts.skipped)
+        got = ([t[0] for t in tweets], counts.valid, counts.skipped)
         assert got == oracle_read_corpus(raw, keyword)

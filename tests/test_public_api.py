@@ -9,17 +9,14 @@ PUBLIC_NAMES = {
     "EmptyWordlistWarning",
     "FileUnreadable",
     "Lexicon",
-    "Match",
     "PathUnwritable",
     "QueryFilter",
     "ReadCounts",
     "SourceSummary",
-    "Tweet",
-    "TweetScore",
     "TweetlexError",
     "UnusableLexicon",
-    "aggregate",
     "bundled_lexicon_dir",
+    "classify",
     "encode_matches",
     "fetch",
     "load_bundled_lexicon",
@@ -27,14 +24,14 @@ PUBLIC_NAMES = {
     "normalize",
     "parse_utc",
     "render_summary",
-    "score_tweet",
+    "score_text",
     "suggest_correction",
 }
 
 
 def test_public_names_are_pinned_and_resolve():
     assert set(tweetlex.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 28
+    assert len(PUBLIC_NAMES) == 25
     assert len(tweetlex.__all__) == len(PUBLIC_NAMES)
     for name in tweetlex.__all__:
         assert hasattr(tweetlex, name), name

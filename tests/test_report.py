@@ -1,31 +1,36 @@
 import csv
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon, make_tweet
+from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon
 from oracle import oracle_csv_bytes
 from tweetlex import (
     AggregateResult,
     DetailCsv,
-    Match,
     PathUnwritable,
-    TweetScore,
     encode_matches,
     render_summary,
-    score_tweet,
+    score_text,
 )
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 HEADER = "date,time,username,tweet,positive_words,negative_words"
+STAMP = datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc)
 
 
-def write_detail(tweets, path):
+def row(text, username="user", created_at=STAMP):
+    return created_at, username, text
+
+
+def write_detail(rows, path):
+    """Write each (created_at, username, text) row with its TOY hits."""
     with DetailCsv(path) as detail:
-        for tweet in tweets:
-            detail.write(tweet, score_tweet(tweet, TOY))
+        for created_at, username, text in rows:
+            detail.write(created_at, username, text, *score_text(text, TOY))
 
 
 def read_rows(path):
@@ -40,59 +45,60 @@ class TestWriteCsv:
         assert out.read_bytes() == (HEADER + "\r\n").encode()
 
     def test_canonical_row(self, tmp_path):
-        tweet = make_tweet(
-            "I am not sad",
-            username="a",
-            created_at=datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc),
-        )
         out = tmp_path / "d.csv"
-        write_detail([tweet], out)
+        write_detail([row("I am not sad", username="a")], out)
         lines = out.read_bytes().split(b"\r\n")
         assert lines[1] == b"2022-03-01,10:00:00,a,I am not sad,sad!,"
 
     def test_comma_field_quoted_and_round_trips(self, tmp_path):
-        tweet = make_tweet("good, but bad", username="u,ser")
         out = tmp_path / "d.csv"
-        write_detail([tweet], out)
+        write_detail([row("good, but bad", username="u,ser")], out)
         rows = read_rows(out)
         assert rows[1][2] == "u,ser"
         assert rows[1][3] == "good, but bad"
         assert '"good, but bad"' in out.read_text(encoding="utf-8")
 
     def test_timestamps_rendered_in_utc(self, tmp_path):
-        from datetime import timedelta, timezone as tz
-
-        plus_two = tz(timedelta(hours=2))
-        tweet = make_tweet(
-            "fine", created_at=datetime(2022, 3, 1, 12, 0, tzinfo=plus_two)
-        )
+        plus_two = datetime(2022, 3, 1, 12, 0, tzinfo=timezone(timedelta(hours=2)))
         out = tmp_path / "d.csv"
-        write_detail([tweet], out)
+        write_detail([row("fine", created_at=plus_two)], out)
         assert "2022-03-01,10:00:00" in out.read_text(encoding="utf-8")
 
     def test_years_below_1000_are_zero_padded(self, tmp_path):
-        tweet = make_tweet(
-            "fine", created_at=datetime(5, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
-        )
+        year_five = datetime(5, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
         out = tmp_path / "d.csv"
-        write_detail([tweet], out)
+        write_detail([row("fine", created_at=year_five)], out)
         assert out.read_bytes().split(b"\r\n")[1].startswith(b"0005-01-02,03:04:05,")
+
+    @pytest.mark.skipif(not hasattr(time, "tzset"), reason="needs time.tzset")
+    def test_naive_timestamp_rejected(self, tmp_path, monkeypatch):
+        # astimezone would read a naive stamp as local time: 05:00 UTC here
+        monkeypatch.setenv("TZ", "America/New_York")
+        time.tzset()
+        try:
+            out = tmp_path / "d.csv"
+            with DetailCsv(out) as detail:
+                with pytest.raises(ValueError, match="timezone-aware"):
+                    detail.write(datetime(2021, 1, 1), "u", "fine", [], [])
+            assert out.read_bytes() == (HEADER + "\r\n").encode()
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(PathUnwritable):
             DetailCsv(tmp_path / "missing" / "d.csv")
 
     def test_row_count_matches(self, tmp_path):
-        tweets = [make_tweet(f"tweet {i}", id=f"t{i}") for i in range(7)]
-        write_detail(tweets, tmp_path / "d.csv")
+        write_detail([row(f"tweet {i}") for i in range(7)], tmp_path / "d.csv")
         assert len(read_rows(tmp_path / "d.csv")) == 1 + 7
 
 
 class TestMatchEncoding:
     def test_encoding_examples(self):
         assert encode_matches([]) == ""
-        assert encode_matches([Match("sad", True)]) == "sad!"
-        assert encode_matches([Match("good", False), Match("sad", True)]) == "good|sad!"
+        assert encode_matches([("sad", True)]) == "sad!"
+        assert encode_matches([("good", False), ("sad", True)]) == "good|sad!"
 
 
 nasty_text = st.text(
@@ -109,18 +115,14 @@ class TestCsvRoundTrip:
     @settings(max_examples=60)
     def test_fields_survive_any_content(self, tmp_path_factory, rows):
         tmp = tmp_path_factory.mktemp("csv")
-        tweets = [
-            make_tweet(text, id=f"t{i}", username=user)
-            for i, (user, text) in enumerate(rows)
-        ]
         out = tmp / "d.csv"
-        write_detail(tweets, out)
+        write_detail([row(text, username=user) for user, text in rows], out)
         parsed = read_rows(out)
         assert parsed[0] == HEADER.split(",")
         assert len(parsed) == len(rows) + 1
-        for (user, text), row in zip(rows, parsed[1:]):
-            assert row[2] == user
-            assert row[3] == text
+        for (user, text), fields in zip(rows, parsed[1:]):
+            assert fields[2] == user
+            assert fields[3] == text
 
 
 csv_text = st.text(
@@ -166,14 +168,8 @@ class TestCsvBytes:
     def test_bytes_equal_stdlib_writer(self, tmp_path_factory, rows):
         out = tmp_path_factory.mktemp("csv") / "d.csv"
         with DetailCsv(out) as detail:
-            for i, (user, text, positive, negative, when) in enumerate(rows):
-                score = TweetScore(
-                    tuple(Match(*hit) for hit in positive),
-                    tuple(Match(*hit) for hit in negative),
-                )
-                detail.write(
-                    make_tweet(text, id=f"t{i}", username=user, created_at=when), score
-                )
+            for user, text, positive, negative, when in rows:
+                detail.write(when, user, text, positive, negative)
         expected = [HEADER.split(",")] + [_oracle_row(*row) for row in rows]
         assert out.read_bytes() == oracle_csv_bytes(expected)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import difflib
 import sys
 import threading
@@ -7,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon, make_tweet
+from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon
 from oracle import URL_PREFIXES, oracle_correct, oracle_normalize, oracle_score
 from tweetlex import (
-    Match,
-    TweetScore,
     load_bundled_lexicon,
     load_lexicon,
     normalize,
-    score_tweet,
+    score_text,
     suggest_correction,
 )
 from tweetlex.lexicon import _NEGATIVE, _NEGATOR, _POSITIVE
@@ -168,74 +165,51 @@ class TestAsciiTokenizer:
 
 
 class TestScoreTweet:
+    """score_text on one tweet's text: (positive, negative) hit lists."""
+
     def test_negated_negative_flips_positive(self):
-        score = score_tweet(make_tweet("I am not sad"), TOY)
-        assert score.positive_count == 1
-        assert score.negative_count == 0
-        assert score.matched_positive == (Match("sad", True),)
+        positive, negative = score_text("I am not sad", TOY)
+        assert positive == [("sad", True)]
+        assert negative == []
 
     def test_empty_text(self):
-        score = score_tweet(make_tweet(""), TOY)
-        assert score.positive_count == score.negative_count == 0
+        assert score_text("", TOY) == ([], [])
 
     def test_every_occurrence_counts(self):
-        score = score_tweet(make_tweet("great great bad"), TOY)
-        assert score.positive_count == 2
-        assert score.negative_count == 1
+        positive, negative = score_text("great great bad", TOY)
+        assert len(positive) == 2
+        assert len(negative) == 1
 
     def test_negated_positive_flips_negative(self):
-        score = score_tweet(make_tweet("this is not good"), TOY)
-        assert score.matched_negative == (Match("good", True),)
-        assert score.positive_count == 0
+        positive, negative = score_text("this is not good", TOY)
+        assert negative == [("good", True)]
+        assert positive == []
 
     def test_negator_gap_cancels_flip(self):
-        score = score_tweet(make_tweet("not very sad"), TOY)
-        assert score.matched_negative == (Match("sad", False),)
+        _, negative = score_text("not very sad", TOY)
+        assert negative == [("sad", False)]
 
     def test_double_negation_not_collapsed(self):
-        score = score_tweet(make_tweet("i am not not sad"), TOY)
-        assert score.matched_positive == (Match("sad", True),)
-        assert score.negative_count == 0
+        positive, negative = score_text("i am not not sad", TOY)
+        assert positive == [("sad", True)]
+        assert negative == []
 
     def test_leading_negator_flips_next_word(self):
-        score = score_tweet(make_tweet("never happy again"), TOY)
-        assert score.matched_negative == (Match("happy", True),)
+        _, negative = score_text("never happy again", TOY)
+        assert negative == [("happy", True)]
 
     def test_negators_never_count(self):
-        score = score_tweet(make_tweet("not not never"), TOY)
-        assert score.positive_count == score.negative_count == 0
+        assert score_text("not not never", TOY) == ([], [])
 
     def test_counts_equal_match_lengths(self):
-        score = score_tweet(make_tweet("good bad not sad love hate"), TOY)
-        assert score.positive_count == len(score.matched_positive)
-        assert score.negative_count == len(score.matched_negative)
+        # every hit is one (token, negated) pair, in text order
+        positive, negative = score_text("good bad not sad love hate", TOY)
+        assert positive == [("good", False), ("sad", True), ("love", False)]
+        assert negative == [("bad", False), ("hate", False)]
 
     def test_text_is_normalized_before_scoring(self):
-        score = score_tweet(make_tweet("GOOD!!! #good @good https://good.example"), TOY)
-        assert score.positive_count == 2
-
-    def test_scores_equal_constructed_scores(self):
-        # score_tweet builds each TweetScore and Match from plain (token, negated) pairs
-        score = score_tweet(make_tweet("not sad, great! never good bad"), TOY)
-        built = TweetScore(
-            (Match("sad", True), Match("great", False)),
-            (Match("good", True), Match("bad", False)),
-        )
-        for got, want in [(score, built), (score_tweet(make_tweet(""), TOY), TweetScore())]:
-            assert type(got) is TweetScore
-            assert got == want and hash(got) == hash(want)
-            assert vars(got) == vars(want) and repr(got) == repr(want)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                got.matched_positive = ()
-        for got, want in zip(
-            score.matched_positive + score.matched_negative,
-            built.matched_positive + built.matched_negative,
-        ):
-            assert type(got) is Match and isinstance(got, Match)
-            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-            assert got._asdict() == want._asdict()
-            with pytest.raises(AttributeError):
-                got.token = "changed"
+        positive, _ = score_text("GOOD!!! #good @good https://good.example", TOY)
+        assert len(positive) == 2
 
 
 FILLER_WORDS = ("the", "a", "is", "i", "it", "so", "really", "very", "today")
@@ -251,10 +225,8 @@ class TestScoringProperties:
     @given(tokens=st.lists(toy_token, max_size=20))
     @settings(max_examples=200)
     def test_matches_brute_force_oracle(self, tokens):
-        score = score_tweet(make_tweet(" ".join(tokens)), TOY)
-        pos, neg = oracle_score(tokens, TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
-        assert [tuple(m) for m in score.matched_positive] == pos
-        assert [tuple(m) for m in score.matched_negative] == neg
+        got = score_text(" ".join(tokens), TOY)
+        assert got == oracle_score(tokens, TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 
     @given(
         positive=st.frozensets(overlap_token),
@@ -265,32 +237,28 @@ class TestScoringProperties:
     @settings(max_examples=300)
     def test_overlapping_lists_match_oracle(self, positive, negative, negators, tokens):
         # a word in several lists counts as a negator first, then as positive
-        score = score_tweet(
-            make_tweet(" ".join(tokens)), make_lexicon(positive, negative, negators)
-        )
-        pos, neg = oracle_score(tokens, positive, negative, negators)
-        assert [tuple(m) for m in score.matched_positive] == pos
-        assert [tuple(m) for m in score.matched_negative] == neg
+        got = score_text(" ".join(tokens), make_lexicon(positive, negative, negators))
+        assert got == oracle_score(tokens, positive, negative, negators)
 
     @given(tokens=st.lists(toy_token, max_size=20))
     @settings(max_examples=100)
     def test_conservation(self, tokens):
-        score = score_tweet(make_tweet(" ".join(tokens)), TOY)
+        positive, negative = score_text(" ".join(tokens), TOY)
         polarized = sum(
             1
             for t in tokens
             if t not in TOY_NEGATORS and (t in TOY_POSITIVE or t in TOY_NEGATIVE)
         )
-        assert score.positive_count + score.negative_count == polarized
+        assert len(positive) + len(negative) == polarized
 
     @given(tokens=st.lists(toy_token, max_size=10))
     @settings(max_examples=100)
     def test_inserting_neutral_token_cancels_flip(self, tokens):
         text = "not sad " + " ".join(tokens)
-        flipped = score_tweet(make_tweet(text), TOY)
-        assert flipped.matched_positive[0] == Match("sad", True)
-        buffered = score_tweet(make_tweet("not the sad " + " ".join(tokens)), TOY)
-        assert buffered.matched_negative[0] == Match("sad", False)
+        flipped, _ = score_text(text, TOY)
+        assert flipped[0] == ("sad", True)
+        _, buffered = score_text("not the sad " + " ".join(tokens), TOY)
+        assert buffered[0] == ("sad", False)
 
 
 # Spell-correction pools: the bundled lexicon, and a toy one with repeated
@@ -565,9 +533,7 @@ class TestPolarityTable:
         ],
     )
     def test_score_tweet(self, text, positive, negative):
-        score = score_tweet(make_tweet(text), OVERLAP)
-        assert list(score.matched_positive) == positive
-        assert list(score.matched_negative) == negative
+        assert score_text(text, OVERLAP) == (positive, negative)
         assert (positive, negative) == oracle_score(
             text.split(), OVERLAP.positive_words, OVERLAP.negative_words,
             OVERLAP.negators,
@@ -651,13 +617,12 @@ class TestSpellMemo:
 
         monkeypatch.setattr(difflib, "get_close_matches", counting)
         lex = make_lexicon({"good"}, {"bad"}, {"not"})
-        tweets = [make_tweet(text) for text in ("gud day", "so gud", "gud gud")]
+        texts = ("gud day", "so gud", "gud gud")
         for threshold in (0.5, 0.9):
-            scores = [
-                score_tweet(t, lex, spell_correct=True, spell_threshold=threshold)
-                for t in tweets
+            hits = [
+                len(score_text(text, lex, spell_correct=True, spell_threshold=threshold)[0])
+                for text in texts
             ]
-            hits = [s.positive_count for s in scores]
             assert hits == ([1, 1, 2] if threshold == 0.5 else [0, 0, 0])
         distinct = {(th, tok) for th in (0.5, 0.9) for tok in ("gud", "day", "so")}
         assert sorted(calls) == sorted(distinct)
@@ -689,24 +654,17 @@ class TestSpellMemo:
 class TestSpellCorrectedScoring:
     def test_off_by_default(self):
         lex = make_lexicon({"good"}, set(), set())
-        assert score_tweet(make_tweet("gud day"), lex).positive_count == 0
+        assert score_text("gud day", lex) == ([], [])
 
     def test_corrects_unknown_tokens(self):
         lex = make_lexicon({"good"}, set(), set())
-        score = score_tweet(
-            make_tweet("gud day"), lex, spell_correct=True, spell_threshold=0.5
-        )
-        assert score.matched_positive == (Match("good", False),)
+        positive, _ = score_text("gud day", lex, spell_correct=True, spell_threshold=0.5)
+        assert positive == [("good", False)]
 
     def test_corrects_misspelled_negators(self):
-        score = score_tweet(
-            make_tweet("nott sad"), TOY, spell_correct=True, spell_threshold=0.8
-        )
-        assert score.matched_positive == (Match("sad", True),)
+        positive, _ = score_text("nott sad", TOY, spell_correct=True, spell_threshold=0.8)
+        assert positive == [("sad", True)]
 
     def test_known_tokens_untouched(self):
-        score = score_tweet(
-            make_tweet("good bad"), TOY, spell_correct=True, spell_threshold=0.1
-        )
-        assert score.positive_count == 1
-        assert score.negative_count == 1
+        got = score_text("good bad", TOY, spell_correct=True, spell_threshold=0.1)
+        assert got == ([("good", False)], [("bad", False)])
