@@ -169,6 +169,14 @@ class TestParseUtc:
 
 
 
+class TestTweet:
+    def test_empty_id_rejected(self, tmp_path):
+        path = write_corpus(tmp_path / "c.jsonl", [record(1, id=""), record(2)])
+        tweets, skipped = read_all(path, EVERY)
+        assert [t.id for t in tweets] == ["t2"]
+        assert skipped == 1
+
+
 class TestReadCorpus:
     def test_valid_lines_in_order(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1), record(2), record(3)])
