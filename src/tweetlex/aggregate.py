@@ -3,24 +3,19 @@ the hits into percentage shares."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .lexicon import Lexicon
 from .scoring import DEFAULT_SPELL_THRESHOLD, score_text
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    """Totals and percentage shares for one classified topic."""
-
-    topic: str
-    tweets_scored: int
-    total_positive: int
-    total_negative: int
-    positivity_pct: float
-    negativity_pct: float
-    no_signal: bool
+AggregateResult = namedtuple(
+    "AggregateResult",
+    "topic tweets_scored total_positive total_negative"
+    " positivity_pct negativity_pct no_signal",
+)
+AggregateResult.__doc__ = "Totals and percentage shares for one classified topic."
 
 
 def classify(

@@ -17,9 +17,9 @@ from __future__ import annotations
 import codecs
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from datetime import datetime, timezone
-from typing import Iterator
 
 from .errors import FileUnreadable
 
@@ -53,18 +53,7 @@ def parse_utc(value: str) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
-def _check_id_and_location(tweet_id: str, location) -> None:
-    """Raise ValueError for an empty id or a (lat, lon) out of range."""
-    if not tweet_id:
-        raise ValueError("tweet id must be non-empty")
-    if location is not None:
-        lat, lon = location
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            raise ValueError(f"location out of range: {location}")
-
-
-@dataclass(frozen=True)
-class QueryFilter:
+class QueryFilter(namedtuple("QueryFilter", "keyword since until bbox")):
     """Keyword plus optional time window and geographic bounding box.
 
     The keyword is matched case-insensitively as a raw-text substring,
@@ -72,55 +61,67 @@ class QueryFilter:
     is inclusive, ``until`` exclusive; both must be timezone-aware.
     ``bbox`` is (min_lat, min_lon, max_lat, max_lon) with inclusive
     edges and no NaN part; tweets without a location never match when a
-    bbox is set.
+    bbox is set. Every way of making one, ``_make``, ``_replace``, copy
+    and pickle included, goes through the checks in ``__new__``.
     """
 
-    keyword: str
-    since: datetime | None = None
-    until: datetime | None = None
-    bbox: tuple[float, float, float, float] | None = None
-    _keyword: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.keyword:
+    def __new__(cls, keyword, since=None, until=None, bbox=None):
+        if not keyword:
             raise ValueError("keyword must be non-empty")
-        object.__setattr__(self, "_keyword", self.keyword.lower())
-        for name in ("since", "until"):
-            stamp = getattr(self, name)
+        for name, stamp in (("since", since), ("until", until)):
             if stamp is not None and stamp.tzinfo is None:
                 raise ValueError(f"{name} must be timezone-aware")
-        if self.since is not None and self.until is not None:
-            if not self.since < self.until:
+        if since is not None and until is not None:
+            if not since < until:
                 raise ValueError("since must be strictly before until")
-        if self.bbox is not None:
+        if bbox is not None:
             # every comparison with NaN is false, so a NaN edge would
             # silently keep no tweet
-            if any(math.isnan(part) for part in self.bbox):
-                raise ValueError(f"bbox has a NaN part: {self.bbox}")
-            min_lat, min_lon, max_lat, max_lon = self.bbox
+            if any(math.isnan(part) for part in bbox):
+                raise ValueError(f"bbox has a NaN part: {bbox}")
+            min_lat, min_lon, max_lat, max_lon = bbox
             if min_lat > max_lat or min_lon > max_lon:
                 raise ValueError("bbox must be (min_lat, min_lon, max_lat, max_lon)")
+        return super().__new__(cls, keyword, since, until, bbox)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple one skips __new__; _replace calls this one
+        return cls(*iterable)
 
     def matches(self, text: str, created_at: datetime, location) -> bool:
         """Whether a tweet with this raw text, aware UTC timestamp and
         (lat, lon) or None passes the filter."""
-        if self._keyword not in text.lower():
-            return False
-        if self.since is not None and created_at < self.since:
-            return False
-        if self.until is not None and created_at >= self.until:
-            return False
-        if self.bbox is not None:
-            if location is None:
+        return self._matcher()(text, created_at, location)
+
+    def _matcher(self):
+        """``matches`` as a plain function, with the lowered keyword and
+        the bounds bound once: reading a named tuple's field is a
+        descriptor call, too slow for a test made on every record."""
+        keyword, since, until, bbox = self
+        keyword = keyword.lower()
+
+        def matches(text, created_at, location):
+            if keyword not in text.lower():
                 return False
-            lat, lon = location
-            min_lat, min_lon, max_lat, max_lon = self.bbox
-            if not (min_lat <= lat <= max_lat and min_lon <= lon <= max_lon):
+            if since is not None and created_at < since:
                 return False
-        return True
+            if until is not None and created_at >= until:
+                return False
+            if bbox is not None:
+                if location is None:
+                    return False
+                lat, lon = location
+                min_lat, min_lon, max_lat, max_lon = bbox
+                if not (min_lat <= lat <= max_lat and min_lon <= lon <= max_lon):
+                    return False
+            return True
+
+        return matches
 
 
-@dataclass
 class ReadCounts:
     """What a corpus read has seen so far: valid records and skipped lines.
 
@@ -128,8 +129,19 @@ class ReadCounts:
     iteration over the read ends.
     """
 
-    valid: int = 0
-    skipped: int = 0
+    __slots__ = ("valid", "skipped")
+
+    def __init__(self, valid: int = 0, skipped: int = 0):
+        self.valid = valid
+        self.skipped = skipped
+
+    def __repr__(self):
+        return f"ReadCounts(valid={self.valid!r}, skipped={self.skipped!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.valid, self.skipped) == (other.valid, other.skipped)
 
 
 def _record_fields(obj) -> tuple:
@@ -149,6 +161,8 @@ def _record_fields(obj) -> tuple:
         and isinstance(text, str)
     ):
         raise ValueError("id, created_at, username and text must be strings")
+    if not tweet_id:
+        raise ValueError("tweet id must be non-empty")
     lat, lon = get("lat"), get("lon")
     if (lat is None) != (lon is None):
         raise ValueError("lat and lon must appear together")
@@ -158,13 +172,15 @@ def _record_fields(obj) -> tuple:
         for value in (lat, lon):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"lat/lon must be numbers, got {value!r}")
-        location = (float(lat), float(lon))
-    _check_id_and_location(tweet_id, location)
+        location = lat, lon = float(lat), float(lon)
+        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
+            raise ValueError(f"location out of range: {location}")
     return tweet_id, parse_utc(stamp), username, text, location
 
 
 def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
     """The generator behind fetch; its first step only opens the file."""
+    matches = query._matcher()
     try:
         with open(path, "rb") as handle:
             yield
@@ -190,7 +206,7 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                     continue
                 counts.valid += 1
                 _, created_at, _, text, location = fields
-                if query.matches(text, created_at, location):
+                if matches(text, created_at, location):
                     yield fields
                     kept += 1
                     if kept == limit:

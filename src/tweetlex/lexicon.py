@@ -11,7 +11,7 @@ lexicon ships in, so those files can be dropped in directly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import (
@@ -30,17 +30,18 @@ _POSITIVE, _NEGATIVE, _NEGATOR = 0, 1, 2
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-@dataclass(frozen=True)
-class SourceSummary:
-    """What loading removed from the three wordlists."""
+SourceSummary = namedtuple("SourceSummary", "conflicts duplicates dropped")
+SourceSummary.__doc__ = """What loading removed from the three wordlists.
 
-    conflicts: int  # tokens found in both sentiment lists, removed from both
-    duplicates: int  # repeated entries within a single file
-    dropped: int  # entries rejected because they contain whitespace
+``conflicts`` counts tokens found in both sentiment lists, removed from
+both; ``duplicates`` repeated entries within a single file; ``dropped``
+entries rejected because they contain whitespace.
+"""
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(
+    namedtuple("Lexicon", "positive_words negative_words negators source_summary")
+):
     """Immutable sentiment vocabulary; safe to share across workers.
 
     Two private structures are built on first use and live on the
@@ -50,16 +51,9 @@ class Lexicon:
     (``scoring.suggest_correction``), whose pool is the table's keys.
     """
 
-    positive_words: frozenset[str]
-    negative_words: frozenset[str]
-    negators: frozenset[str]
-    source_summary: SourceSummary
-    _polarity: object = field(default=None, init=False, compare=False, repr=False)
-    _spell_index: object = field(default=None, init=False, compare=False, repr=False)
-
-    def all_words(self) -> frozenset[str]:
-        """Every known token: the sentiment words and the negators."""
-        return self.positive_words | self.negative_words | self.negators
+    # class-level defaults; the instance's own __dict__ holds the built ones
+    _polarity = None
+    _spell_index = None
 
     def _sides(self) -> dict[str, int]:
         """The polarity table: each known token mapped to _POSITIVE,
@@ -76,7 +70,7 @@ class Lexicon:
             table.update(dict.fromkeys(self.positive_words, _POSITIVE))
             table.update(dict.fromkeys(self.negators, _NEGATOR))
             # a racing thread may build its own; both are equal
-            object.__setattr__(self, "_polarity", table)
+            self._polarity = table
         return table
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from datetime import timezone
-from typing import Iterable
 
 from .aggregate import AggregateResult
 from .errors import PathUnwritable

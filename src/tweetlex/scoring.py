@@ -9,7 +9,6 @@ the sentiment word cancels it.
 
 from __future__ import annotations
 
-import difflib
 import re
 
 from .lexicon import _NEGATOR, Lexicon
@@ -216,13 +215,17 @@ def suggest_correction(
     """
     index = lexicon._spell_index
     if index is None:
-        # the table's keys are all_words(), without building that union
+        # the table's keys: every sentiment word and negator, each once
         index = _SpellIndex(lexicon._sides())
         # a racing thread may build its own; both give the same answers
-        object.__setattr__(lexicon, "_spell_index", index)
+        lexicon._spell_index = index
     key = (threshold, token)
     if key in index.memo:
         return index.memo[key]
+    # imported on the first miss, so runs that never correct do not pay
+    # for it at start-up
+    import difflib
+
     # a generator: difflib rejects a bad cutoff before drawing a candidate
     hits = difflib.get_close_matches(
         token, index.candidates(token, threshold), n=1, cutoff=threshold

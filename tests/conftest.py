@@ -19,6 +19,11 @@ def make_lexicon(positive=(), negative=(), negators=()):
     )
 
 
+def known_words(lexicon):
+    """Every token the lexicon knows: its sentiment words and negators."""
+    return lexicon.positive_words | lexicon.negative_words | lexicon.negators
+
+
 TOY_POSITIVE = frozenset({"good", "great", "happy", "love", "win"})
 TOY_NEGATIVE = frozenset({"bad", "sad", "awful", "hate", "lose"})
 TOY_NEGATORS = frozenset({"not", "never"})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import known_words
 from oracle import oracle_read_wordlist_counts
 from tweetlex import (
     DroppedEntriesWarning,
@@ -132,7 +133,7 @@ class TestBundledLexicon:
     def test_known_polarities(self, bundled_lexicon):
         assert "good" in bundled_lexicon.positive_words
         assert "sad" in bundled_lexicon.negative_words
-        assert "table" not in bundled_lexicon.all_words()
+        assert "table" not in known_words(bundled_lexicon)
 
     def test_negators(self, bundled_lexicon):
         assert "not" in bundled_lexicon.negators
@@ -140,7 +141,7 @@ class TestBundledLexicon:
         assert "very" not in bundled_lexicon.negators
 
     def test_tokens_are_normalized(self, bundled_lexicon):
-        for token in bundled_lexicon.all_words():
+        for token in known_words(bundled_lexicon):
             assert token
             assert token == token.lower()
             assert not any(ch.isspace() for ch in token)
@@ -230,7 +231,7 @@ class TestLexiconProperties:
                 return
             again = load_lexicon(*paths)
         assert not lex.positive_words & lex.negative_words
-        for token in lex.all_words():
+        for token in known_words(lex):
             assert token and token == token.lower()
             assert not any(ch.isspace() for ch in token)
         assert lex.positive_words == again.positive_words

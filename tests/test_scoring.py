@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_NEGATIVE, TOY_NEGATORS, TOY_POSITIVE, make_lexicon
+from conftest import (
+    TOY_NEGATIVE,
+    TOY_NEGATORS,
+    TOY_POSITIVE,
+    known_words,
+    make_lexicon,
+)
 from oracle import URL_PREFIXES, oracle_correct, oracle_normalize, oracle_score
 from tweetlex import (
     load_bundled_lexicon,
@@ -320,7 +326,7 @@ class TestSuggestCorrection:
     def test_no_match_above_threshold(self, bundled_lexicon):
         best = max(
             difflib.SequenceMatcher(None, "zzz", word).ratio()
-            for word in bundled_lexicon.all_words()
+            for word in known_words(bundled_lexicon)
         )
         assert best < 0.9
         assert suggest_correction("zzz", bundled_lexicon, threshold=0.9) is None
@@ -342,10 +348,10 @@ class TestSuggestCorrection:
 
     @staticmethod
     def _check_equals_difflib(lex, data):
-        token = data.draw(_spell_token(sorted(lex.all_words())), label="token")
+        token = data.draw(_spell_token(sorted(known_words(lex))), label="token")
         threshold = data.draw(_threshold, label="threshold")
         assert suggest_correction(token, lex, threshold) == oracle_correct(
-            token, lex.all_words(), threshold
+            token, known_words(lex), threshold
         )
 
     def test_bad_threshold_is_rejected_by_difflib(self):
@@ -541,7 +547,7 @@ class TestPolarityTable:
 
     def test_corrected_keeps_every_known_token(self):
         # at threshold 0 every other token is replaced by some lexicon word
-        for token in OVERLAP.all_words():
+        for token in known_words(OVERLAP):
             assert _corrected(token, OVERLAP, 0.0) == token
         assert _corrected("goood", OVERLAP, 0.6) == "good"
         assert _corrected("zzzz", OVERLAP, 0.6) == "zzzz"
@@ -561,14 +567,14 @@ class TestPolarityTable:
     @settings(max_examples=200)
     def test_suggestions_equal_difflib_over_all_words(self, token, threshold):
         hits = difflib.get_close_matches(
-            token, OVERLAP.all_words(), n=1, cutoff=threshold
+            token, known_words(OVERLAP), n=1, cutoff=threshold
         )
         assert suggest_correction(token, OVERLAP, threshold) == (
             hits[0] if hits else None
         )
-        # the index's pool is the table's keys: all_words(), each once
+        # the index's pool is the table's keys: every known token, each once
         indexed = [word for b in OVERLAP._spell_index.buckets for word in b[1]]
-        assert sorted(indexed) == sorted(OVERLAP.all_words())
+        assert sorted(indexed) == sorted(known_words(OVERLAP))
 
 
 class TestSpellMemo:
@@ -630,7 +636,7 @@ class TestSpellMemo:
     def test_threads_share_one_lexicon(self):
         lex = SPELL_LEXICONS["toy"]
         tokens = ["gud", "baad", "goodd", "ab", "sadd", "xx", "nevr", "hapy"] * 5
-        expected = [oracle_correct(t, lex.all_words(), 0.6) for t in tokens]
+        expected = [oracle_correct(t, known_words(lex), 0.6) for t in tokens]
         shared = make_lexicon(lex.positive_words, lex.negative_words, lex.negators)
         results = {}
 
