@@ -6,11 +6,14 @@ goldens stay an independent check on the real pipeline. Also prints the
 pinned id sets the filter tests assert against. Run from the repo root:
 
     python scripts/regen_golden.py
+
+``golden_files(covid_scored())`` returns the files' bytes without
+writing them, so a test can check that tests/golden/ is what this script
+writes.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,7 +21,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from oracle import oracle_read_wordlist, oracle_score_text  # noqa: E402
+from oracle import (  # noqa: E402
+    oracle_csv_bytes,
+    oracle_encode,
+    oracle_read_lexicon,
+    oracle_score_text,
+    oracle_summary,
+)
 
 DATA = ROOT / "src" / "tweetlex" / "data"
 CORPUS = ROOT / "tests" / "data" / "tweets50.jsonl"
@@ -40,62 +49,45 @@ def keyword_match(record, keyword):
     return keyword.lower() in record["text"].lower()
 
 
-def encode(hits):
-    return "|".join(token + ("!" if negated else "") for token, negated in hits)
+def covid_scored():
+    """Each fixture record holding "covid", with its oracle (pos, neg) hits."""
+    positive, negative, negators = oracle_read_lexicon(DATA)
+    records = read_corpus_raw()
+    assert len(records) == 50, len(records)
+    return [
+        (r, oracle_score_text(r["text"], positive, negative, negators))
+        for r in records
+        if keyword_match(r, "covid")
+    ]
+
+
+def golden_files(scored):
+    """The bytes of each golden file, by file name, from covid_scored()."""
+    total_pos = sum(len(pos) for _, (pos, _) in scored)
+    total_neg = sum(len(neg) for _, (_, neg) in scored)
+    rows = [["date", "time", "username", "tweet", "positive_words", "negative_words"]]
+    for record, (pos, neg) in scored:
+        stamp = record["created_at"]
+        rows.append([stamp[:10], stamp[11:19], record["username"], record["text"],
+                     oracle_encode(pos), oracle_encode(neg)])
+    summary = oracle_summary("covid", len(scored), total_pos, total_neg)
+    return {
+        "summary_covid.txt": summary.encode("utf-8"),
+        "details_covid.csv": oracle_csv_bytes(rows),
+    }
 
 
 def main():
-    positive = oracle_read_wordlist(DATA / "positive.txt")
-    negative = oracle_read_wordlist(DATA / "negative.txt")
-    negators = oracle_read_wordlist(DATA / "negators.txt")
-    records = read_corpus_raw()
-    assert len(records) == 50, len(records)
-
-    covid = [r for r in records if keyword_match(r, "covid")]
-    scored = [
-        (r, oracle_score_text(r["text"], positive, negative, negators))
-        for r in covid
-    ]
-    total_pos = sum(len(pos) for _, (pos, _) in scored)
-    total_neg = sum(len(neg) for _, (_, neg) in scored)
-    found = total_pos + total_neg
-    positivity = 100.0 / found * total_pos if found else 0.0
-    negativity = 100.0 / found * total_neg if found else 0.0
-
+    scored = covid_scored()
+    files = golden_files(scored)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    summary_lines = [
-        'Sentiment summary for "covid"',
-        f"  tweets scored:  {len(scored)}",
-        f"  positive words: {total_pos}",
-        f"  negative words: {total_neg}",
-        f"  positivity:     {positivity:.1f}%",
-        f"  negativity:     {negativity:.1f}%",
-    ]
-    (GOLDEN / "summary_covid.txt").write_text(
-        "\n".join(summary_lines) + "\n", encoding="utf-8"
-    )
+    for name, data in files.items():
+        (GOLDEN / name).write_bytes(data)
+    print(files["summary_covid.txt"].decode("utf-8"), end="")
+    print("covid ids:", [r["id"] for r, _ in scored])
 
-    with open(GOLDEN / "details_covid.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "time", "username", "tweet", "positive_words", "negative_words"]
-        )
-        for record, (pos, neg) in scored:
-            stamp = record["created_at"]
-            writer.writerow(
-                [
-                    stamp[:10],
-                    stamp[11:19],
-                    record["username"],
-                    record["text"],
-                    encode(pos),
-                    encode(neg),
-                ]
-            )
-
-    print(f"covid: {len(scored)} tweets, P={total_pos}, N={total_neg}, "
-          f"positivity={positivity!r}, negativity={negativity!r}")
-    print("covid ids:", [r["id"] for r in covid])
+    positive, negative, negators = oracle_read_lexicon(DATA)
+    records = read_corpus_raw()
 
     hospital_bbox = [
         r["id"]
@@ -124,7 +116,7 @@ def main():
     assert not [r for r in records if keyword_match(r, "horoscope")]
 
     per_tweet = {
-        r["id"]: (encode(pos), encode(neg)) for r, (pos, neg) in scored
+        r["id"]: (oracle_encode(pos), oracle_encode(neg)) for r, (pos, neg) in scored
     }
     print("per-tweet matches:")
     for tid, cells in per_tweet.items():

@@ -7,7 +7,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .lexicon import Lexicon
-from .scoring import DEFAULT_SPELL_THRESHOLD, score_text
+from .scoring import score_text
 
 
 AggregateResult = namedtuple(
@@ -23,21 +23,21 @@ def classify(
     topic: str,
     lexicon: Lexicon,
     *,
-    spell_correct: bool = False,
-    spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
+    spell_threshold: float | None = None,
     detail=None,
 ) -> AggregateResult:
     """Score each record with score_text and sum the hits.
 
     ``records`` are the (id, created_at, username, text, location)
-    tuples that ``fetch`` yields. When ``detail`` is an open DetailCsv,
-    each record's row is written to it as the record is scored. Records
-    are counted as they arrive, so a stream of them is never held.
+    tuples that ``fetch`` yields; ``spell_threshold`` is passed on to
+    score_text. When ``detail`` is an open DetailCsv, each record's row
+    is written to it as the record is scored. Records are counted as
+    they arrive, so a stream of them is never held.
     """
     write = detail.write if detail is not None else None
     tweets = total_positive = total_negative = 0
     for _, created_at, username, text, _ in records:
-        positive, negative = score_text(text, lexicon, spell_correct, spell_threshold)
+        positive, negative = score_text(text, lexicon, spell_threshold=spell_threshold)
         if write is not None:
             write(created_at, username, text, positive, negative)
         tweets += 1

@@ -52,19 +52,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def run_classify(
-    *,
-    query: QueryFilter,
-    corpus: Path,
-    positive_path: Path,
-    negative_path: Path,
-    negators_path: Path,
-    limit: int = DEFAULT_LIMIT,
-    spell_correct: bool = False,
-    spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
-    out_csv: Path | None = None,
-) -> int:
-    """Score a corpus in one pass and print the summary after it.
+def run_classify(args, query: QueryFilter) -> int:
+    """Score the corpus that args names in one pass and print the
+    summary after it.
 
     The corpus is opened first, then the CSV, so a missing corpus leaves
     an existing CSV untouched; ``classify`` scores each tweet, writes it
@@ -72,20 +62,20 @@ def run_classify(
     on stdout until the pass has ended, so a failed run prints no
     summary.
     """
-    lexicon = load_lexicon(positive_path, negative_path, negators_path)
-    records, counts = fetch(corpus, query, limit)
+    lexicon = load_lexicon(*_lexicon_paths(args))
+    records, counts = fetch(args.corpus, query, args.limit)
+    out_csv = args.out_csv
     with DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail:
         result = classify(
             records,
             query.keyword,
             lexicon,
-            spell_correct=spell_correct,
-            spell_threshold=spell_threshold,
+            spell_threshold=args.spell_threshold if args.spell_correct else None,
             detail=detail,
         )
         if not counts.valid:
             print(
-                f"note: corpus {corpus} has no valid records "
+                f"note: corpus {args.corpus} has no valid records "
                 f"({counts.skipped} malformed lines skipped)",
                 file=sys.stderr,
             )
@@ -151,13 +141,14 @@ def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--negators", type=Path, help="override negator list")
 
 
-def _lexicon_paths(args) -> dict[str, Path]:
+def _lexicon_paths(args) -> tuple[Path, Path, Path]:
+    """The positive, negative and negator wordlist paths that args names."""
     base = args.lexicon_dir
-    return {
-        "positive_path": args.positive_words or base / "positive.txt",
-        "negative_path": args.negative_words or base / "negative.txt",
-        "negators_path": args.negators or base / "negators.txt",
-    }
+    return (
+        args.positive_words or base / "positive.txt",
+        args.negative_words or base / "negative.txt",
+        args.negators or base / "negators.txt",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,15 +213,14 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             if args.command == "lexicon-check":
-                return run_lexicon_check(**_lexicon_paths(args))
+                return run_lexicon_check(*_lexicon_paths(args))
             if not 0.0 <= args.spell_threshold <= 1.0:
                 return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
             if args.limit <= 0:
                 return _fail(EXIT_USAGE, "--limit must be positive")
-            lexicon_paths = _lexicon_paths(args)
             # the CSV is truncated when opened, so it must not be an input
             if args.out_csv is not None and os.path.isfile(args.out_csv):
-                for path in (args.corpus, *lexicon_paths.values()):
+                for path in (args.corpus, *_lexicon_paths(args)):
                     if os.path.exists(path) and os.path.samefile(path, args.out_csv):
                         return _fail(EXIT_USAGE, f"--out-csv would overwrite {path}")
             try:
@@ -242,15 +232,7 @@ def main(argv=None) -> int:
                 )
             except ValueError as exc:
                 return _fail(EXIT_USAGE, exc)
-            return run_classify(
-                query=query,
-                corpus=args.corpus,
-                **lexicon_paths,
-                limit=args.limit,
-                spell_correct=args.spell_correct,
-                spell_threshold=args.spell_threshold,
-                out_csv=args.out_csv,
-            )
+            return run_classify(args, query)
         except BrokenPipeError as exc:
             # the reader of stdout is gone; the flush at exit must not fail too
             sys.stdout = open(os.devnull, "w")

@@ -23,10 +23,6 @@ from .errors import (
 
 COMMENT_PREFIX = ";"  # one character: _read_tokens tests line[0]
 
-# The sides of Lexicon._sides. A hit on a sentiment word lands in bucket
-# side ^ negated, so the two sentiment sides must be 0 and 1.
-_POSITIVE, _NEGATIVE, _NEGATOR = 0, 1, 2
-
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -44,34 +40,19 @@ class Lexicon(
 ):
     """Immutable sentiment vocabulary; safe to share across workers.
 
-    Two private structures are built on first use and live on the
+    Scoring builds two private caches on first use and keeps them on the
     instance, outside equality, hashing and repr, so they die with it:
-    the polarity table that scoring looks each token up in (see
-    ``_sides``), and the spell-correction index with its memo
-    (``scoring.suggest_correction``), whose pool is the table's keys.
+    the polarity table that each token is looked up in, and the
+    spell-correction index with its memo (``scoring.suggest_correction``).
+    Pickles and copies leave them out; they are rebuilt on first use.
     """
 
     # class-level defaults; the instance's own __dict__ holds the built ones
     _polarity = None
     _spell_index = None
 
-    def _sides(self) -> dict[str, int]:
-        """The polarity table: each known token mapped to _POSITIVE,
-        _NEGATIVE or _NEGATOR.
-
-        Later writes win, so a token in several sets gets the side that
-        scoring tests first: a negator beats a sentiment word, and
-        positive beats negative (``load_lexicon`` leaves no such overlap,
-        but a Lexicon built by hand may have one).
-        """
-        table = self._polarity
-        if table is None:
-            table = dict.fromkeys(self.negative_words, _NEGATIVE)
-            table.update(dict.fromkeys(self.positive_words, _POSITIVE))
-            table.update(dict.fromkeys(self.negators, _NEGATOR))
-            # a racing thread may build its own; both are equal
-            self._polarity = table
-        return table
+    def __getstate__(self):
+        return None
 
 
 def _read_tokens(path) -> tuple[set[str], int, int]:

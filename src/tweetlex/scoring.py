@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import re
 
-from .lexicon import _NEGATOR, Lexicon
+from .lexicon import Lexicon
 
 DEFAULT_SPELL_THRESHOLD = 0.85
+
+# The sides of the polarity table. A hit on a sentiment word lands in
+# bucket side ^ negated, so the two sentiment sides must be 0 and 1.
+_POSITIVE, _NEGATIVE, _NEGATOR = 0, 1, 2
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -61,6 +65,25 @@ def normalize(text: str) -> str:
     Idempotent: normalizing twice changes nothing.
     """
     return " ".join(_words(text))
+
+
+def _table(lexicon: Lexicon) -> dict[str, int]:
+    """The polarity table: each token the lexicon knows mapped to
+    _POSITIVE, _NEGATIVE or _NEGATOR, built on first use and kept on it.
+
+    Later writes win, so a token in several sets gets the side that
+    scoring tests first: a negator beats a sentiment word, and positive
+    beats negative (``load_lexicon`` leaves no such overlap, but a
+    Lexicon built by hand may have one).
+    """
+    table = lexicon._polarity
+    if table is None:
+        table = dict.fromkeys(lexicon.negative_words, _NEGATIVE)
+        table.update(dict.fromkeys(lexicon.positive_words, _POSITIVE))
+        table.update(dict.fromkeys(lexicon.negators, _NEGATOR))
+        # a racing thread may build its own; both are equal
+        lexicon._polarity = table
+    return table
 
 
 def _min_matches(total: int, threshold: float) -> int:
@@ -216,7 +239,7 @@ def suggest_correction(
     index = lexicon._spell_index
     if index is None:
         # the table's keys: every sentiment word and negator, each once
-        index = _SpellIndex(lexicon._sides())
+        index = _SpellIndex(_table(lexicon))
         # a racing thread may build its own; both give the same answers
         lexicon._spell_index = index
     key = (threshold, token)
@@ -232,13 +255,6 @@ def suggest_correction(
     )
     best = index.memo[key] = hits[0] if hits else None
     return best
-
-
-def _corrected(token: str, lexicon: Lexicon, threshold: float) -> str:
-    if token in lexicon._sides():
-        return token
-    suggestion = suggest_correction(token, lexicon, threshold)
-    return suggestion if suggestion is not None else token
 
 
 def _hits(tokens, table: dict[str, int]) -> tuple[list, list]:
@@ -265,10 +281,7 @@ def _hits(tokens, table: dict[str, int]) -> tuple[list, list]:
 
 
 def score_text(
-    text: str,
-    lexicon: Lexicon,
-    spell_correct: bool = False,
-    spell_threshold: float = DEFAULT_SPELL_THRESHOLD,
+    text: str, lexicon: Lexicon, *, spell_threshold: float | None = None
 ) -> tuple[list, list]:
     """Count positive and negative lexicon hits in one tweet's text.
 
@@ -277,12 +290,18 @@ def score_text(
     word directly preceded by a negator lands in the opposite bucket
     with negated=True. Negators themselves never count as sentiment
     words, and a word in both sentiment lists counts as positive. With
-    spell_correct on, unknown tokens are first replaced by their
-    closest lexicon word (off by default to keep results lexicon-exact).
-    Each token is looked up once in the lexicon's polarity table.
+    a spell_threshold, each token the lexicon does not know is first
+    replaced by its closest lexicon word at that ratio, if any (None,
+    the default, keeps results lexicon-exact). Each token is looked up
+    once in the lexicon's polarity table.
     """
+    # the table once built, read without a function call per text
+    table = lexicon._polarity or _table(lexicon)
     tokens = _words(text)
-    if spell_correct:
-        tokens = [_corrected(t, lexicon, spell_threshold) for t in tokens]
-    # the table once built, read without a method call per text
-    return _hits(tokens, lexicon._polarity or lexicon._sides())
+    if spell_threshold is not None:
+        for at, token in enumerate(tokens):
+            if token not in table:
+                suggestion = suggest_correction(token, lexicon, spell_threshold)
+                if suggestion is not None:
+                    tokens[at] = suggestion
+    return _hits(tokens, table)

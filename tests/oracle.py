@@ -11,6 +11,7 @@ import difflib
 import io
 import json
 from datetime import datetime, timezone
+from pathlib import Path
 
 URL_PREFIXES = ("http://", "https://", "www.")
 
@@ -104,9 +105,43 @@ def oracle_score_text(text, positive, negative, negators):
     return oracle_score(oracle_normalize(text).split(), positive, negative, negators)
 
 
+def oracle_encode(hits):
+    """A detail-CSV hits cell: the tokens joined by "|", "!" after a
+    negated one."""
+    return "|".join(token + ("!" if negated else "") for token, negated in hits)
+
+
+def oracle_summary(keyword, tweets, total_pos, total_neg):
+    """The summary classify prints for these totals, stdout's newline
+    included. Each share is computed multiply-first, 100.0 * count / found."""
+    found = total_pos + total_neg
+    lines = [
+        f'Sentiment summary for "{keyword}"',
+        f"  tweets scored:  {tweets}",
+        f"  positive words: {total_pos}",
+        f"  negative words: {total_neg}",
+        f"  positivity:     {100.0 * total_pos / found if found else 0.0:.1f}%",
+        f"  negativity:     {100.0 * total_neg / found if found else 0.0:.1f}%",
+    ]
+    if not found:
+        lines.append("  no sentiment words found")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_read_wordlist(path):
     """The words oracle_read_wordlist_counts keeps from the file at path."""
     return oracle_read_wordlist_counts(path)[0]
+
+
+def oracle_read_lexicon(directory):
+    """(positive, negative, negators) from positive.txt, negative.txt and
+    negators.txt in directory; a word on both sentiment lists is removed
+    from both."""
+    directory = Path(directory)
+    positive = oracle_read_wordlist(directory / "positive.txt")
+    negative = oracle_read_wordlist(directory / "negative.txt")
+    negators = oracle_read_wordlist(directory / "negators.txt")
+    return positive - negative, negative - positive, negators
 
 
 def oracle_read_wordlist_counts(path):

@@ -8,10 +8,12 @@ expected id sets in-test with a raw linear scan.
 
 import csv
 import functools
+import importlib.util
 import json
 import random
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,18 @@ def test_golden_run(tmp_path, capsys):
     assert stdout == golden_summary
     assert out_csv.read_bytes() == (GOLDEN_DIR / "details_covid.csv").read_bytes()
     assert elapsed < 1.0
+
+
+def test_regen_script_reproduces_goldens():
+    """tests/golden/ holds exactly what scripts/regen_golden.py writes."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", script)
+    regen_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen_golden)
+    files = regen_golden.golden_files(regen_golden.covid_scored())
+    assert sorted(files) == sorted(path.name for path in GOLDEN_DIR.iterdir())
+    for name, data in files.items():
+        assert data == (GOLDEN_DIR / name).read_bytes(), name
 
 
 @criterion("6 csv round trip")

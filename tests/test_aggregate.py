@@ -83,10 +83,12 @@ class TestAggregate:
     def test_spell_correct_is_passed_on(self):
         records = [("t0", STAMP, "u", "upp dwn", None)]
         assert classify(records, "t", UP_DOWN).no_signal
-        corrected = classify(
-            records, "t", UP_DOWN, spell_correct=True, spell_threshold=0.5
-        )
+        corrected = classify(records, "t", UP_DOWN, spell_threshold=0.5)
         assert (corrected.total_positive, corrected.total_negative) == (1, 1)
+
+    def test_spell_correct_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="spell_correct"):
+            classify([], "t", UP_DOWN, spell_correct=True)
 
 
 class TestAggregateProperties:

@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_50
-from oracle import oracle_correct, oracle_normalize, oracle_read_wordlist, oracle_score
+from oracle import (
+    oracle_correct,
+    oracle_encode,
+    oracle_normalize,
+    oracle_read_lexicon,
+    oracle_score,
+    oracle_summary,
+)
 from tweetlex import QueryFilter, fetch
 from tweetlex.cli import (
     _EXIT_CODES,
@@ -120,6 +127,15 @@ class TestClassify:
         with pytest.raises(SystemExit) as err:
             main(classify_args(bbox="1,2,3"))
         assert err.value.code == EXIT_USAGE
+
+    def test_non_numeric_bbox_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(classify_args(bbox="1,2,3,x"))
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = [line for line in captured.err.splitlines() if "error" in line]
+        assert line.endswith("argument --bbox: bbox has non-numeric parts: '1,2,3,x'")
 
     def test_time_window_filters(self, capsys):
         code = main(
@@ -400,10 +416,7 @@ class TestCliOracle:
             f"note: wrote {len(records)} detail rows to {out_csv}"
         ]
 
-        positive = oracle_read_wordlist(lex / "positive.txt")
-        negative = oracle_read_wordlist(lex / "negative.txt")
-        negators = oracle_read_wordlist(lex / "negators.txt")
-        positive, negative = positive - negative, negative - positive
+        positive, negative, negators = oracle_read_lexicon(lex)
         known = positive | negative | negators
         with open(out_csv, encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))[1:]
@@ -417,9 +430,9 @@ class TestCliOracle:
                     for t in tokens
                 ]
             pos, neg = oracle_score(tokens, positive, negative, negators)
-            assert row[4:] == [_encode(pos), _encode(neg)]
+            assert row[4:] == [oracle_encode(pos), oracle_encode(neg)]
             total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
-        assert out == _oracle_summary("covid", len(rows), total_pos, total_neg)
+        assert out == oracle_summary("covid", len(rows), total_pos, total_neg)
 
 
 NO_SIGNAL_SUMMARY = """\
@@ -515,10 +528,7 @@ def test_memory_is_flat_in_matches(tmp_path, capsys):
 def _oracle_spell_run(keyword, threshold):
     """Summary, CSV rows and correction count from the oracle, spell-correcting
     every out-of-lexicon token with plain difflib over the sorted pool."""
-    positive = oracle_read_wordlist(BUNDLED_DIR / "positive.txt")
-    negative = oracle_read_wordlist(BUNDLED_DIR / "negative.txt")
-    negators = oracle_read_wordlist(BUNDLED_DIR / "negators.txt")
-    positive, negative = positive - negative, negative - positive
+    positive, negative, negators = oracle_read_lexicon(BUNDLED_DIR)
     known = positive | negative | negators
     memo = {t: t for t in known}
     rows, total_pos, total_neg, corrected = [], 0, 0, 0
@@ -536,28 +546,8 @@ def _oracle_spell_run(keyword, threshold):
         total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
         stamp = record["created_at"]
         rows.append([stamp[:10], stamp[11:19], record["username"], record["text"],
-                     _encode(pos), _encode(neg)])
-    return _oracle_summary(keyword, len(rows), total_pos, total_neg), rows, corrected
-
-
-def _oracle_summary(keyword, tweets, total_pos, total_neg):
-    """The summary classify prints for these totals, stdout's newline included."""
-    found = total_pos + total_neg
-    lines = [
-        f'Sentiment summary for "{keyword}"',
-        f"  tweets scored:  {tweets}",
-        f"  positive words: {total_pos}",
-        f"  negative words: {total_neg}",
-        f"  positivity:     {100.0 * total_pos / found if found else 0.0:.1f}%",
-        f"  negativity:     {100.0 * total_neg / found if found else 0.0:.1f}%",
-    ]
-    if not found:
-        lines.append("  no sentiment words found")
-    return "\n".join(lines) + "\n"
-
-
-def _encode(hits):
-    return "|".join(token + ("!" if negated else "") for token, negated in hits)
+                     oracle_encode(pos), oracle_encode(neg)])
+    return oracle_summary(keyword, len(rows), total_pos, total_neg), rows, corrected
 
 
 def _run_cli(args, cwd, stdout=subprocess.PIPE):

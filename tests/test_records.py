@@ -16,6 +16,7 @@ from tweetlex import (
     score_text,
     suggest_correction,
 )
+from tweetlex.scoring import _table
 
 UTC = timezone.utc
 SINCE = datetime(2021, 1, 1, tzinfo=UTC)
@@ -139,18 +140,26 @@ class TestQueryFilterPaths:
 class TestLexiconPickle:
     def test_round_trip_after_the_caches_are_built(self):
         lex = lexicon()
-        before = score_text("not bad gud", lex, spell_correct=True, spell_threshold=0.5)
+        before = score_text("not bad gud", lex, spell_threshold=0.5)
         again = pickle.loads(pickle.dumps(lex))
         assert again == lexicon()
         assert hash(again) == hash(lexicon())
-        assert score_text(
-            "not bad gud", again, spell_correct=True, spell_threshold=0.5
-        ) == before
+        assert score_text("not bad gud", again, spell_threshold=0.5) == before
         assert suggest_correction("baad", again, 0.5) == "bad"
+
+    def test_caches_are_left_out(self):
+        lex = lexicon()
+        fresh = pickle.dumps(lexicon())
+        score_text("not bad gud", lex, spell_threshold=0.5)
+        assert vars(lex)
+        assert len(pickle.dumps(lex)) == len(fresh)
+        for again in (pickle.loads(pickle.dumps(lex)), copy.copy(lex), copy.deepcopy(lex)):
+            assert vars(again) == {}
+            assert again == lex
 
     def test_replace_starts_without_caches(self):
         lex = lexicon()
-        lex._sides()
+        _table(lex)
         changed = lex._replace(positive_words=frozenset({"fine"}))
         assert changed._polarity is None
         assert score_text("fine good", changed) == ([("fine", False)], [])

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import os
 import time
 from datetime import datetime, timedelta, timezone
 
@@ -88,6 +90,18 @@ class TestWriteCsv:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(PathUnwritable):
             DetailCsv(tmp_path / "missing" / "d.csv")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_is_unwritable(self):
+        detail = DetailCsv("/dev/full")
+        try:
+            # a row larger than the write buffer reaches the device in write
+            with pytest.raises(PathUnwritable, match="/dev/full") as err:
+                detail.write(STAMP, "u", "x" * 100_000, [], [])
+            assert isinstance(err.value.__cause__, OSError)
+        finally:
+            with contextlib.suppress(PathUnwritable):
+                detail.__exit__(None, None, None)
 
     def test_row_count_matches(self, tmp_path):
         write_detail([row(f"tweet {i}") for i in range(7)], tmp_path / "d.csv")

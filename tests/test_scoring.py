@@ -21,8 +21,8 @@ from tweetlex import (
     score_text,
     suggest_correction,
 )
-from tweetlex.lexicon import _NEGATIVE, _NEGATOR, _POSITIVE
-from tweetlex.scoring import _corrected, _SpellIndex
+from tweetlex import scoring
+from tweetlex.scoring import _NEGATIVE, _NEGATOR, _POSITIVE, _SpellIndex, _table
 
 TOY = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
 
@@ -498,7 +498,7 @@ class TestSpellIndexLayout:
 
     def test_bundled_and_mixed_words(self):
         # suggest_correction indexes the polarity table's keys
-        _check_index_layout(SPELL_LEXICONS["bundled"]._sides())
+        _check_index_layout(_table(SPELL_LEXICONS["bundled"]))
         _check_index_layout(
             {"café", "naïve", "日本語", "x", "\0", "a" * 130, "ß" * 256}
             | {chr(0x4E00 + i) * 2 for i in range(200)}
@@ -516,9 +516,9 @@ class TestPolarityTable:
     a negator first, then positive, then negative."""
 
     def test_sides(self):
-        assert make_lexicon(
+        assert _table(make_lexicon(
             OVERLAP.positive_words, OVERLAP.negative_words, OVERLAP.negators
-        )._sides() == {
+        )) == {
             "good": _POSITIVE,
             "fine": _POSITIVE,
             "bad": _NEGATIVE,
@@ -545,18 +545,39 @@ class TestPolarityTable:
             OVERLAP.negators,
         )
 
-    def test_corrected_keeps_every_known_token(self):
+    def test_corrected_keeps_every_known_token(self, monkeypatch):
+        asked = []
+        real = scoring.suggest_correction
+
+        def recording(token, lexicon, threshold):
+            asked.append(token)
+            return real(token, lexicon, threshold)
+
+        monkeypatch.setattr(scoring, "suggest_correction", recording)
         # at threshold 0 every other token is replaced by some lexicon word
-        for token in known_words(OVERLAP):
-            assert _corrected(token, OVERLAP, 0.0) == token
-        assert _corrected("goood", OVERLAP, 0.6) == "good"
-        assert _corrected("zzzz", OVERLAP, 0.6) == "zzzz"
+        text = " ".join(sorted(known_words(OVERLAP)))
+        assert score_text(text, OVERLAP, spell_threshold=0.0) == score_text(
+            text, OVERLAP
+        )
+        assert asked == []
+        assert score_text("goood", OVERLAP, spell_threshold=0.6) == (
+            [("good", False)], []
+        )
+        assert score_text("zzzz good", OVERLAP, spell_threshold=0.6) == (
+            [("good", False)], []
+        )
+        assert asked == ["goood", "zzzz"]
+        assert real("zzzz", OVERLAP, 0.6) is None
+        # only a None answer keeps the token: an empty word replaces it too
+        empty = make_lexicon({""})
+        assert real("x", empty, 0.0) == ""
+        assert score_text("x", empty, spell_threshold=0.0) == ([("", False)], [])
 
     def test_outside_equality_hash_and_repr(self):
         lex = make_lexicon({"good", "no"}, {"bad"}, {"no"})
         fresh = make_lexicon({"good", "no"}, {"bad"}, {"no"})
         before_hash, before_repr = hash(lex), repr(lex)
-        assert lex._sides() is lex._sides()
+        assert _table(lex) is _table(lex)
         assert fresh._polarity is None
         assert lex == fresh
         assert hash(lex) == before_hash == hash(fresh)
@@ -626,7 +647,7 @@ class TestSpellMemo:
         texts = ("gud day", "so gud", "gud gud")
         for threshold in (0.5, 0.9):
             hits = [
-                len(score_text(text, lex, spell_correct=True, spell_threshold=threshold)[0])
+                len(score_text(text, lex, spell_threshold=threshold)[0])
                 for text in texts
             ]
             assert hits == ([1, 1, 2] if threshold == 0.5 else [0, 0, 0])
@@ -664,13 +685,20 @@ class TestSpellCorrectedScoring:
 
     def test_corrects_unknown_tokens(self):
         lex = make_lexicon({"good"}, set(), set())
-        positive, _ = score_text("gud day", lex, spell_correct=True, spell_threshold=0.5)
+        positive, _ = score_text("gud day", lex, spell_threshold=0.5)
         assert positive == [("good", False)]
 
     def test_corrects_misspelled_negators(self):
-        positive, _ = score_text("nott sad", TOY, spell_correct=True, spell_threshold=0.8)
+        positive, _ = score_text("nott sad", TOY, spell_threshold=0.8)
         assert positive == [("sad", True)]
 
     def test_known_tokens_untouched(self):
-        got = score_text("good bad", TOY, spell_correct=True, spell_threshold=0.1)
+        got = score_text("good bad", TOY, spell_threshold=0.1)
         assert got == ([("good", False)], [("bad", False)])
+
+    def test_threshold_is_keyword_only(self):
+        # an old positional spell_correct=True must not become a threshold
+        with pytest.raises(TypeError):
+            score_text("gud day", TOY, True)
+        with pytest.raises(TypeError, match="spell_correct"):
+            score_text("gud day", TOY, spell_correct=True)
