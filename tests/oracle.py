@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check the scorer.
+"""Independent reference implementations used to cross-check the package,
+from each step up to a whole classify run (oracle_classify).
 
 Everything here is deliberately written with different machinery than
 the package (character scanning instead of regexes, index loops, raw
@@ -101,10 +102,6 @@ def oracle_correct(token, pool, threshold):
     return hits[0] if hits else None
 
 
-def oracle_score_text(text, positive, negative, negators):
-    return oracle_score(oracle_normalize(text).split(), positive, negative, negators)
-
-
 def oracle_encode(hits):
     """A detail-CSV hits cell: the tokens joined by "|", "!" after a
     negated one."""
@@ -184,7 +181,8 @@ def oracle_parse_utc(stamp):
 
 
 def _oracle_record(text):
-    """A corpus line's (id, text) when it holds a valid record, else None."""
+    """A corpus line's (id, created_at, username, text, location) when it
+    holds a valid record, else None."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError):
@@ -201,34 +199,40 @@ def _oracle_record(text):
     lat, lon = obj.get("lat"), obj.get("lon")
     if (lat is None) != (lon is None):
         return None
+    location = None
     if lat is not None:
         if type(lat) not in (int, float) or type(lon) not in (int, float):
             return None
         try:
-            lat, lon = float(lat), float(lon)
+            location = lat, lon = float(lat), float(lon)
         except OverflowError:
             return None
         if not (-90 <= lat <= 90 and -180 <= lon <= 180):
             return None
     try:
-        oracle_parse_utc(stamp)
+        when = oracle_parse_utc(stamp)
     except (ValueError, OverflowError):
         return None
-    return tweet_id, body
+    return tweet_id, when, username, body, location
 
 
-def oracle_read_corpus(raw, keyword):
-    """Raw-bytes corpus reader: (ids of records whose text holds the keyword,
-    valid records, skipped lines).
+def oracle_read_corpus(raw, keyword, since=None, until=None, bbox=None, limit=None):
+    """Raw-bytes corpus reader: (the (id, created_at, username, text,
+    location) of each record the query keeps, valid records, skipped lines).
 
     Lines end at b"\\n" only and a byte-order mark opening the first line
     is dropped. A line that decodes to Unicode whitespace alone is blank
     and counts as neither valid nor skipped; a line that is not UTF-8,
     not one JSON object, or not a valid record is skipped. The keyword is
-    a case-insensitive substring of the text.
+    a case-insensitive substring of the text. since (inclusive) and until
+    (exclusive) are ISO-8601 stamps bounding created_at; bbox (min_lat,
+    min_lon, max_lat, max_lon) keeps the located records on or inside
+    its edges. The read ends at the limit-th kept record, so later lines
+    are not counted.
     """
     if raw.startswith(b"\xef\xbb\xbf"):
         raw = raw[3:]
+    since, until = (None if s is None else oracle_parse_utc(s) for s in (since, until))
     kept, valid, skipped = [], 0, 0
     for line in raw.split(b"\n"):
         try:
@@ -243,9 +247,64 @@ def oracle_read_corpus(raw, keyword):
             skipped += 1
             continue
         valid += 1
-        if keyword.lower() in record[1].lower():
-            kept.append(record[0])
+        _, when, _, body, location = record
+        if (
+            keyword.lower() in body.lower()
+            and (since is None or since <= when)
+            and (until is None or when < until)
+            and (bbox is None or location is not None
+                 and bbox[0] <= location[0] <= bbox[2]
+                 and bbox[1] <= location[1] <= bbox[3])
+        ):
+            kept.append(record)
+            if len(kept) == limit:
+                break
     return kept, valid, skipped
+
+
+def oracle_classify(
+    raw, lexicon, keyword, *, since=None, until=None, bbox=None, limit=500,
+    spell_threshold=None,
+):
+    """One ``tweetlex classify`` run over the corpus bytes raw with the
+    wordlists in the directory lexicon: (exit code, stdout, valid records,
+    skipped lines, detail CSV bytes).
+
+    since, until, bbox and limit are the query's bounds, as in
+    oracle_read_corpus. An empty or inverted window exits 2 and a lexicon
+    with no sentiment word left exits 4, each with empty stdout, no counts
+    and no CSV (None). With a spell_threshold, each token in no wordlist
+    is first replaced by oracle_correct's answer, if any. The CSV's date
+    and time are the UTC fields of created_at, zero-padded.
+    """
+    if since is not None and until is not None:
+        if not oracle_parse_utc(since) < oracle_parse_utc(until):
+            return 2, "", 0, 0, None
+    positive, negative, negators = oracle_read_lexicon(lexicon)
+    if not positive and not negative:
+        return 4, "", 0, 0, None
+    records, valid, skipped = oracle_read_corpus(
+        raw, keyword, since, until, bbox, limit
+    )
+    known = positive | negative | negators
+    corrections = {}
+    rows = [["date", "time", "username", "tweet", "positive_words", "negative_words"]]
+    total_pos = total_neg = 0
+    for _, when, username, text, _ in records:
+        tokens = oracle_normalize(text).split()
+        if spell_threshold is not None:
+            for token in set(tokens) - known - corrections.keys():
+                corrections[token] = oracle_correct(token, known, spell_threshold)
+            tokens = [corrections.get(token) or token for token in tokens]
+        pos, neg = oracle_score(tokens, positive, negative, negators)
+        total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
+        rows.append([
+            f"{when.year:04d}-{when.month:02d}-{when.day:02d}",
+            f"{when.hour:02d}:{when.minute:02d}:{when.second:02d}",
+            username, text, oracle_encode(pos), oracle_encode(neg),
+        ])
+    summary = oracle_summary(keyword, len(records), total_pos, total_neg)
+    return 0, summary, valid, skipped, oracle_csv_bytes(rows)
 
 
 def oracle_csv_bytes(rows):

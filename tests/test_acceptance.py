@@ -1,15 +1,16 @@
 """Acceptance suite: one test per release criterion.
 
-Each test prints a PASS/FAIL line (visible with `pytest -s`). Golden
-values were computed ahead of time by the independent oracle
-(scripts/regen_golden.py); the filter criteria also recompute their
-expected id sets in-test with a raw linear scan.
+Each test prints a PASS/FAIL line (visible with `pytest -s`). The
+reference is the independent oracle in tests/oracle.py: the golden files
+are its ``oracle_classify`` run (scripts/regen_golden.py writes them),
+and the filter criterion recomputes its expected records in-test with
+its ``oracle_read_corpus``.
 """
 
+import ast
 import csv
 import functools
 import importlib.util
-import json
 import random
 import time
 from datetime import datetime, timezone
@@ -18,12 +19,13 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS_50, GOLDEN_DIR, make_lexicon
-from oracle import oracle_score
+from oracle import oracle_read_corpus, oracle_score
 from tweetlex import (
     DetailCsv,
     QueryFilter,
     fetch,
     load_bundled_lexicon,
+    parse_utc,
     score_text,
 )
 from tweetlex.aggregate import _result
@@ -143,10 +145,25 @@ def test_regen_script_reproduces_goldens():
     spec = importlib.util.spec_from_file_location("regen_golden", script)
     regen_golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen_golden)
-    files = regen_golden.golden_files(regen_golden.covid_scored())
+    files = regen_golden.golden_files()
     assert sorted(files) == sorted(path.name for path in GOLDEN_DIR.iterdir())
     for name, data in files.items():
         assert data == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_references_import_no_tweetlex():
+    """The goldens and every differential test rely on the oracle and the
+    golden script sharing no code with the package."""
+    root = Path(__file__).resolve().parents[1]
+    for path in (root / "tests" / "oracle.py", root / "scripts" / "regen_golden.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "tweetlex" for m in modules), (path, modules)
 
 
 @criterion("6 csv round trip")
@@ -190,47 +207,20 @@ def test_degenerate_inputs(tmp_path, capsys):
         assert "positivity:     0.0%" in out, args
 
 
-def _raw_records():
-    records = []
-    for line in CORPUS_50.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
-
-
 @criterion("8 filter correctness")
 def test_filter_correctness():
+    raw = CORPUS_50.read_bytes()
     since, until = MARCH_WINDOW
-    expected_window = [
-        r["id"]
-        for r in _raw_records()
-        if "vaccine" in r["text"].lower() and since <= r["created_at"] < until
+    queries = [
+        (QueryFilter("vaccine", parse_utc(since), parse_utc(until)),
+         {"since": since, "until": until}, VACCINE_MARCH_IDS),
+        (QueryFilter("hospital", bbox=LONDON_BBOX), {"bbox": LONDON_BBOX},
+         HOSPITAL_LONDON_IDS),
+        (QueryFilter("covid"), {}, COVID_IDS),
     ]
-    from tweetlex import parse_utc
-
-    window_query = QueryFilter(
-        keyword="vaccine", since=parse_utc(since), until=parse_utc(until)
-    )
-    window = list(fetch(CORPUS_50, window_query)[0])
-    got_window = [t[0] for t in window]
-    assert got_window == expected_window == VACCINE_MARCH_IDS
-
-    min_lat, min_lon, max_lat, max_lon = LONDON_BBOX
-    expected_bbox = [
-        r["id"]
-        for r in _raw_records()
-        if "hospital" in r["text"].lower()
-        and "lat" in r
-        and min_lat <= r["lat"] <= max_lat
-        and min_lon <= r["lon"] <= max_lon
-    ]
-    bbox_query = QueryFilter(keyword="hospital", bbox=LONDON_BBOX)
-    bbox = list(fetch(CORPUS_50, bbox_query)[0])
-    got_bbox = [t[0] for t in bbox]
-    assert got_bbox == expected_bbox == HOSPITAL_LONDON_IDS
-
-    covid = list(fetch(CORPUS_50, QueryFilter("covid"))[0])
-    assert [t[0] for t in covid] == COVID_IDS
-
-    # fetch yields (id, created_at, username, text, location)
-    assert all(t[1].tzinfo == timezone.utc for t in window + bbox + covid)
+    for query, bounds, pinned in queries:
+        got = list(fetch(CORPUS_50, query)[0])
+        assert got == oracle_read_corpus(raw, query.keyword, **bounds)[0], query
+        assert [t[0] for t in got] == pinned
+        # fetch yields (id, created_at, username, text, location)
+        assert all(t[1].tzinfo == timezone.utc for t in got)

@@ -13,15 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_50
-from oracle import (
-    oracle_correct,
-    oracle_encode,
-    oracle_normalize,
-    oracle_read_lexicon,
-    oracle_score,
-    oracle_summary,
-)
-from tweetlex import QueryFilter, fetch
+from oracle import oracle_classify
 from tweetlex.cli import (
     _EXIT_CODES,
     EXIT_BAD_LEXICON,
@@ -293,18 +285,19 @@ class TestClassify:
 
     @pytest.mark.parametrize("threshold", [None, 0.6], ids=["default", "0.6"])
     def test_spell_correct_matches_oracle(self, tmp_path, capsys, threshold):
-        expected_summary, expected_rows, corrected = _oracle_spell_run(
-            "covid", threshold or 0.85
+        raw = CORPUS_50.read_bytes()
+        code, summary, _, _, details = oracle_classify(
+            raw, BUNDLED_DIR, "covid", spell_threshold=threshold or 0.85
         )
-        assert corrected > 0
+        # correction changes the run's hits
+        assert details != oracle_classify(raw, BUNDLED_DIR, "covid")[4]
         out_csv = tmp_path / "details.csv"
         args = classify_args(out_csv=out_csv) + ["--spell-correct"]
         if threshold is not None:
             args += ["--spell-threshold", str(threshold)]
-        assert main(args) == EXIT_OK
-        assert capsys.readouterr().out == expected_summary
-        with open(out_csv, encoding="utf-8", newline="") as handle:
-            assert list(csv.reader(handle))[1:] == expected_rows
+        assert main(args) == code == EXIT_OK
+        assert capsys.readouterr().out == summary
+        assert out_csv.read_bytes() == details
 
 
 # The drawn wordlists' words, and the text words built from them: the
@@ -315,11 +308,22 @@ _ROUTE_VOCAB = ["good", "bad", "not", "never", "nice", "sad"]
 _ROUTE_TEXT = _ROUTE_VOCAB + [
     "gud", "nott", "baad", "nicee", "day", "don't", "x'y", "'", "@not",
     "http://x.co/good", "café", "sad_day", "good,", 'q"', "not good",
-    "never sad", "not nicee",
+    "never sad", "not nicee", "\ud800",
 ]
 _ROUTE_TOPIC = ["covid", "COVID!", "#covid", "covid:", "flu"]
-_ROUTE_BAD_LINES = [b"broken", b"{}", b'{"id": ""}', b"[1]", b"\xff", b'{"id": "z"']
-_ROUTE_BLANK_LINES = [b"", b"  ", b"\t"]
+_ROUTE_BAD_LINES = [b"broken", b"{}", b'{"id": ""}', b"[1]", b"\xff", b'{"id": "z"',
+                    b"{} x"]
+_ROUTE_BLANK_LINES = [b"", b"  ", b"\t", "\u3000".encode()]
+# A stamp in UTC on another day than written, a naive one, a year 5 one;
+# the windows and boxes below put some of these and the locations on an edge.
+_ROUTE_STAMPS = ["2021-01-01T10:00:00Z", "2021-07-01T02:00:00+05:30",
+                 "2021-03-01 08:00:00", "0005-01-02T03:04:05z"]
+_ROUTE_LOCATIONS = [{}, {"lat": 51.5, "lon": -0.1}, {"lat": -45, "lon": -60.5},
+                    {"lat": 90, "lon": -180}]
+_ROUTE_SINCE = ["0005-01-02T03:04:05Z", "2021-03-01T08:00:00Z"]
+_ROUTE_UNTIL = ["2021-03-01T08:00:00+00:00", "2021-06-30T20:30:00Z"]
+_ROUTE_BBOXES = [(51.3, -0.6, 51.7, 0.3), (-45.0, -60.5, 0.0, 0.0),
+                 (-90.0, -180.0, 90.0, 180.0)]
 
 
 @st.composite
@@ -335,18 +339,21 @@ def _route_corpus(draw):
         else:
             record = {
                 "id": f"t{i}",
-                "created_at": draw(st.sampled_from(
-                    ["2021-01-01T10:00:00Z", "2021-06-30T23:59:59+05:30",
-                     "2021-03-01 08:00:00"])),
-                "username": draw(st.sampled_from(["u", "a,b", 'q"'])),
+                "created_at": draw(st.sampled_from(_ROUTE_STAMPS)),
+                "username": draw(st.sampled_from(["u", "a,b", 'q"', "u\ud800"])),
+                **draw(st.sampled_from(_ROUTE_LOCATIONS)),
             }
             words = draw(st.lists(st.sampled_from(_ROUTE_TEXT), max_size=10))
             words.insert(
                 draw(st.integers(0, len(words))), draw(st.sampled_from(_ROUTE_TOPIC))
             )
             record["text"] = " ".join(words)
-            lines.append(json.dumps(record, ensure_ascii=False).encode("utf-8"))
-    return b"\n".join(lines) + b"\n"
+            # unescaped, a lone surrogate makes the line invalid UTF-8
+            line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+            lines.append(line.encode("utf-8", "surrogatepass"))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return bom + b"".join(line + eol for line in lines)
 
 
 def _cli_run(args):
@@ -359,80 +366,92 @@ def _cli_run(args):
 
 
 class TestCliOracle:
-    """Each CSV row of a classify run scores its tweet as the oracle does,
-    and the summary sums those rows."""
+    """A classify run gives the exit code, summary, notes and CSV bytes
+    of oracle_classify on the same corpus bytes, wordlists and flags."""
 
     @given(
         raw=_route_corpus(),
-        positive=st.sets(st.sampled_from(_ROUTE_VOCAB), min_size=1),
-        negative=st.sets(st.sampled_from(_ROUTE_VOCAB)),
+        positive=st.sets(st.sampled_from(_ROUTE_VOCAB), min_size=1, max_size=3),
+        negative=st.sets(st.sampled_from(_ROUTE_VOCAB), max_size=3),
         negators=st.sets(st.sampled_from(_ROUTE_VOCAB)),
-        limit=st.integers(1, 12),
+        since=st.none() | st.sampled_from(_ROUTE_SINCE),
+        until=st.none() | st.sampled_from(_ROUTE_UNTIL),
+        bbox=st.none() | st.sampled_from(_ROUTE_BBOXES),
+        limit=st.integers(1, 6),
         spell_correct=st.booleans(),
         threshold=st.sampled_from([0.6, 0.85]),
     )
-    # a flipped hit on each side, and a misspelled negator and sentiment word
+    # a flipped hit on each side, a misspelled negator and sentiment word,
+    # and a negator that is also on a sentiment list
     @example(
         raw=b'{"id": "t0", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
         b' "text": "covid: not good, never sad, nott baad"}\n',
-        positive={"good"}, negative={"sad", "bad"}, negators={"not", "never"},
-        limit=12, spell_correct=True, threshold=0.6,
+        positive={"good", "never"}, negative={"sad", "bad"}, negators={"not", "never"},
+        since=None, until=None, bbox=None, limit=6, spell_correct=True, threshold=0.6,
+    )
+    # a negative box with a record on its corner, a lone surrogate, and a
+    # bad line after the limit-th match, which the read never reaches
+    @example(
+        raw=b'{"id": "t0", "created_at": "2021-01-01T10:00:00Z",'
+        b' "username": "u\\ud800", "lat": -45, "lon": -60.5, "text": "covid good"}\n'
+        b'{"id": "t1", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
+        b' "text": "covid bad"}\nbroken\n',
+        positive={"good"}, negative={"bad"}, negators=set(), since=None, until=None,
+        bbox=(-45.0, -60.5, 0.0, 0.0), limit=1, spell_correct=False, threshold=0.85,
+    )
+    # an offset stamp a day later than in UTC, and a record on the until edge
+    @example(
+        raw=b'{"id": "t0", "created_at": "2021-07-01T01:00:00+05:30", "username": "u",'
+        b' "text": "covid good"}\n'
+        b'{"id": "t1", "created_at": "2021-06-30T20:30:00Z", "username": "u",'
+        b' "text": "covid bad"}\n',
+        positive={"good"}, negative={"bad"}, negators=set(), since=None,
+        until="2021-07-01T02:00:00+05:30", bbox=None, limit=6, spell_correct=False,
+        threshold=0.85,
     )
     @settings(max_examples=120, deadline=None)
     def test_cli_equals_oracle(
-        self, tmp_path_factory, raw, positive, negative, negators, limit,
-        spell_correct, threshold,
+        self, tmp_path_factory, raw, positive, negative, negators, since, until,
+        bbox, limit, spell_correct, threshold,
     ):
-        # load_lexicon removes words on both sentiment lists; one must be left
-        if not positive ^ negative:
-            negative = set()
         tmp = tmp_path_factory.mktemp("routes")
-        lex = write_lexicon_dir(
-            tmp, sorted(positive), sorted(negative), sorted(negators)
-        )
+        lex = tmp / "lex"
+        lex.mkdir()
+        for name, words in [("positive", positive), ("negative", negative),
+                            ("negators", negators)]:
+            # a comment, CRLF ends and a duplicate, which the readers drop
+            lines = ["; drawn", *sorted(words), *sorted(words)[:1]]
+            (lex / f"{name}.txt").write_text("\r\n".join(lines) + "\r\n", newline="")
         corpus = tmp / "c.jsonl"
         corpus.write_bytes(raw)
-        out_csv = tmp / "d.csv"
         args = classify_args(corpus=corpus, lexicon_dir=lex, limit=limit,
                              spell_threshold=threshold)
+        args += [f"--{flag}={value}" for flag, value in
+                 [("since", since), ("until", until)] if value is not None]
+        if bbox is not None:
+            # "--bbox -45,..." would read the value as a flag
+            args.append("--bbox=" + ",".join(map(str, bbox)))
         if spell_correct:
             args.append("--spell-correct")
 
-        code, out, notes = _cli_run(args + ["--out-csv", str(out_csv)])
-        assert code == EXIT_OK
-        # without a CSV the pass takes its other branch
-        assert _cli_run(args) == (EXIT_OK, out, notes[:-1])
+        code, out, valid, skipped, details = oracle_classify(
+            raw, lex, "covid", since=since, until=until, bbox=bbox, limit=limit,
+            spell_threshold=threshold if spell_correct else None,
+        )
+        notes = []
+        if code == EXIT_OK and not valid:
+            notes = [f"note: corpus {corpus} has no valid records "
+                     f"({skipped} malformed lines skipped)"]
+        elif code == EXIT_OK and skipped:
+            notes = [f"note: skipped {skipped} malformed corpus lines"]
+        assert _cli_run(args) == (code, out, notes)
 
-        records, counts = fetch(corpus, QueryFilter("covid"), limit)
-        records = list(records)
-        if not counts.valid:
-            skip_notes = [f"note: corpus {corpus} has no valid records "
-                          f"({counts.skipped} malformed lines skipped)"]
-        elif counts.skipped:
-            skip_notes = [f"note: skipped {counts.skipped} malformed corpus lines"]
-        else:
-            skip_notes = []
-        assert notes == skip_notes + [
-            f"note: wrote {len(records)} detail rows to {out_csv}"
-        ]
-
-        positive, negative, negators = oracle_read_lexicon(lex)
-        known = positive | negative | negators
-        with open(out_csv, encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))[1:]
-        assert [row[2:4] for row in rows] == [[r[2], r[3]] for r in records]
-        total_pos = total_neg = 0
-        for row in rows:
-            tokens = oracle_normalize(row[3]).split()
-            if spell_correct:
-                tokens = [
-                    t if t in known else oracle_correct(t, known, threshold) or t
-                    for t in tokens
-                ]
-            pos, neg = oracle_score(tokens, positive, negative, negators)
-            assert row[4:] == [oracle_encode(pos), oracle_encode(neg)]
-            total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
-        assert out == oracle_summary("covid", len(rows), total_pos, total_neg)
+        out_csv = tmp / "d.csv"
+        if code == EXIT_OK:
+            rows = out.splitlines()[1].split()[-1]  # "  tweets scored:  N"
+            notes.append(f"note: wrote {rows} detail rows to {out_csv}")
+        assert _cli_run(args + ["--out-csv", str(out_csv)]) == (code, out, notes)
+        assert (out_csv.read_bytes() if out_csv.exists() else None) == details
 
 
 NO_SIGNAL_SUMMARY = """\
@@ -523,31 +542,6 @@ def test_memory_is_flat_in_matches(tmp_path, capsys):
         peaks.append(_traced_peak(args))
         assert f"tweets scored:  {matches}" in capsys.readouterr().out
     assert peaks[1] - peaks[0] < 1_000_000, peaks
-
-
-def _oracle_spell_run(keyword, threshold):
-    """Summary, CSV rows and correction count from the oracle, spell-correcting
-    every out-of-lexicon token with plain difflib over the sorted pool."""
-    positive, negative, negators = oracle_read_lexicon(BUNDLED_DIR)
-    known = positive | negative | negators
-    memo = {t: t for t in known}
-    rows, total_pos, total_neg, corrected = [], 0, 0, 0
-    for line in CORPUS_50.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        if keyword not in record["text"].lower():
-            continue
-        raw = oracle_normalize(record["text"]).split()
-        for token in raw:
-            if token not in memo:
-                memo[token] = oracle_correct(token, known, threshold) or token
-        tokens = [memo[t] for t in raw]
-        corrected += sum(a != b for a, b in zip(raw, tokens))
-        pos, neg = oracle_score(tokens, positive, negative, negators)
-        total_pos, total_neg = total_pos + len(pos), total_neg + len(neg)
-        stamp = record["created_at"]
-        rows.append([stamp[:10], stamp[11:19], record["username"], record["text"],
-                     oracle_encode(pos), oracle_encode(neg)])
-    return oracle_summary(keyword, len(rows), total_pos, total_neg), rows, corrected
 
 
 def _run_cli(args, cwd, stdout=subprocess.PIPE):

@@ -580,17 +580,40 @@ def corpus_line_st(draw):
     return line
 
 
+# Windows around corpus_record_st's stamps, which are 10:00:00, 10:00:00.250
+# and 04:30:00 in UTC, so each edge is hit; and boxes with the point
+# (51.5, -0.1) or the corner (-90, 180) on an edge.
+WINDOW_ST = st.sampled_from(
+    [
+        (None, None),
+        ("2021-01-01T10:00:00Z", None),
+        (None, "2021-01-01T10:00:00Z"),
+        ("2021-01-01T04:30:00Z", "2021-01-01T10:00:00.250Z"),
+        ("2021-01-01T10:00:00.250Z", None),
+    ]
+)
+BBOX_ST = st.sampled_from(
+    [None, (51.5, -0.1, 51.5, -0.1), (-90.0, -180.0, 0.0, 180.0)]
+)
+
+
 class TestReaderOracle:
     @given(
         lines=st.lists(corpus_line_st(), max_size=12),
         bom=st.booleans(),
         keyword=st.sampled_from(["flu", "FLU", "o"]),
+        window=WINDOW_ST,
+        bbox=BBOX_ST,
+        limit=st.integers(1, 13),
     )
     @settings(max_examples=200)
-    def test_fetch_matches_oracle(self, tmp_path_factory, lines, bom, keyword):
+    def test_fetch_matches_oracle(
+        self, tmp_path_factory, lines, bom, keyword, window, bbox, limit
+    ):
         raw = codecs.BOM_UTF8 * bom + b"\n".join(lines) + b"\n"
         path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
         path.write_bytes(raw)
-        tweets, counts = fetch(path, QueryFilter(keyword=keyword), limit=100)
-        got = ([t[0] for t in tweets], counts.valid, counts.skipped)
-        assert got == oracle_read_corpus(raw, keyword)
+        since, until = (None if s is None else parse_utc(s) for s in window)
+        tweets, counts = fetch(path, QueryFilter(keyword, since, until, bbox), limit)
+        got = (list(tweets), counts.valid, counts.skipped)
+        assert got == oracle_read_corpus(raw, keyword, *window, bbox, limit)
