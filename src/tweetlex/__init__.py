@@ -1,6 +1,5 @@
 """tweetlex: wordlist-based sentiment scoring for short social posts."""
 
-from .aggregate import AggregateResult, classify
 from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, fetch, parse_utc
 from .errors import (
     DroppedEntriesWarning,
@@ -20,6 +19,8 @@ from .lexicon import (
 from .report import DetailCsv, encode_matches, render_summary
 from .scoring import (
     DEFAULT_SPELL_THRESHOLD,
+    AggregateResult,
+    classify,
     normalize,
     score_text,
     suggest_correction,

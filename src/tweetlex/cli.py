@@ -16,7 +16,6 @@ import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
-from .aggregate import classify
 from .corpus import DEFAULT_LIMIT, QueryFilter, fetch, parse_utc
 from .errors import (
     DroppedEntriesWarning,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .lexicon import bundled_lexicon_dir, load_lexicon
 from .report import DetailCsv, render_summary
-from .scoring import DEFAULT_SPELL_THRESHOLD
+from .scoring import DEFAULT_SPELL_THRESHOLD, classify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,7 +69,7 @@ def run_classify(args, query: QueryFilter) -> int:
             records,
             query.keyword,
             lexicon,
-            spell_threshold=args.spell_threshold if args.spell_correct else None,
+            spell_threshold=args.spell_correct,
             detail=detail,
         )
         if not counts.valid:
@@ -185,15 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lexicon_flags(classify)
     classify.add_argument(
         "--spell-correct",
-        action="store_true",
-        help="map unknown tokens to their closest lexicon word before scoring",
-    )
-    classify.add_argument(
-        "--spell-threshold",
+        nargs="?",
         type=float,
-        default=DEFAULT_SPELL_THRESHOLD,
+        const=DEFAULT_SPELL_THRESHOLD,
         metavar="RATIO",
-        help=f"similarity ratio for --spell-correct (default {DEFAULT_SPELL_THRESHOLD})",
+        help="map unknown tokens to their closest lexicon word at similarity "
+        f"RATIO in [0, 1] before scoring (RATIO default {DEFAULT_SPELL_THRESHOLD})",
     )
     classify.add_argument(
         "--out-csv", type=Path, help="write a per-tweet detail CSV here"
@@ -214,8 +210,8 @@ def main(argv=None) -> int:
         try:
             if args.command == "lexicon-check":
                 return run_lexicon_check(*_lexicon_paths(args))
-            if not 0.0 <= args.spell_threshold <= 1.0:
-                return _fail(EXIT_USAGE, "--spell-threshold must be within [0, 1]")
+            if args.spell_correct is not None and not 0.0 <= args.spell_correct <= 1.0:
+                return _fail(EXIT_USAGE, "--spell-correct must be within [0, 1]")
             if args.limit <= 0:
                 return _fail(EXIT_USAGE, "--limit must be positive")
             # the CSV is truncated when opened, so it must not be an input

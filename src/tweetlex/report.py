@@ -6,8 +6,8 @@ import re
 from collections.abc import Iterable
 from datetime import timezone
 
-from .aggregate import AggregateResult
 from .errors import PathUnwritable
+from .scoring import AggregateResult
 
 CSV_COLUMNS = ["date", "time", "username", "tweet", "positive_words", "negative_words"]
 

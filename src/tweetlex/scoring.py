@@ -1,15 +1,19 @@
-"""Tweet text normalization, tokenization, and per-tweet scoring.
+"""Tweet text normalization, tokenization, per-tweet scoring, and the
+classify pass that sums the scores.
 
 Scoring is pure word membership with one twist: when the token right
 before a sentiment word is a negator, the hit is flipped to the
 opposite bucket ("I am not sad" counts one positive, not one negative).
 The flip looks exactly one token back; anything between the negator and
-the sentiment word cancels it.
+the sentiment word cancels it. Spell correction takes one ratio in [0, 1];
+score_text and classify raise ValueError for any other, whatever the input.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .lexicon import Lexicon
 
@@ -280,6 +284,12 @@ def _hits(tokens, table: dict[str, int]) -> tuple[list, list]:
     return hits
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise ValueError unless threshold is a ratio in [0, 1] (NaN is not)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"spell_threshold must be within [0, 1], not {threshold!r}")
+
+
 def score_text(
     text: str, lexicon: Lexicon, *, spell_threshold: float | None = None
 ) -> tuple[list, list]:
@@ -290,18 +300,82 @@ def score_text(
     word directly preceded by a negator lands in the opposite bucket
     with negated=True. Negators themselves never count as sentiment
     words, and a word in both sentiment lists counts as positive. With
-    a spell_threshold, each token the lexicon does not know is first
-    replaced by its closest lexicon word at that ratio, if any (None,
-    the default, keeps results lexicon-exact). Each token is looked up
-    once in the lexicon's polarity table.
+    a spell_threshold, a ratio in [0, 1], each token the lexicon does
+    not know is first replaced by its closest lexicon word at that
+    ratio, if any (None, the default, keeps results lexicon-exact); any
+    other ratio, NaN included, raises ValueError whatever the text.
+    Each token is looked up once in the lexicon's polarity table.
     """
     # the table once built, read without a function call per text
     table = lexicon._polarity or _table(lexicon)
     tokens = _words(text)
     if spell_threshold is not None:
+        _check_threshold(spell_threshold)
         for at, token in enumerate(tokens):
             if token not in table:
                 suggestion = suggest_correction(token, lexicon, spell_threshold)
                 if suggestion is not None:
                     tokens[at] = suggestion
     return _hits(tokens, table)
+
+
+AggregateResult = namedtuple(
+    "AggregateResult",
+    "topic tweets_scored total_positive total_negative"
+    " positivity_pct negativity_pct no_signal",
+)
+AggregateResult.__doc__ = "Totals and percentage shares for one classified topic."
+
+
+def classify(
+    records: Iterable[tuple], topic: str, lexicon: Lexicon, *,
+    spell_threshold: float | None = None, detail=None,
+) -> AggregateResult:
+    """Score each record with score_text and sum the hits.
+
+    ``records`` are the (id, created_at, username, text, location)
+    tuples that ``fetch`` yields; ``spell_threshold`` is passed on to
+    score_text, and one outside [0, 1] raises ValueError before any
+    record is drawn or any row written. When ``detail`` is an open
+    DetailCsv, each record's row is written to it as the record is
+    scored. Records are counted as they arrive, so a stream of them is
+    never held.
+    """
+    if spell_threshold is not None:
+        _check_threshold(spell_threshold)
+    write = detail.write if detail is not None else None
+    tweets = total_positive = total_negative = 0
+    for _, created_at, username, text, _ in records:
+        positive, negative = score_text(text, lexicon, spell_threshold=spell_threshold)
+        if write is not None:
+            write(created_at, username, text, positive, negative)
+        tweets += 1
+        total_positive += len(positive)
+        total_negative += len(negative)
+    return _result(topic, tweets, total_positive, total_negative)
+
+
+def _result(topic: str, tweets: int, positive: int, negative: int) -> AggregateResult:
+    """The AggregateResult of tweets scored with these hit totals.
+
+    Each share is one hundred divided by the total number of sentiment
+    words found, times that side's count, so the two always sum to 100.
+    When nothing matched the division is undefined; both shares are
+    reported as 0.0 and no_signal is set instead of raising.
+    """
+    found = positive + negative
+    if found:
+        # multiply before dividing so shares never round above 100
+        positivity = 100.0 * positive / found
+        negativity = 100.0 * negative / found
+    else:
+        positivity = negativity = 0.0
+    return AggregateResult(
+        topic=topic,
+        tweets_scored=tweets,
+        total_positive=positive,
+        total_negative=negative,
+        positivity_pct=positivity,
+        negativity_pct=negativity,
+        no_signal=found == 0,
+    )

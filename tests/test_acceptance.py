@@ -28,8 +28,8 @@ from tweetlex import (
     parse_utc,
     score_text,
 )
-from tweetlex.aggregate import _result
 from tweetlex.cli import main
+from tweetlex.scoring import _result
 
 COVID_IDS = [
     "t001", "t004", "t007", "t009", "t013", "t016", "t017", "t021", "t025",

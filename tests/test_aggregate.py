@@ -86,6 +86,37 @@ class TestAggregate:
         corrected = classify(records, "t", UP_DOWN, spell_threshold=0.5)
         assert (corrected.total_positive, corrected.total_negative) == (1, 1)
 
+    @pytest.mark.parametrize("ratio", [1.5, -0.1, float("nan")])
+    def test_bad_threshold_raises_before_any_record(self, ratio):
+        drawn = []
+
+        def stream(texts):
+            for i, text in enumerate(texts):
+                drawn.append(text)
+                yield (f"t{i}", STAMP, "u", text, None)
+
+        # a known word, no word, a word only correction could match, and no record
+        for texts in (["up"], [""], ["upp dwn"], []):
+            with pytest.raises(ValueError, match="spell_threshold"):
+                classify(stream(texts), "t", UP_DOWN, spell_threshold=ratio)
+        assert drawn == []
+
+    def test_bad_threshold_writes_no_detail_row(self, tmp_path):
+        out = tmp_path / "d.csv"
+        with DetailCsv(out) as detail:
+            with pytest.raises(ValueError):
+                classify(records_of([(1, 0)]), "t", UP_DOWN, spell_threshold=1.5,
+                         detail=detail)
+        header = b"date,time,username,tweet,positive_words,negative_words\r\n"
+        assert out.read_bytes() == header
+
+    def test_threshold_edges_are_accepted(self):
+        records = [("t0", STAMP, "u", "upp dwn up", None)]
+        assert classify(records, "t", UP_DOWN, spell_threshold=0.0).total_positive == 2
+        exact = classify(records, "t", UP_DOWN, spell_threshold=1.0)
+        assert (exact.total_positive, exact.total_negative) == (1, 0)
+        assert classify([], "t", UP_DOWN, spell_threshold=1.0).no_signal
+
     def test_spell_correct_keyword_is_gone(self):
         with pytest.raises(TypeError, match="spell_correct"):
             classify([], "t", UP_DOWN, spell_correct=True)

@@ -176,10 +176,11 @@ class TestClassify:
         lex = write_lexicon_dir(tmp_path, ["good"], ["bad"], ["not"])
         main(classify_args(corpus=corpus, lexicon_dir=lex))
         assert "positive words: 0" in capsys.readouterr().out
-        args = classify_args(corpus=corpus, lexicon_dir=lex,
-                             spell_threshold=0.5) + ["--spell-correct"]
-        main(args)
+        main(classify_args(corpus=corpus, lexicon_dir=lex, spell_correct=0.5))
         assert "positive words: 1" in capsys.readouterr().out
+        # "gud" is 0.571 from "good": the bare flag's 0.85 leaves it
+        main(classify_args(corpus=corpus, lexicon_dir=lex) + ["--spell-correct"])
+        assert "positive words: 0" in capsys.readouterr().out
 
     def test_spell_corrected_matches_are_quoted_in_csv(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -196,8 +197,22 @@ class TestClassify:
         with open(out_csv, encoding="utf-8", newline="") as handle:
             assert list(csv.reader(handle))[1][4:] == ['nice,|sa"d!', ""]
 
-    def test_bad_spell_threshold(self, capsys):
-        assert main(classify_args(spell_threshold=1.5)) == EXIT_USAGE
+    def test_bad_spell_threshold(self, tmp_path, capsys):
+        out_csv = tmp_path / "details.csv"
+        for ratio in ("1.5", "-0.5", "nan"):
+            args = classify_args(out_csv=out_csv) + ["--spell-correct", ratio]
+            assert main(args) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line == "error: --spell-correct must be within [0, 1]"
+            assert not out_csv.exists()
+
+    def test_spell_threshold_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(classify_args(spell_threshold=0.5))
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --spell-threshold 0.5" in capsys.readouterr().err
 
     def test_empty_query_is_usage_error(self, capsys):
         assert main(classify_args(query="")) == EXIT_USAGE
@@ -291,13 +306,17 @@ class TestClassify:
         )
         # correction changes the run's hits
         assert details != oracle_classify(raw, BUNDLED_DIR, "covid")[4]
-        out_csv = tmp_path / "details.csv"
-        args = classify_args(out_csv=out_csv) + ["--spell-correct"]
-        if threshold is not None:
-            args += ["--spell-threshold", str(threshold)]
-        assert main(args) == code == EXIT_OK
-        assert capsys.readouterr().out == summary
-        assert out_csv.read_bytes() == details
+        spell = ["--spell-correct"] + ([] if threshold is None else [str(threshold)])
+        last, first = tmp_path / "last.csv", tmp_path / "first.csv"
+        # the option last, and before another flag, which a bare one must
+        # not take as its ratio
+        for out_csv, args in [
+            (last, classify_args(out_csv=last) + spell),
+            (first, classify_args() + spell + ["--out-csv", str(first)]),
+        ]:
+            assert main(args) == code == EXIT_OK
+            assert capsys.readouterr().out == summary
+            assert out_csv.read_bytes() == details
 
 
 # The drawn wordlists' words, and the text words built from them: the
@@ -379,7 +398,8 @@ class TestCliOracle:
         bbox=st.none() | st.sampled_from(_ROUTE_BBOXES),
         limit=st.integers(1, 6),
         spell_correct=st.booleans(),
-        threshold=st.sampled_from([0.6, 0.85]),
+        # None: the bare flag, which means 0.85
+        threshold=st.sampled_from([None, 0.6, 0.85]),
     )
     # a flipped hit on each side, a misspelled negator and sentiment word,
     # and a negator that is also on a sentiment list
@@ -424,19 +444,21 @@ class TestCliOracle:
             (lex / f"{name}.txt").write_text("\r\n".join(lines) + "\r\n", newline="")
         corpus = tmp / "c.jsonl"
         corpus.write_bytes(raw)
-        args = classify_args(corpus=corpus, lexicon_dir=lex, limit=limit,
-                             spell_threshold=threshold)
+        args = classify_args(corpus=corpus, lexicon_dir=lex, limit=limit)
         args += [f"--{flag}={value}" for flag, value in
                  [("since", since), ("until", until)] if value is not None]
         if bbox is not None:
             # "--bbox -45,..." would read the value as a flag
             args.append("--bbox=" + ",".join(map(str, bbox)))
         if spell_correct:
-            args.append("--spell-correct")
+            # a bare flag is followed by --out-csv in the second run below
+            args.append(
+                "--spell-correct" if threshold is None else f"--spell-correct={threshold}"
+            )
 
         code, out, valid, skipped, details = oracle_classify(
             raw, lex, "covid", since=since, until=until, bbox=bbox, limit=limit,
-            spell_threshold=threshold if spell_correct else None,
+            spell_threshold=(threshold or 0.85) if spell_correct else None,
         )
         notes = []
         if code == EXIT_OK and not valid:

@@ -696,6 +696,21 @@ class TestSpellCorrectedScoring:
         got = score_text("good bad", TOY, spell_threshold=0.1)
         assert got == ([("good", False)], [("bad", False)])
 
+    @pytest.mark.parametrize("ratio", [1.5, -0.1, float("nan")])
+    def test_bad_threshold_raises_on_any_text(self, ratio):
+        # a known word, no word, and a word only correction could match
+        for text in ("good", "", "gud day"):
+            with pytest.raises(ValueError, match="spell_threshold"):
+                score_text(text, TOY, spell_threshold=ratio)
+
+    def test_threshold_edges_are_accepted(self):
+        lex = make_lexicon({"good"}, set(), set())
+        assert score_text("gud day", lex, spell_threshold=0.0) == (
+            [("good", False), ("good", False)], []
+        )
+        # at 1.0 only an equal word matches
+        assert score_text("gud good", lex, spell_threshold=1.0) == ([("good", False)], [])
+
     def test_threshold_is_keyword_only(self):
         # an old positional spell_correct=True must not become a threshold
         with pytest.raises(TypeError):
