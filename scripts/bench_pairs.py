@@ -11,11 +11,13 @@ compiling its modules. The workloads run in turn. For each, pair i runs
 each checkout, one run at a time; the parent goes first in even pairs
 and the change in odd ones. The script prints every seed's end-to-end
 metrics and, after each workload's last pair, one summary block: each
-side's median and quartiles, how many pairs the change won (ties count
-for neither side) and whether the medians differ by more than the
-parent's interquartile range. It exits 1 when a run fails or reports
-failed calls. The metric names and directions are read from the
-parent's ``BENCHMARK.json``.
+side's median and quartiles per metric, then one line per metric saying
+whether a gain can be claimed, with how many pairs the change won (ties
+count for neither side) and its median gain. A gain is claimed when the
+change wins at least 9/10 of the pairs and its median is better than the
+parent's by more than the parent's interquartile range. It exits 1 when
+a run fails or reports failed calls. The metric names and directions are
+read from the parent's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def gain_claimed(wins: int, pairs: int, gain: float, parent_iqr: float) -> bool:
+    """Whether the change won at least 9/10 of the pairs (ties count for
+    neither side) and its median gain, in the metric's better direction,
+    exceeds the parent's interquartile range."""
+    return 10 * wins >= 9 * pairs and gain > parent_iqr
+
+
 def run_pairs(sides: dict, workload: str, pairs: int, first_seed: int,
               better: dict) -> tuple[dict, int]:
     """Each side's values of every metric over the pairs, and the failed
@@ -83,17 +92,22 @@ def run_pairs(sides: dict, workload: str, pairs: int, first_seed: int,
 def print_summary(workload: str, pairs: int, first_seed: int, values: dict,
                   better: dict) -> None:
     print(f"\n{workload}, {pairs} pairs, seeds {first_seed}-{first_seed + pairs - 1}")
+    verdicts = []
     for name, direction in better.items():
         parent, change = values["parent"][name], values["change"][name]
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         p_q1, p_med, p_q3 = quartiles(parent)
         c_q1, c_med, c_q3 = quartiles(change)
+        gain, parent_iqr = sign * (p_med - c_med), p_q3 - p_q1
         print(f"  {name:<12} parent median {p_med:.6g} (q1 {p_q1:.6g}, q3 {p_q3:.6g})  "
               f"change median {c_med:.6g} (q1 {c_q1:.6g}, q3 {c_q3:.6g})  "
-              f"change {(c_med - p_med) / p_med:+.1%}, wins {wins}/{pairs}, "
-              f"|median diff| > parent IQR: {abs(c_med - p_med) > p_q3 - p_q1}")
-    print(flush=True)
+              f"change {(c_med - p_med) / p_med:+.1%}")
+        claimed = gain_claimed(wins, pairs, gain, parent_iqr)
+        verdicts.append(f"  {name:<12} gain {'' if claimed else 'not '}claimed: "
+                        f"wins {wins}/{pairs} (9/10 needed), median gain {gain:.6g} "
+                        f"(more than the parent IQR {parent_iqr:.6g} needed)")
+    print("\n".join(verdicts), end="\n\n", flush=True)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ CR) may surround the object, and a line of Unicode whitespace alone is
 blank. Each line is decoded on its own, so a malformed line, invalid
 UTF-8 included, is skipped and counted rather than aborting the read.
 The read is a stream: every line is checked, and a line the query keeps
-is yielded as one plain tuple of its checked fields.
+is yielded as one plain tuple of its checked fields. The read's counts
+are current at each yielded tweet and final when the iteration ends.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 import codecs
 import json
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterator
 from datetime import datetime, timezone
+from itertools import chain
 
 from .errors import FileUnreadable
 
@@ -28,6 +31,7 @@ DEFAULT_LIMIT = 500
 # trailing-data checks, which _read makes itself. It raises StopIteration
 # where no JSON value starts, and ValueError for other malformed JSON.
 _scan_once = json.JSONDecoder().scan_once
+_NUMBER = (int, float)
 
 
 def parse_utc(value: str) -> datetime:
@@ -94,18 +98,20 @@ class QueryFilter(namedtuple("QueryFilter", "keyword since until bbox")):
     def matches(self, text: str, created_at: datetime, location) -> bool:
         """Whether a tweet with this raw text, aware UTC timestamp and
         (lat, lon) or None passes the filter."""
-        return self._matcher()(text, created_at, location)
+        in_bounds = self._bounds()
+        return self.keyword.lower() in text.lower() and (
+            in_bounds is None or in_bounds(created_at, location)
+        )
 
-    def _matcher(self):
-        """``matches`` as a plain function, with the lowered keyword and
-        the bounds bound once: reading a named tuple's field is a
-        descriptor call, too slow for a test made on every record."""
-        keyword, since, until, bbox = self
-        keyword = keyword.lower()
+    def _bounds(self):
+        """The window and bbox test as a function of (created_at, location),
+        or None when neither is set. The bounds are bound once: reading a
+        named tuple's field is a descriptor call."""
+        _, since, until, bbox = self
+        if since is None and until is None and bbox is None:
+            return None
 
-        def matches(text, created_at, location):
-            if keyword not in text.lower():
-                return False
+        def in_bounds(created_at, location):
             if since is not None and created_at < since:
                 return False
             if until is not None and created_at >= until:
@@ -115,18 +121,17 @@ class QueryFilter(namedtuple("QueryFilter", "keyword since until bbox")):
                     return False
                 lat, lon = location
                 min_lat, min_lon, max_lat, max_lon = bbox
-                if not (min_lat <= lat <= max_lat and min_lon <= lon <= max_lon):
-                    return False
+                return min_lat <= lat <= max_lat and min_lon <= lon <= max_lon
             return True
 
-        return matches
+        return in_bounds
 
 
 class ReadCounts:
     """What a corpus read has seen so far: valid records and skipped lines.
 
-    Blank lines count as neither. The counts are final once the
-    iteration over the read ends.
+    Blank lines count as neither. The counts are current at each yielded
+    tweet and final once the iteration over the read ends.
     """
 
     __slots__ = ("valid", "skipped")
@@ -144,58 +149,51 @@ class ReadCounts:
         return (self.valid, self.skipped) == (other.valid, other.skipped)
 
 
-def _record_fields(obj) -> tuple:
-    """Check one decoded JSON value as a corpus record; returns its fields
-    as (id, created_at, username, text, location) and raises on a bad
-    record."""
-    if not isinstance(obj, dict):
-        raise TypeError("record must be a JSON object")
-    get = obj.get
-    tweet_id, stamp, username, text = (
-        get("id"), get("created_at"), get("username"), get("text")
-    )
-    if not (
-        isinstance(tweet_id, str)
-        and isinstance(stamp, str)
-        and isinstance(username, str)
-        and isinstance(text, str)
-    ):
-        raise ValueError("id, created_at, username and text must be strings")
-    if not tweet_id:
-        raise ValueError("tweet id must be non-empty")
-    lat, lon = get("lat"), get("lon")
-    if (lat is None) != (lon is None):
-        raise ValueError("lat and lon must appear together")
-    if lat is None:
-        location = None
-    else:
-        for value in (lat, lon):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"lat/lon must be numbers, got {value!r}")
-        location = lat, lon = float(lat), float(lon)
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            raise ValueError(f"location out of range: {location}")
-    return tweet_id, parse_utc(stamp), username, text, location
-
-
 def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
-    """The generator behind fetch; its first step only opens the file."""
-    matches = query._matcher()
+    """The generator behind fetch; its first step only opens the file.
+    Each line is checked inline: a Python call per line would add to the
+    C JSON scan, which is most of a read."""
+    keyword = query.keyword.lower()
+    in_bounds = query._bounds()
+    scan_once, fromisoformat, utc = _scan_once, datetime.fromisoformat, timezone.utc
+    valid = kept = 0
     try:
         with open(path, "rb") as handle:
             yield
-            kept = 0
-            for lineno, line in enumerate(handle, start=1):
-                if lineno == 1:
-                    line = line.removeprefix(codecs.BOM_UTF8)
+            first = handle.readline().removeprefix(codecs.BOM_UTF8)
+            for line in chain((first,), handle):
                 # OverflowError: a huge lat/lon or a timestamp that leaves
-                # datetime's range in UTC; RecursionError: deep JSON nesting
+                # datetime's range in UTC; RecursionError: deep JSON nesting;
+                # TypeError: fromisoformat given a created_at that is no string
                 try:
-                    doc = line.decode("utf-8").strip(" \t\n\r")
-                    obj, end = _scan_once(doc, 0)
-                    if end != len(doc):
-                        raise ValueError("extra data after the JSON value")
-                    fields = _record_fields(obj)
+                    doc = line.decode().strip(" \t\n\r")
+                    obj, end = scan_once(doc, 0)
+                    if end != len(doc) or type(obj) is not dict:
+                        raise ValueError("a line must hold one JSON object")
+                    get = obj.get
+                    tweet_id, stamp, username, text = (
+                        get("id"), get("created_at"), get("username"), get("text")
+                    )
+                    if not (type(tweet_id) is str and tweet_id
+                            and type(username) is str and type(text) is str):
+                        raise ValueError("bad id, username or text")
+                    # parse_utc only where fromisoformat fails or gives no UTC
+                    try:
+                        created_at = fromisoformat(stamp)
+                    except ValueError:
+                        created_at = None
+                    if created_at is None or created_at.tzinfo is not utc:
+                        created_at = parse_utc(stamp)
+                    lat, lon = get("lat"), get("lon")
+                    if lat is None and lon is None:
+                        location = None
+                    # not bool, an int subclass; a lone lat or lon is None
+                    elif type(lat) not in _NUMBER or type(lon) not in _NUMBER:
+                        raise ValueError("lat and lon must be numbers, given together")
+                    else:
+                        location = lat, lon = float(lat), float(lon)
+                        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                            raise ValueError(f"location out of range: {location}")
                 except (
                     ValueError, TypeError, OverflowError, RecursionError, StopIteration
                 ):
@@ -204,15 +202,19 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                     if line.decode("utf-8", "replace").strip():
                         counts.skipped += 1
                     continue
-                counts.valid += 1
-                _, created_at, _, text, location = fields
-                if matches(text, created_at, location):
-                    yield fields
+                valid += 1
+                if keyword in text.lower() and (
+                    in_bounds is None or in_bounds(created_at, location)
+                ):
+                    counts.valid = valid
+                    yield tweet_id, created_at, username, text, location
                     kept += 1
                     if kept == limit:
                         return
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
+    finally:
+        counts.valid = valid
 
 
 def fetch(
@@ -224,13 +226,16 @@ def fetch(
     order, the ReadCounts it fills as it reads). Each tweet is one
     tuple (id, created_at, username, text, location): ``created_at`` is
     an aware UTC datetime and ``location`` a (lat, lon) pair of floats
-    or None. The file is opened here, so FileUnreadable is raised by
-    this call; lines are read only as the iterator is advanced, and
-    reading stops at the ``limit``-th match, so lines after it are
-    never read or counted. The iterator raises FileUnreadable when a
-    read fails. An empty or all-malformed file yields nothing and
-    leaves ``counts.valid`` at 0.
+    or None. This call raises TypeError or ValueError for a ``limit``
+    that is no positive integer, and FileUnreadable when the file cannot
+    be opened; lines are read only as the iterator is advanced, and
+    reading stops at the ``limit``-th match, so lines after it are never
+    read or counted. The counts are current at each yielded tweet and
+    final when the iteration ends. The iterator raises FileUnreadable
+    when a read fails. An empty or all-malformed file yields nothing
+    and leaves ``counts.valid`` at 0.
     """
+    limit = operator.index(limit)
     if limit <= 0:
         raise ValueError("limit must be positive")
     counts = ReadCounts()

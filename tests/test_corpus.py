@@ -1,10 +1,10 @@
 import codecs
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_parse_utc, oracle_read_corpus
@@ -209,15 +209,42 @@ class TestReadCorpus:
             record(1, created_at="0001-01-01T00:00:00+01:00"),
             record(1, lat=10**400, lon=0),
             record(1, lat=0.0, lon=-181.0),
+            record(1, lat=float("nan"), lon=0.0),
+            record(1, lat=0.0, lon=float("inf")),
+            record(1, lat=None, lon=1.0),
+            record(1, created_at=None),
+            record(1, created_at=20210101),
+            # lines given as they are: JSON values that are no object, and
+            # duplicate keys, of which the scanner keeps the last
+            pytest.param('"x"', id="top-string"),
+            pytest.param("5", id="top-number"),
+            pytest.param("null", id="top-null"),
+            pytest.param("true", id="top-true"),
+            pytest.param(json.dumps(record(1))[:-1] + ', "id": ""}', id="last-id-empty"),
         ],
     )
     def test_bad_records_are_skipped(self, tmp_path, bad):
-        path = write_corpus(tmp_path / "c.jsonl", [record(2), bad])
+        path = tmp_path / "c.jsonl"
+        lines = [
+            record(2),
+            bad,
+            record(3, created_at="2021-01-03T10:00:00z"),
+            record(4, created_at="2021-01-04T15:30:00+05:30"),
+        ]
+        path.write_text(
+            "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in lines),
+            encoding="utf-8",
+        )
         # counted whether or not the query would keep the bad line's text
-        for query in (EVERY, QueryFilter(keyword="number 2")):
+        cases = [(EVERY, ["t2", "t3", "t4"]), (QueryFilter("number 2"), ["t2"])]
+        for query, ids in cases:
             tweets, skipped = read_all(path, query)
-            assert [t.id for t in tweets] == ["t2"]
+            assert [t.id for t in tweets] == ids
             assert skipped == 1
+            for tweet in tweets:
+                day = int(tweet.id[1])
+                assert tweet.created_at == datetime(2021, 1, day, 10, tzinfo=UTC)
+                assert tweet.created_at.tzinfo is UTC
 
     @pytest.mark.parametrize(
         "raw, ids, skipped",
@@ -418,6 +445,12 @@ class TestSources:
         with pytest.raises(ValueError):
             fetch(corpus_path, QueryFilter(keyword="x"), limit=0)
 
+    @pytest.mark.parametrize("limit", [2.5, 2.0, "2", None])
+    def test_limit_must_be_an_integer(self, tmp_path, limit):
+        # raised before the file is opened: the file does not exist
+        with pytest.raises(TypeError):
+            fetch(tmp_path / "absent.jsonl", QueryFilter(keyword="x"), limit)
+
     def test_fixture_covid_subset(self, corpus_path):
         tweets, _ = read_all(corpus_path, QueryFilter(keyword="covid"), limit=100)
         assert len(tweets) == 20
@@ -617,3 +650,66 @@ class TestReaderOracle:
         tweets, counts = fetch(path, QueryFilter(keyword, since, until, bbox), limit)
         got = (list(tweets), counts.valid, counts.skipped)
         assert got == oracle_read_corpus(raw, keyword, *window, bbox, limit)
+
+    @given(
+        lines=st.lists(corpus_line_st(), max_size=12),
+        keyword=st.sampled_from(["flu", "o"]),
+        window=WINDOW_ST,
+        bbox=BBOX_ST,
+        limit=st.integers(1, 13),
+        stop=st.integers(1, 13),
+    )
+    @settings(max_examples=100)
+    def test_counts_are_exact_at_each_tweet(
+        self, tmp_path_factory, lines, keyword, window, bbox, limit, stop
+    ):
+        raw = b"\n".join(lines) + b"\n"
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_bytes(raw)
+        since, until = (None if s is None else parse_utc(s) for s in window)
+        tweets, counts = fetch(path, QueryFilter(keyword, since, until, bbox), limit)
+        for drawn, _ in enumerate(tweets, start=1):
+            # the oracle read ends at its drawn-th kept record
+            expected = oracle_read_corpus(raw, keyword, *window, bbox, drawn)[1:]
+            assert (counts.valid, counts.skipped) == expected
+            if drawn == stop:
+                tweets.close()
+                assert (counts.valid, counts.skipped) == expected
+                break
+
+
+@st.composite
+def record_and_query_st(draw):
+    """A tweet, and a query whose keyword, window edges and box edges are
+    often on or next to the tweet's own text, time and place."""
+    tweet = draw(tweet_st)
+    if tweet.text and draw(st.booleans()):
+        start = draw(st.integers(0, len(tweet.text) - 1))
+        keyword = tweet.text[start:start + 3].swapcase()
+    else:
+        keyword = draw(st.text(min_size=1, max_size=3))
+    near_time = st.sampled_from([-86_400_000_000, -1, 0, 1, 86_400_000_000]).map(
+        lambda us: tweet.created_at + timedelta(microseconds=us)
+    )
+    since, until = draw(st.none() | near_time), draw(st.none() | near_time)
+    assume(since is None or until is None or since < until)
+    bbox = None
+    if draw(st.booleans()):
+        lat, lon = tweet.location or (0.0, 0.0)  # no box keeps an unlocated tweet
+        step = st.sampled_from([-1.0, 0.0, 1.0])
+        bbox = (lat + draw(step), lon + draw(step), lat + draw(step), lon + draw(step))
+        assume(bbox[0] <= bbox[2] and bbox[1] <= bbox[3])
+    return tweet, QueryFilter(keyword, since, until, bbox)
+
+
+class TestMatchesOracle:
+    @given(record_and_query_st())
+    @settings(max_examples=300)
+    def test_matches_agrees_with_oracle_keep(self, tmp_path_factory, case):
+        tweet, query = case
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        raw = write_tweets(path, [tweet]).read_bytes()
+        window = (None if s is None else s.isoformat() for s in query[1:3])
+        kept, valid, _ = oracle_read_corpus(raw, query.keyword, *window, query.bbox)
+        assert valid == 1
+        assert query.matches(tweet.text, tweet.created_at, tweet.location) == bool(kept)
