@@ -13,11 +13,17 @@ and the change in odd ones. The script prints every seed's end-to-end
 metrics and, after each workload's last pair, one summary block: each
 side's median and quartiles per metric, then one line per metric saying
 whether a gain can be claimed, with how many pairs the change won (ties
-count for neither side) and its median gain. A gain is claimed when the
-change wins at least 9/10 of the pairs and its median is better than the
-parent's by more than the parent's interquartile range. It exits 1 when
-a run fails or reports failed calls. The metric names and directions are
-read from the parent's ``BENCHMARK.json``.
+count for neither side) and its median gain, and one line per metric
+saying whether it regressed. A gain is claimed when the change wins at
+least 9/10 of the pairs and its median is better than the parent's by
+more than the parent's interquartile range. A metric is "worse beyond
+bound" when the change's median is worse than the parent's by more than
+the metric's bound times the parent's median; otherwise it is
+"unresolved" when the parent's interquartile range is wider than that,
+unless every change run beats every parent run, and "within bound" when
+not. It exits 1 when a run fails or reports failed calls. The metric
+names, directions and bounds are read from the parent's
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -68,11 +74,27 @@ def gain_claimed(wins: int, pairs: int, gain: float, parent_iqr: float) -> bool:
     return 10 * wins >= 9 * pairs and gain > parent_iqr
 
 
+def regression_verdict(parent: list[float], change: list[float], better: str,
+                       bound: float) -> str:
+    """"worse beyond bound", "unresolved" or "within bound" for one metric
+    of one workload, with bound a share of the parent's median."""
+    sign = 1 if better == "lower" else -1
+    p_q1, p_med, p_q3 = quartiles(parent)
+    allowed = bound * p_med
+    if sign * (quartiles(change)[1] - p_med) > allowed:
+        return "worse beyond bound"
+    if p_q3 - p_q1 > allowed and not all(
+        sign * (p - c) > 0 for p in parent for c in change
+    ):
+        return "unresolved"
+    return "within bound"
+
+
 def run_pairs(sides: dict, workload: str, pairs: int, first_seed: int,
-              better: dict) -> tuple[dict, int]:
-    """Each side's values of every metric over the pairs, and the failed
-    calls, printing each run's metrics as it ends."""
-    values = {side: {name: [] for name in better} for side in sides}
+              names: list[str]) -> tuple[dict, int]:
+    """Each side's values of every named metric over the pairs, and the
+    failed calls, printing each run's metrics as it ends."""
+    values = {side: {name: [] for name in names} for side in sides}
     failed = 0
     for i in range(pairs):
         seed = first_seed + i
@@ -81,21 +103,23 @@ def run_pairs(sides: dict, workload: str, pairs: int, first_seed: int,
             result = run_once(sides[side], workload, seed)
             failed += result["failed"]
             metrics = result["metrics"]
-            for name in better:
+            for name in names:
                 values[side][name].append(metrics[name]["value"])
-            shown = " ".join(f"{name}={metrics[name]['value']:.6g}" for name in better)
+            shown = " ".join(f"{name}={metrics[name]['value']:.6g}" for name in names)
             print(f"{workload} seed {seed} {side:<6} failed="
                   f"{result['failed']}/{result['attempted']} {shown}", flush=True)
     return values, failed
 
 
 def print_summary(workload: str, pairs: int, first_seed: int, values: dict,
-                  better: dict) -> None:
+                  metrics: dict) -> None:
+    """The quartile lines, gain verdicts and regression verdicts of one
+    workload; metrics maps each name to its BENCHMARK.json entry."""
     print(f"\n{workload}, {pairs} pairs, seeds {first_seed}-{first_seed + pairs - 1}")
-    verdicts = []
-    for name, direction in better.items():
+    gains, regressions = [], []
+    for name, metric in metrics.items():
         parent, change = values["parent"][name], values["change"][name]
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
         wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         p_q1, p_med, p_q3 = quartiles(parent)
         c_q1, c_med, c_q3 = quartiles(change)
@@ -104,10 +128,15 @@ def print_summary(workload: str, pairs: int, first_seed: int, values: dict,
               f"change median {c_med:.6g} (q1 {c_q1:.6g}, q3 {c_q3:.6g})  "
               f"change {(c_med - p_med) / p_med:+.1%}")
         claimed = gain_claimed(wins, pairs, gain, parent_iqr)
-        verdicts.append(f"  {name:<12} gain {'' if claimed else 'not '}claimed: "
-                        f"wins {wins}/{pairs} (9/10 needed), median gain {gain:.6g} "
-                        f"(more than the parent IQR {parent_iqr:.6g} needed)")
-    print("\n".join(verdicts), end="\n\n", flush=True)
+        gains.append(f"  {name:<12} gain {'' if claimed else 'not '}claimed: "
+                     f"wins {wins}/{pairs} (9/10 needed), median gain {gain:.6g} "
+                     f"(more than the parent IQR {parent_iqr:.6g} needed)")
+        verdict = regression_verdict(parent, change, metric["better"], metric["bound"])
+        regressions.append(f"  {name:<12} {verdict}: median {-gain / p_med:+.1%} "
+                           f"in the worse direction, parent IQR "
+                           f"{parent_iqr / p_med:.1%} of its median, "
+                           f"bound {metric['bound']:.0%}")
+    print("\n".join(gains + regressions), end="\n\n", flush=True)
 
 
 def main(argv=None) -> int:
@@ -123,7 +152,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     known = [w["name"] for w in spec["workloads"]]
     workloads = known if args.workload == "all" else args.workload.split(",")
     unknown = [w for w in workloads if w not in known]
@@ -136,9 +165,9 @@ def main(argv=None) -> int:
     failed = 0
     for workload in workloads:
         values, workload_failed = run_pairs(
-            sides, workload, args.pairs, args.first_seed, better)
+            sides, workload, args.pairs, args.first_seed, list(metrics))
         failed += workload_failed
-        print_summary(workload, args.pairs, args.first_seed, values, better)
+        print_summary(workload, args.pairs, args.first_seed, values, metrics)
     if failed:
         print(f"bench_pairs: {failed} failed calls", file=sys.stderr)
         return 1

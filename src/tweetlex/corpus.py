@@ -177,13 +177,16 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
                     if not (type(tweet_id) is str and tweet_id
                             and type(username) is str and type(text) is str):
                         raise ValueError("bad id, username or text")
-                    # parse_utc only where fromisoformat fails or gives no UTC
+                    # parse_utc's steps, inline: its second parse is paid
+                    # only where fromisoformat fails
                     try:
                         created_at = fromisoformat(stamp)
                     except ValueError:
-                        created_at = None
-                    if created_at is None or created_at.tzinfo is not utc:
                         created_at = parse_utc(stamp)
+                    if created_at.tzinfo is None:
+                        created_at = created_at.replace(tzinfo=utc)
+                    elif created_at.tzinfo is not utc:
+                        created_at = created_at.astimezone(utc)
                     lat, lon = get("lat"), get("lon")
                     if lat is None and lon is None:
                         location = None

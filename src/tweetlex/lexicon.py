@@ -43,7 +43,7 @@ class Lexicon(
     Scoring builds two private caches on first use and keeps them on the
     instance, outside equality, hashing and repr, so they die with it:
     the polarity table that each token is looked up in, and the
-    spell-correction index with its memo (``scoring.suggest_correction``).
+    spell-correction index with its plans and memo (``scoring.suggest_correction``).
     Pickles and copies leave them out; they are rebuilt on first use.
     """
 
@@ -55,7 +55,7 @@ class Lexicon(
         return None
 
 
-def _read_tokens(path) -> tuple[set[str], int, int]:
+def _read_tokens(path) -> tuple[frozenset[str], int, int]:
     """Read one wordlist file; returns (tokens, duplicates, dropped).
 
     Lines end at "\n" only, as in the corpus reader, so U+0085, U+2028
@@ -75,8 +75,14 @@ def _read_tokens(path) -> tuple[set[str], int, int]:
         for line in map(str.strip, text.lower().split("\n"))
         if line and line[0] != COMMENT_PREFIX
     ]
-    words = [entry for entry in entries if len(entry.split()) == 1]
-    tokens = set(words)
+    # Each entry is stripped and non-empty, so it splits into at least one
+    # part, and the whole splits into one part per entry only if none
+    # holds inner whitespace: then no entry needs a test of its own.
+    if len(" ".join(entries).split()) == len(entries):
+        words = entries
+    else:
+        words = [entry for entry in entries if len(entry.split()) == 1]
+    tokens = frozenset(words)
     if not tokens:
         warnings.warn(
             f"wordlist {path} contains no usable tokens", EmptyWordlistWarning
@@ -104,8 +110,9 @@ def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:
         )
 
     conflicts = positive & negative
-    positive -= conflicts
-    negative -= conflicts
+    if conflicts:
+        positive -= conflicts
+        negative -= conflicts
     if not positive and not negative:
         raise UnusableLexicon(
             "no sentiment words left after loading "
@@ -118,9 +125,9 @@ def load_lexicon(positive_path, negative_path, negators_path) -> Lexicon:
         dropped=pos_drop + neg_drop + rev_drop,
     )
     return Lexicon(
-        positive_words=frozenset(positive),
-        negative_words=frozenset(negative),
-        negators=frozenset(negators),
+        positive_words=positive,
+        negative_words=negative,
+        negators=negators,
         source_summary=summary,
     )
 

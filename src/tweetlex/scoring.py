@@ -90,14 +90,6 @@ def _table(lexicon: Lexicon) -> dict[str, int]:
     return table
 
 
-def _min_matches(total: int, threshold: float) -> int:
-    """Smallest m with 2.0 * m / total >= threshold (difflib's ratio formula)."""
-    m = 0
-    while total and 2.0 * m / total < threshold:  # two empty strings rate 1.0
-        m += 1
-    return m
-
-
 # a page translate numbers at most this many characters, from 1 up, and
 # maps every other character to 0, so that its output is ASCII
 _PAGE = 120
@@ -106,8 +98,10 @@ _PLANE_BITS = bytes(1 << k for k in range(8))
 
 class _SpellIndex:
     """Lexicon words by length, with packed-integer tables that find the
-    words the ratio bound allows for a whole length at once, plus a memo
-    of answers keyed by (threshold, token).
+    words the ratio bound allows for a whole length at once, a memo of
+    answers keyed by (threshold, token), and a query plan per (threshold,
+    token length): the buckets that length can reach, each with what its
+    bound needs, so that a token pays only for its own characters.
 
     Each length bucket keeps, for every lexicon character, a "holder":
     an int with one field per word, 1 where the word holds that
@@ -136,7 +130,8 @@ class _SpellIndex:
         by_length: dict[int, list[str]] = {}
         for word in words:
             by_length.setdefault(len(word), []).append(word)
-        self.chars = frozenset("".join(words))
+        joins = {la: "".join(bucket) for la, bucket in by_length.items()}
+        self.chars = frozenset().union(*joins.values())
         numbered = list(enumerate(self.chars))
         pages = []
         for start in range(0, len(numbered), _PAGE):
@@ -154,7 +149,7 @@ class _SpellIndex:
         bit_of = [(b"\0" * 2**k + b"\1" * 2**k) * (128 >> k) for k in range(8)]
         self.buckets = []
         for la, bucket in by_length.items():
-            joined = "".join(bucket)
+            joined = joins[la]
             masks = []  # masks[p]: one byte per word, its bits 8p to 8p + 7
             for page, planes in pages:
                 coded = joined.translate(page).encode("ascii")
@@ -180,6 +175,7 @@ class _SpellIndex:
                 (la, bucket, width, ones, ones << (width - 1), holders, sum(holders.values()))
             )
         self.memo: dict[tuple[float, str], str | None] = {}
+        self.plans: dict[tuple[float, int], list[tuple]] = {}
 
     def candidates(self, token: str, threshold: float):
         """Yield the words whose ratio with token can reach threshold.
@@ -191,31 +187,43 @@ class _SpellIndex:
         follow from C, the distinct characters the two share, which one
         sum of holders gives for every word of a length; two
         offset-add-and-mask steps then keep the words whose bounds reach
-        the needed M.
+        the needed M. The plan holds what depends on lb and threshold
+        alone: the lengths that pass the first bound, each with its need
+        and the offset of the Y step. It is built on the first query of
+        that (threshold, lb), and kept in plans even when empty.
         """
         lb = len(token)
+        plan = self.plans.get((threshold, lb))
+        if plan is None:
+            plan = []
+            for la, bucket, width, ones, top, holders, distinct in self.buckets:
+                total = la + lb
+                # the need test below at M = min(la, lb): this skips
+                # exactly the lengths where need > min(la, lb)
+                if total and 2.0 * min(la, lb) / total < threshold:
+                    continue
+                need = 0  # fewest M with 2.0 * M / total >= threshold
+                while total and 2.0 * need / total < threshold:  # "" and "" rate 1.0
+                    need += 1
+                offset = top + (la - need) * ones - distinct
+                plan.append((need, offset, bucket, width, ones, top, holders))
+            # a racing thread may build its own; both are equal
+            self.plans[threshold, lb] = plan
         chars = set(token)
         known = [ch for ch in chars if ch in self.chars]
-        # a character in no lexicon word is missing from every word
-        missing = len(chars) - len(known)
-        for la, bucket, width, ones, top, holders, distinct in self.buckets:
-            total, shorter = la + lb, min(la, lb)
-            # _min_matches's own test at M = shorter, so this skips exactly
-            # the lengths where need > shorter, without counting up to need
-            if total and 2.0 * shorter / total < threshold:
-                continue
-            need = _min_matches(total, threshold)
-            # lb - X >= need, with X = len(known) + missing - C, holds
-            # where C >= floor
-            floor = need + len(known) + missing - lb
-            # C is at most both, so no word passes; skipping also keeps
-            # the fields of top - floor * ones from going negative
-            if floor > min(la, len(known)):
+        # lb - X >= need, with X = len(chars) - C (a character in no
+        # lexicon word is missing from every word), holds where C >= floor
+        excess = len(chars) - lb
+        for need, offset, bucket, width, ones, top, holders in plan:
+            floor = need + excess
+            # C is at most len(known) (and floor <= need <= la), so no word
+            # passes; skipping also keeps top - floor * ones from going negative
+            if floor > len(known):
                 continue
             shared = sum(map(holders.__getitem__, known))  # C in every field
             # la - Y >= need, with Y = distinct - C: the top bit of a
             # field is set where C + la - need - distinct is not negative
-            hits = (shared + top + (la - need) * ones - distinct) & top
+            hits = (shared + offset) & top
             if floor > 0:
                 hits &= shared + top - floor * ones
             while hits:
@@ -237,8 +245,8 @@ def suggest_correction(
     only sees words that pass an upper bound on M: the shorter length,
     and each length less the distinct characters the other string lacks.
     The index tests that bound on all words of one length at once with a
-    few operations on packed integers (see _SpellIndex); it and a memo of
-    answers are built on the first call and kept on the lexicon.
+    few operations on packed integers (see _SpellIndex); it, its plans and
+    a memo of answers are built on first use and kept on the lexicon.
     """
     index = lexicon._spell_index
     if index is None:

@@ -32,11 +32,41 @@ def test_summary_prints_one_verdict_per_metric(capsys):
         "parent": {"run_s": [1.0, 1.1, 1.2, 1.0], "lines_per_s": [5.0, 5.0, 5.0, 5.0]},
         "change": {"run_s": [0.5, 0.6, 0.7, 0.5], "lines_per_s": [5.0, 5.0, 5.0, 5.0]},
     }
-    better = {"run_s": "lower", "lines_per_s": "higher"}
-    bench_pairs.print_summary("w", 4, 1, values, better)
+    metrics = {
+        "run_s": {"better": "lower", "bound": 0.25},
+        "lines_per_s": {"better": "higher", "bound": 0.25},
+    }
+    bench_pairs.print_summary("w", 4, 1, values, metrics)
     out = capsys.readouterr().out.splitlines()
     verdicts = [line for line in out if " gain " in line]
     assert [line.split()[:3] for line in verdicts] == [
         ["run_s", "gain", "claimed:"],
         ["lines_per_s", "gain", "not"],
     ]
+    regressions = [line.split(":")[0].split(None, 1) for line in out if "bound" in line]
+    assert regressions == [["run_s", "within bound"], ["lines_per_s", "within bound"]]
+
+
+PARENT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, verdict",
+    [
+        # medians 1.0 and 1.2 against a 10% bound
+        (PARENT, [x + 0.2 for x in PARENT], "lower", "worse beyond bound"),
+        (PARENT, [x - 0.2 for x in PARENT], "higher", "worse beyond bound"),
+        (PARENT, [x + 0.08 for x in PARENT], "lower", "within bound"),
+        (PARENT, [x - 0.3 for x in PARENT], "lower", "within bound"),
+        # a parent IQR of 0.4 is wider than the 0.1 the bound allows
+        ([0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.6, 1.4], [1.0] * 8, "lower", "unresolved"),
+        ([0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.6, 1.4], [0.9] * 8, "higher", "unresolved"),
+        # ... unless every change run beats every parent run
+        ([0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.6, 1.4], [0.5] * 8, "lower", "within bound"),
+        ([0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.6, 1.4], [1.5] * 8, "higher", "within bound"),
+        # worse beyond the bound is reported whatever the spread
+        ([0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.6, 1.4], [1.2] * 8, "lower", "worse beyond bound"),
+    ],
+)
+def test_regression_verdict(parent, change, better, verdict):
+    assert bench_pairs.regression_verdict(parent, change, better, 0.1) == verdict

@@ -214,6 +214,9 @@ class TestReadCorpus:
             record(1, lat=None, lon=1.0),
             record(1, created_at=None),
             record(1, created_at=20210101),
+            # offsets that parse, but whose UTC time leaves datetime's range
+            record(1, created_at="0001-01-01T00:30:00+01:00"),
+            record(1, created_at="9999-12-31T23:30:00-01:00"),
             # lines given as they are: JSON values that are no object, and
             # duplicate keys, of which the scanner keeps the last
             pytest.param('"x"', id="top-string"),
@@ -230,13 +233,14 @@ class TestReadCorpus:
             bad,
             record(3, created_at="2021-01-03T10:00:00z"),
             record(4, created_at="2021-01-04T15:30:00+05:30"),
+            record(5, created_at="2021-01-05T10:00:00"),
         ]
         path.write_text(
             "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in lines),
             encoding="utf-8",
         )
         # counted whether or not the query would keep the bad line's text
-        cases = [(EVERY, ["t2", "t3", "t4"]), (QueryFilter("number 2"), ["t2"])]
+        cases = [(EVERY, ["t2", "t3", "t4", "t5"]), (QueryFilter("number 2"), ["t2"])]
         for query, ids in cases:
             tweets, skipped = read_all(path, query)
             assert [t.id for t in tweets] == ids

@@ -64,6 +64,21 @@ class TestLoadWordlist:
             lexicon = load_lexicon(path, other, other)
             assert len(lexicon.positive_words) == lexicon.source_summary.dropped == 1
 
+    # a clean list takes the reader's one-split path; one entry with inner
+    # whitespace sends the whole list through the per-entry test
+    @pytest.mark.parametrize(
+        "inner",
+        [None, "\t", "\xa0", "\x85", "\u2028", "\u3000", "\x1c"],
+        ids=lambda ch: "clean" if ch is None else f"U+{ord(ch):04X}",
+    )
+    def test_clean_and_dropping_lists_match_oracle(self, tmp_path, inner):
+        entries = ["good", "Great", "; a note", "", "  nice\t", "good", "é"]
+        if inner is not None:
+            entries.insert(3, f"so{inner}so")
+        path = write_list(tmp_path / "w.txt", entries)
+        expected = ({"good", "great", "nice", "é"}, 1, 0 if inner is None else 1)
+        assert _read_tokens(path) == oracle_read_wordlist_counts(path) == expected
+
     def test_loading_is_idempotent(self, tmp_path):
         path = write_list(tmp_path / "w.txt", ["b", "a", "A", "c"])
         assert _read_tokens(path)[0] == _read_tokens(path)[0]

@@ -654,6 +654,28 @@ class TestSpellMemo:
         distinct = {(th, tok) for th in (0.5, 0.9) for tok in ("gud", "day", "so")}
         assert sorted(calls) == sorted(distinct)
 
+    def test_plans_are_kept_per_threshold_and_length(self):
+        lex = make_lexicon(TOY_POSITIVE, TOY_NEGATIVE, TOY_NEGATORS)
+        words = known_words(lex)
+        # each length is first planned at 0.85, and "wim", "nt", "looove",
+        # "hapyy" and "bd" reach a word at 0.6 only
+        tokens = ["wim", "nt", "looove", "hapyy", "bd", "hte", "baad", "good", "gud"]
+        for threshold in (0.85, 0.6, 0.85, 1.0, 0.0):
+            for token in tokens:
+                hits = difflib.get_close_matches(token, words, n=1, cutoff=threshold)
+                assert suggest_correction(token, lex, threshold) == (
+                    hits[0] if hits else None
+                ), (token, threshold)
+        # no toy word is long enough for 40 letters at 0.85: the empty plan
+        # is kept, and the second token of that length does not rebuild it
+        assert suggest_correction("a" * 40, lex, 0.85) is None
+        index = lex._spell_index
+        plan = index.plans[0.85, 40]
+        assert plan == []
+        index.buckets = None  # a rebuilt plan would iterate it
+        assert suggest_correction("b" * 40, lex, 0.85) is None
+        assert index.plans[0.85, 40] is plan
+
     def test_threads_share_one_lexicon(self):
         lex = SPELL_LEXICONS["toy"]
         tokens = ["gud", "baad", "goodd", "ab", "sadd", "xx", "nevr", "hapy"] * 5
