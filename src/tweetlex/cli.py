@@ -78,6 +78,12 @@ def run_classify(args, query: QueryFilter) -> int:
                 f"({counts.skipped} malformed lines skipped)",
                 file=sys.stderr,
             )
+            if counts.json_array:
+                print(
+                    "  it looks like one JSON array; one JSON object per line"
+                    " is expected",
+                    file=sys.stderr,
+                )
         elif counts.skipped:
             print(
                 f"note: skipped {counts.skipped} malformed corpus lines",

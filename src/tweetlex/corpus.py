@@ -4,13 +4,16 @@ A corpus is a JSON-lines file standing in for a live platform query:
 one UTF-8 object per line with fields ``id``, ``created_at`` (ISO-8601,
 naive values taken as UTC), ``username``, ``text``, and optional
 ``lat``/``lon``. Lines end at a newline byte only (CRLF is accepted),
-and a leading byte-order mark is ignored. JSON whitespace (space, tab,
-CR) may surround the object, and a line of Unicode whitespace alone is
-blank. Each line is decoded on its own, so a malformed line, invalid
-UTF-8 included, is skipped and counted rather than aborting the read.
-The read is a stream: every line is checked, and a line the query keeps
-is yielded as one plain tuple of its checked fields. The read's counts
-are current at each yielded tweet and final when the iteration ends.
+and a leading byte-order mark is ignored. A line of MAX_LINE_BYTES
+(1 MiB) or more before its newline, a leading mark included, is skipped
+without being held whole. JSON whitespace (space, tab, CR) may surround
+the object, and a line of Unicode whitespace alone is blank. Each line
+is decoded on its own, so a malformed line, invalid UTF-8 included, is
+skipped and counted rather than aborting the read. The read is a
+stream: every line is checked, from a pipe as soon as its newline
+arrives, and a line the query keeps is yielded as one plain tuple of its
+checked fields. The read's counts are current at each yielded tweet and
+final when the iteration ends.
 """
 
 from __future__ import annotations
@@ -22,11 +25,19 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterator
 from datetime import datetime, timezone
+from functools import partial
+from io import BytesIO
 from itertools import chain
 
 from .errors import FileUnreadable
 
 DEFAULT_LIMIT = 500
+# A line of this many bytes or more, not counting its newline, is skipped
+# without being decoded; a tweet's JSON object is far smaller.
+MAX_LINE_BYTES = 1 << 20
+# Lines are read in blocks of this many bytes and split by a BytesIO, which
+# costs less per line than reading them from the file one by one.
+_BLOCK = 1 << 16
 # The C scanner behind json.loads, without the wrappers' whitespace and
 # trailing-data checks, which _read makes itself. It raises StopIteration
 # where no JSON value starts, and ValueError for other malformed JSON.
@@ -131,14 +142,18 @@ class ReadCounts:
     """What a corpus read has seen so far: valid records and skipped lines.
 
     Blank lines count as neither. The counts are current at each yielded
-    tweet and final once the iteration over the read ends.
+    tweet and final once the iteration over the read ends. ``json_array``
+    is a hint, not a count, and equality and repr leave it out: it is set
+    when the first line that is not blank is skipped and starts with
+    ``[``, as a corpus written as one JSON array does.
     """
 
-    __slots__ = ("valid", "skipped")
+    __slots__ = ("valid", "skipped", "json_array")
 
     def __init__(self, valid: int = 0, skipped: int = 0):
         self.valid = valid
         self.skipped = skipped
+        self.json_array = False
 
     def __repr__(self):
         return f"ReadCounts(valid={self.valid!r}, skipped={self.skipped!r})"
@@ -147,6 +162,51 @@ class ReadCounts:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.valid, self.skipped) == (other.valid, other.skipped)
+
+
+def _line_blocks(handle):
+    """The lines of a binary file, one block read at a time.
+
+    For each block, yields an iterator over the lines that the block
+    ends, each with its newline (the file's last line may lack one). A
+    line of MAX_LINE_BYTES or more before its newline is yielded as its
+    first MAX_LINE_BYTES bytes alone, one bytes object in place of an
+    iterator; the rest of it is read and dropped, never held. A leading
+    byte-order mark becomes three spaces, so the first line keeps its
+    length. Only the first line of a block can be longer than a block,
+    so no other line needs the length test.
+    """
+    head = handle.read(3)  # all three bytes, or the end, even from a pipe
+    if head == codecs.BOM_UTF8:
+        head = b"   "
+    # what is there, so that a pipe's lines are not held for a full block
+    read = handle.read1
+    carry = b""  # the start of a line that no block read so far ends
+    dropping = False  # reading the rest of a line of MAX_LINE_BYTES or more
+    for block in chain((head + read(_BLOCK),), iter(partial(read, _BLOCK), b"")):
+        if dropping:
+            start = block.find(b"\n") + 1
+            if not start:
+                continue
+            dropping = False
+            block = block[start:]
+        end = block.rfind(b"\n") + 1
+        if not end:
+            carry += block
+            if len(carry) >= MAX_LINE_BYTES:
+                yield carry[:MAX_LINE_BYTES]
+                carry, dropping = b"", True
+            continue
+        lines = BytesIO(block[:end] if end < len(block) else block)
+        first = carry + lines.readline()
+        if len(first) > MAX_LINE_BYTES:  # the newline is its last byte
+            yield first[:MAX_LINE_BYTES]
+            yield lines
+        else:
+            yield chain((first,), lines)
+        carry = block[end:]
+    if carry:
+        yield (carry,)
 
 
 def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
@@ -160,60 +220,76 @@ def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
     try:
         with open(path, "rb") as handle:
             yield
-            first = handle.readline().removeprefix(codecs.BOM_UTF8)
-            for line in chain((first,), handle):
-                # OverflowError: a huge lat/lon or a timestamp that leaves
-                # datetime's range in UTC; RecursionError: deep JSON nesting;
-                # TypeError: fromisoformat given a created_at that is no string
-                try:
-                    doc = line.decode().strip(" \t\n\r")
-                    obj, end = scan_once(doc, 0)
-                    if end != len(doc) or type(obj) is not dict:
-                        raise ValueError("a line must hold one JSON object")
-                    get = obj.get
-                    tweet_id, stamp, username, text = (
-                        get("id"), get("created_at"), get("username"), get("text")
-                    )
-                    if not (type(tweet_id) is str and tweet_id
-                            and type(username) is str and type(text) is str):
-                        raise ValueError("bad id, username or text")
-                    # parse_utc's steps, inline: its second parse is paid
-                    # only where fromisoformat fails
-                    try:
-                        created_at = fromisoformat(stamp)
-                    except ValueError:
-                        created_at = parse_utc(stamp)
-                    if created_at.tzinfo is None:
-                        created_at = created_at.replace(tzinfo=utc)
-                    elif created_at.tzinfo is not utc:
-                        created_at = created_at.astimezone(utc)
-                    lat, lon = get("lat"), get("lon")
-                    if lat is None and lon is None:
-                        location = None
-                    # not bool, an int subclass; a lone lat or lon is None
-                    elif type(lat) not in _NUMBER or type(lon) not in _NUMBER:
-                        raise ValueError("lat and lon must be numbers, given together")
-                    else:
-                        location = lat, lon = float(lat), float(lon)
-                        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                            raise ValueError(f"location out of range: {location}")
-                except (
-                    ValueError, TypeError, OverflowError, RecursionError, StopIteration
-                ):
-                    # a line of Unicode whitespace alone is blank: it is
-                    # neither valid nor skipped
-                    if line.decode("utf-8", "replace").strip():
-                        counts.skipped += 1
+            for lines in _line_blocks(handle):
+                if lines.__class__ is bytes:
+                    # the head of a line of MAX_LINE_BYTES or more, the rest
+                    # of which is dropped as it is read
+                    if not (valid or counts.skipped):
+                        counts.json_array = lines.lstrip().startswith(b"[")
+                    counts.skipped += 1
                     continue
-                valid += 1
-                if keyword in text.lower() and (
-                    in_bounds is None or in_bounds(created_at, location)
-                ):
-                    counts.valid = valid
-                    yield tweet_id, created_at, username, text, location
-                    kept += 1
-                    if kept == limit:
-                        return
+                for line in lines:
+                    # OverflowError: a huge lat/lon or a timestamp that leaves
+                    # datetime's range in UTC; RecursionError: deep JSON nesting;
+                    # TypeError: fromisoformat given a created_at that is no string
+                    try:
+                        doc = line.decode().strip(" \t\n\r")
+                        obj, end = scan_once(doc, 0)
+                        if end != len(doc) or type(obj) is not dict:
+                            raise ValueError("a line must hold one JSON object")
+                        get = obj.get
+                        tweet_id, stamp, username, text = (
+                            get("id"), get("created_at"), get("username"),
+                            get("text"),
+                        )
+                        if not (type(tweet_id) is str and tweet_id
+                                and type(username) is str and type(text) is str):
+                            raise ValueError("bad id, username or text")
+                        # parse_utc's steps, inline: its second parse is paid
+                        # only where fromisoformat fails
+                        try:
+                            created_at = fromisoformat(stamp)
+                        except ValueError:
+                            created_at = parse_utc(stamp)
+                        if created_at.tzinfo is None:
+                            created_at = created_at.replace(tzinfo=utc)
+                        elif created_at.tzinfo is not utc:
+                            created_at = created_at.astimezone(utc)
+                        lat, lon = get("lat"), get("lon")
+                        if lat is None and lon is None:
+                            location = None
+                        # not bool, an int subclass; a lone lat or lon is None
+                        elif type(lat) not in _NUMBER or type(lon) not in _NUMBER:
+                            raise ValueError(
+                                "lat and lon must be numbers, given together"
+                            )
+                        else:
+                            location = lat, lon = float(lat), float(lon)
+                            if not (-90.0 <= lat <= 90.0
+                                    and -180.0 <= lon <= 180.0):
+                                raise ValueError(
+                                    f"location out of range: {location}"
+                                )
+                    except (
+                        ValueError, TypeError, OverflowError, RecursionError,
+                        StopIteration,
+                    ):
+                        # a line of Unicode whitespace alone is blank: it is
+                        # neither valid nor skipped
+                        if line.decode("utf-8", "replace").strip():
+                            if not (valid or counts.skipped):
+                                counts.json_array = line.lstrip().startswith(b"[")
+                            counts.skipped += 1
+                        continue
+                    valid += 1
+                    if keyword in text.lower() and (
+                        in_bounds is None or in_bounds(created_at, location)
+                    ):
+                        counts.valid = valid
+                        yield tweet_id, created_at, username, text, location
+                        kept += 1
+                        if kept == limit:
+                            return
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
     finally:
@@ -231,12 +307,12 @@ def fetch(
     an aware UTC datetime and ``location`` a (lat, lon) pair of floats
     or None. This call raises TypeError or ValueError for a ``limit``
     that is no positive integer, and FileUnreadable when the file cannot
-    be opened; lines are read only as the iterator is advanced, and
-    reading stops at the ``limit``-th match, so lines after it are never
-    read or counted. The counts are current at each yielded tweet and
-    final when the iteration ends. The iterator raises FileUnreadable
-    when a read fails. An empty or all-malformed file yields nothing
-    and leaves ``counts.valid`` at 0.
+    be opened; lines are read only as the iterator is advanced, one
+    64 KiB block at a time, and checking stops at the ``limit``-th match,
+    so lines after it are never checked or counted. The counts are
+    current at each yielded tweet and final when the iteration ends. The
+    iterator raises FileUnreadable when a read fails. An empty or
+    all-malformed file yields nothing and leaves ``counts.valid`` at 0.
     """
     limit = operator.index(limit)
     if limit <= 0:

@@ -20,12 +20,9 @@ def encode_matches(matches: Iterable[tuple[str, bool]]) -> str:
     return "|".join([token + "!" if negated else token for token, negated in matches])
 
 
-def _field(text: str) -> str:
-    """text as one CSV field: quoted, inner quotes doubled, when it holds
-    a comma, quote, CR or LF; else as it is."""
-    if _needs_quotes(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _quoted(text: str) -> str:
+    """text as one quoted CSV field, its inner quotes doubled."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 class DetailCsv:
@@ -48,9 +45,9 @@ class DetailCsv:
             self._handle = open(
                 path, "w", encoding="utf-8", errors="backslashreplace", newline=""
             )
+            self._handle.write(",".join(CSV_COLUMNS) + "\r\n")
         except OSError as exc:
             raise self._unwritable(exc) from exc
-        self._put(",".join(CSV_COLUMNS) + "\r\n")
 
     def write(self, created_at, username, text, positive, negative) -> None:
         """Write one row: UTC date and time, username, raw text, and the
@@ -61,17 +58,28 @@ class DetailCsv:
             if created_at.utcoffset() is None:
                 raise ValueError("created_at must be timezone-aware")
             created_at = created_at.astimezone(timezone.utc)
-        # "YYYY-MM-DD,HH:MM:SS": isoformat pads the year to four digits,
-        # where %Y may not, and neither field ever needs quoting
-        self._put(
-            f"{created_at.isoformat(',', 'seconds')[:19]},{_field(username)},"
-            f"{_field(text)},{_field(encode_matches(positive))},"
-            f"{_field(encode_matches(negative))}\r\n"
-        )
-
-    def _put(self, line: str) -> None:
+        # one row is one write: a Python call per field would cost more
+        # than the formatting does
+        if _needs_quotes(username):
+            username = _quoted(username)
+        if _needs_quotes(text):
+            text = _quoted(text)
+        # the tokens of a hit are what the tokenizer keeps, or a lexicon
+        # word, which may hold any character
+        positive = encode_matches(positive) if positive else ""
+        if _needs_quotes(positive):
+            positive = _quoted(positive)
+        negative = encode_matches(negative) if negative else ""
+        if _needs_quotes(negative):
+            negative = _quoted(negative)
         try:
-            self._handle.write(line)
+            # isoformat pads the year to four digits, where %Y may not, and
+            # neither the date nor the time ever needs quoting
+            self._handle.write(
+                f"{created_at.date().isoformat()},"
+                f"{created_at.time().isoformat('seconds')},"
+                f"{username},{text},{positive},{negative}\r\n"
+            )
         except OSError as exc:
             raise self._unwritable(exc) from exc
 

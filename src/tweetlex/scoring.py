@@ -94,6 +94,8 @@ def _table(lexicon: Lexicon) -> dict[str, int]:
 # maps every other character to 0, so that its output is ASCII
 _PAGE = 120
 _PLANE_BITS = bytes(1 << k for k in range(8))
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
+_NO_LOWERCASE = str.maketrans("", "", _LOWERCASE)
 
 
 class _SpellIndex:
@@ -131,7 +133,15 @@ class _SpellIndex:
         for word in words:
             by_length.setdefault(len(word), []).append(word)
         joins = {la: "".join(bucket) for la, bucket in by_length.items()}
-        self.chars = frozenset().union(*joins.values())
+        pooled = "".join(joins.values())
+        if pooled.isascii():
+            # a substring test per lowercase letter, and a set of what is
+            # left once they are deleted, spare a pass over every character
+            self.chars = frozenset(
+                [ch for ch in _LOWERCASE if ch in pooled]
+            ).union(pooled.translate(_NO_LOWERCASE))
+        else:
+            self.chars = frozenset(pooled)
         numbered = list(enumerate(self.chars))
         pages = []
         for start in range(0, len(numbered), _PAGE):
@@ -238,15 +248,22 @@ def suggest_correction(
     """Most similar lexicon word at ratio >= threshold, else None.
 
     Similarity is difflib's SequenceMatcher ratio, 2M / (la + lb) for M
-    matched characters. difflib keeps the largest (ratio, word) pair, so
-    a tie on the ratio goes to the lexicographically greatest word
-    whatever the scan order. The answer is exactly that of
-    ``difflib.get_close_matches`` over the whole lexicon, but difflib
-    only sees words that pass an upper bound on M: the shorter length,
-    and each length less the distinct characters the other string lacks.
-    The index tests that bound on all words of one length at once with a
-    few operations on packed integers (see _SpellIndex); it, its plans and
-    a memo of answers are built on first use and kept on the lexicon.
+    matched characters. The answer is exactly that of
+    ``difflib.get_close_matches(token, words, n=1, cutoff=threshold)``
+    over the whole lexicon: the largest (ratio, word) pair at or above
+    the threshold, so a tie on the ratio goes to the lexicographically
+    greatest word. Only words that pass an upper bound on M are looked
+    at: the shorter length, and each length less the distinct characters
+    the other string lacks. The index tests that bound on all words of
+    one length at once with a few operations on packed integers (see
+    _SpellIndex); it, its plans and a memo of answers are built on first
+    use and kept on the lexicon. Of those candidates, difflib's
+    quick_ratio(), an upper bound on ratio() with the same denominator,
+    drops the ones below the threshold and orders the rest; the full
+    ratio() is computed in that order only until the next (quick_ratio,
+    word) pair falls below the best (ratio, word) pair found, since no
+    later word can beat it. A threshold outside [0, 1], or NaN, raises
+    ValueError as difflib does.
     """
     index = lexicon._spell_index
     if index is None:
@@ -261,11 +278,32 @@ def suggest_correction(
     # for it at start-up
     import difflib
 
-    # a generator: difflib rejects a bad cutoff before drawing a candidate
-    hits = difflib.get_close_matches(
-        token, index.candidates(token, threshold), n=1, cutoff=threshold
-    )
-    best = index.memo[key] = hits[0] if hits else None
+    # get_close_matches' check and wording, made before a plan is kept
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"cutoff must be in [0.0, 1.0]: {threshold!r}")
+    words = list(index.candidates(token, threshold))
+    best = ()  # the best (ratio, word) so far; () is below every pair
+    if words:
+        # the token is seq2, as in get_close_matches, so its autojunk holds
+        matcher = difflib.SequenceMatcher(None, "", token)
+        set_word, quick_ratio, ratio = matcher.set_seq1, matcher.quick_ratio, matcher.ratio
+        bounds = []
+        for word in words:
+            set_word(word)
+            bound = quick_ratio()
+            if bound >= threshold:
+                bounds.append((bound, word))
+        bounds.sort(reverse=True)
+        for pair in bounds:
+            # ratio() <= quick_ratio(), so no pair from here on can win
+            if pair < best:
+                break
+            word = pair[1]
+            set_word(word)
+            score = ratio()
+            if score >= threshold and (score, word) > best:
+                best = (score, word)
+    best = index.memo[key] = best[1] if best else None
     return best
 
 

@@ -216,25 +216,33 @@ def _oracle_record(text):
     return tweet_id, when, username, body, location
 
 
+ORACLE_MAX_LINE_BYTES = 2**20
+
+
 def oracle_read_corpus(raw, keyword, since=None, until=None, bbox=None, limit=None):
     """Raw-bytes corpus reader: (the (id, created_at, username, text,
     location) of each record the query keeps, valid records, skipped lines).
 
     Lines end at b"\\n" only and a byte-order mark opening the first line
-    is dropped. A line that decodes to Unicode whitespace alone is blank
-    and counts as neither valid nor skipped; a line that is not UTF-8,
-    not one JSON object, or not a valid record is skipped. The keyword is
-    a case-insensitive substring of the text. since (inclusive) and until
+    is dropped. A line of ORACLE_MAX_LINE_BYTES bytes or more before its
+    b"\\n", that mark included, is skipped whatever it holds. A line that
+    decodes to Unicode whitespace alone is blank and counts as neither
+    valid nor skipped; a line that is not UTF-8, not one JSON object, or
+    not a valid record is skipped. The keyword is a case-insensitive
+    substring of the text. since (inclusive) and until
     (exclusive) are ISO-8601 stamps bounding created_at; bbox (min_lat,
     min_lon, max_lat, max_lon) keeps the located records on or inside
     its edges. The read ends at the limit-th kept record, so later lines
     are not counted.
     """
-    if raw.startswith(b"\xef\xbb\xbf"):
-        raw = raw[3:]
     since, until = (None if s is None else oracle_parse_utc(s) for s in (since, until))
     kept, valid, skipped = [], 0, 0
-    for line in raw.split(b"\n"):
+    for number, line in enumerate(raw.split(b"\n")):
+        if len(line) >= ORACLE_MAX_LINE_BYTES:
+            skipped += 1
+            continue
+        if number == 0 and line.startswith(b"\xef\xbb\xbf"):
+            line = line[3:]
         try:
             text = line.decode("utf-8")
         except UnicodeDecodeError:

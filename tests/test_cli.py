@@ -537,6 +537,75 @@ class TestStreaming:
         assert line.startswith(f"error: cannot write {out_csv}: ")
 
 
+ARRAY_NOTE = "  it looks like one JSON array; one JSON object per line is expected"
+
+
+class TestJsonArrayNote:
+    @pytest.mark.parametrize(
+        "raw, skipped, array",
+        [
+            (b"[" + COVID_LINE.encode() + b", " + COVID_LINE.encode() + b"]\n", 1, True),
+            (b"\n  \t\n  [1]\n{}\n", 2, True),
+            (b"\xef\xbb\xbf[\n1,\n]\n", 3, True),
+            (b"broken\n[1]\n", 2, False),
+            (b"", 0, False),
+        ],
+        ids=["one-line-array", "after-blank-lines", "bom-and-array-lines",
+             "array-line-second", "empty"],
+    )
+    def test_note_says_when_the_first_line_opens_an_array(
+        self, tmp_path, capsys, raw, skipped, array
+    ):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(raw)
+        assert main(classify_args(corpus=corpus)) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == NO_SIGNAL_SUMMARY
+        assert captured.err.splitlines() == [
+            f"note: corpus {corpus} has no valid records "
+            f"({skipped} malformed lines skipped)",
+            *[ARRAY_NOTE] * array,
+        ]
+
+    def test_no_note_when_a_record_is_valid(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("[1]\n" + COVID_LINE + "\n", encoding="utf-8")
+        assert main(classify_args(corpus=corpus)) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "note: skipped 1 malformed corpus lines"
+        ]
+
+    # The bound is stated before any run: a 64 MB line held whole would
+    # take at least 64 MB, and the run without it about 17 MB.
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs /proc for VmHWM"
+    )
+    def test_one_line_array_memory_is_bounded(self, tmp_path):
+        corpus = tmp_path / "array.jsonl"
+        records = ", ".join([COVID_LINE] * 1000).encode()
+        with open(corpus, "wb") as handle:
+            handle.write(b"[")
+            while handle.tell() < 64 * 2**20:
+                handle.write(records + b", ")
+            handle.write(COVID_LINE.encode() + b"]\n")
+        probe = (
+            "import sys\n"
+            "from tweetlex.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read().split()\n"
+            "print(code, status[status.index('VmHWM:') + 1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *classify_args(corpus=corpus)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == EXIT_OK
+        assert proc.stderr.splitlines()[-1] == ARRAY_NOTE
+        assert peak_kib < 40 * 1024, peak_kib
+
+
 def _traced_peak(args) -> int:
     tracemalloc.start()
     try:

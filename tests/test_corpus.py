@@ -1,13 +1,17 @@
 import codecs
 import json
+import os
+import threading
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_parse_utc, oracle_read_corpus
+from oracle import ORACLE_MAX_LINE_BYTES, oracle_parse_utc, oracle_read_corpus
 from tweetlex import (
     DEFAULT_LIMIT,
     FileUnreadable,
@@ -15,7 +19,9 @@ from tweetlex import (
     fetch,
     parse_utc,
 )
+from tweetlex import corpus
 from tweetlex.cli import main
+from tweetlex.corpus import MAX_LINE_BYTES
 
 UTC = timezone.utc
 STAMP = datetime(2022, 3, 1, 10, 0, tzinfo=UTC)
@@ -323,6 +329,25 @@ class TestReadCorpus:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileUnreadable):
             fetch(tmp_path / "absent.jsonl", EVERY)
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_a_pipe_line_is_read_once_it_ends(self):
+        # a reader that waited for a full block would wait for the writer
+        read_end, write_end = os.pipe()
+        try:
+            tweets, _ = fetch(f"/dev/fd/{read_end}", EVERY)
+            os.write(write_end, LINE1 + b"\n")
+            drawn = []
+            reader = threading.Thread(target=lambda: drawn.append(next(tweets)))
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert drawn[0][0] == "t1"
+            os.write(write_end, LINE2 + b"\n")
+        finally:
+            os.close(write_end)
+            os.close(read_end)
+        assert [t[0] for t in tweets] == ["t2"]
 
     def test_read_is_lazy(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [record(1), record(2)])
@@ -655,6 +680,33 @@ class TestReaderOracle:
         got = (list(tweets), counts.valid, counts.skipped)
         assert got == oracle_read_corpus(raw, keyword, *window, bbox, limit)
 
+    # Blocks of a few bytes split lines, CRLF pairs and the BOM anywhere.
+    @given(
+        lines=st.lists(corpus_line_st(), max_size=12),
+        bom=st.booleans(),
+        eof_newline=st.booleans(),
+        block=st.integers(1, 40),
+        limit=st.integers(1, 13),
+    )
+    @settings(max_examples=200)
+    def test_any_block_size_reads_as_the_oracle(
+        self, tmp_path_factory, lines, bom, eof_newline, block, limit
+    ):
+        raw = codecs.BOM_UTF8 * bom + b"\n".join(lines) + b"\n" * eof_newline
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_bytes(raw)
+        tweets, counts = fetch(path, QueryFilter("o"), limit)
+        with mock.patch.object(corpus, "_BLOCK", block):
+            got = (list(tweets), counts.valid, counts.skipped)
+        assert got == oracle_read_corpus(raw, "o", limit=limit)
+        # the first line that is not blank opens a JSON array, and is skipped
+        first = next(
+            (line for line in raw.removeprefix(codecs.BOM_UTF8).split(b"\n")
+             if line.decode("utf-8", "replace").strip()),
+            b"",
+        )
+        assert counts.json_array == first.lstrip().startswith(b"[")
+
     @given(
         lines=st.lists(corpus_line_st(), max_size=12),
         keyword=st.sampled_from(["flu", "o"]),
@@ -717,3 +769,52 @@ class TestMatchesOracle:
         kept, valid, _ = oracle_read_corpus(raw, query.keyword, *window, query.bbox)
         assert valid == 1
         assert query.matches(tweet.text, tweet.created_at, tweet.location) == bool(kept)
+
+
+def _padded(rec, size):
+    """rec's JSON line padded with trailing spaces to size bytes."""
+    line = json.dumps(rec).encode("utf-8")
+    return line + b" " * (size - len(line))
+
+
+class TestLongLines:
+    """A line of MAX_LINE_BYTES or more before its newline is skipped,
+    once, without the rest of it being read as lines of its own."""
+
+    def test_limit_is_the_oracle_limit(self):
+        assert MAX_LINE_BYTES == ORACLE_MAX_LINE_BYTES == 2**20
+
+    @pytest.mark.parametrize(
+        "raw, valid, skipped",
+        [
+            # a record that would be kept but for its length
+            (LINE1 + b"\n" + _padded(record(3), MAX_LINE_BYTES + 1) + b"\n" + LINE2,
+             2, 1),
+            (_padded(record(3), MAX_LINE_BYTES - 1) + b"\n" + LINE1, 2, 0),
+            (_padded(record(3), MAX_LINE_BYTES) + b"\n" + LINE1, 1, 1),
+            (_padded(record(3), MAX_LINE_BYTES - 2) + b"\r\n" + LINE1, 2, 0),
+            (_padded(record(3), MAX_LINE_BYTES - 1) + b"\r\n" + LINE1, 1, 1),
+            # the last line, with no newline after it
+            (LINE1 + b"\n" + _padded(record(3), MAX_LINE_BYTES - 1), 2, 0),
+            (LINE1 + b"\n" + _padded(record(3), MAX_LINE_BYTES), 1, 1),
+            # a leading byte-order mark counts towards the first line
+            (codecs.BOM_UTF8 + _padded(record(3), MAX_LINE_BYTES - 4) + b"\n" + LINE1,
+             2, 0),
+            (codecs.BOM_UTF8 + _padded(record(3), MAX_LINE_BYTES - 3) + b"\n" + LINE1,
+             1, 1),
+            # a long line of spaces alone is skipped, not blank
+            (b" " * (3 * MAX_LINE_BYTES) + b"\n" + LINE1 + b"\n", 1, 1),
+            (b"[" + b"1," * MAX_LINE_BYTES + b"1]\n" + LINE1 + b"\n" + b"x" * MAX_LINE_BYTES,
+             1, 2),
+        ],
+        ids=["over", "under", "at", "crlf-under", "crlf-at", "last-under", "last-at",
+             "bom-under", "bom-at", "spaces", "array-and-last"],
+    )
+    def test_long_lines_match_oracle(self, tmp_path, raw, valid, skipped):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(raw)
+        tweets, counts = fetch(path, EVERY, 10)
+        got = (list(tweets), counts.valid, counts.skipped)
+        expected = oracle_read_corpus(raw, " ", limit=10)
+        assert expected[1:] == (valid, skipped)
+        assert got == expected

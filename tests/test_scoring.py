@@ -354,11 +354,38 @@ class TestSuggestCorrection:
             token, known_words(lex), threshold
         )
 
+    # The next two cases pin the stop rule of the best-first search: the
+    # candidates are visited by (quick_ratio, word), highest first, and
+    # the search ends only once that pair is below the best (ratio, word).
+    def test_a_lower_quick_ratio_can_hold_the_higher_ratio(self):
+        # "dcba" holds every letter of "abcd", but only one matches in order
+        assert _ratios("dcba", "abcd") == (1.0, 0.25)
+        assert _ratios("abce", "abcd") == (0.75, 0.75)
+        lex = make_lexicon({"dcba", "abce"}, set(), set())
+        for threshold in (0.2, 0.5):
+            assert suggest_correction("abcd", lex, threshold) == "abce"
+            assert oracle_correct("abcd", known_words(lex), threshold) == "abce"
+
+    def test_a_tie_goes_to_the_greater_word_of_a_lower_quick_ratio(self):
+        # "aba" is visited first; "abb" ties it on the ratio, and its
+        # quick_ratio equals that ratio
+        assert _ratios("aba", "aab") == (1.0, 2.0 * 2 / 6)
+        assert _ratios("abb", "aab") == (2.0 * 2 / 6, 2.0 * 2 / 6)
+        lex = make_lexicon({"aba", "abb"}, set(), set())
+        assert suggest_correction("aab", lex, 0.6) == "abb"
+        assert oracle_correct("aab", known_words(lex), 0.6) == "abb"
+
     def test_bad_threshold_is_rejected_by_difflib(self):
         lex = make_lexicon({"good"}, set(), set())
         for threshold in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="cutoff"):
                 suggest_correction("gud", lex, threshold)
+
+
+def _ratios(word, token):
+    """difflib's (quick_ratio, ratio) of word against token."""
+    matcher = difflib.SequenceMatcher(None, word, token)
+    return matcher.quick_ratio(), matcher.ratio()
 
 
 def _reaching(words, token, threshold):
@@ -495,6 +522,14 @@ class TestSpellIndexLayout:
     @settings(max_examples=40, deadline=None)
     def test_wide_non_ascii_alphabets(self, words):
         _check_index_layout(words)
+
+    @pytest.mark.parametrize(
+        "words",
+        [{"don't", "2-faced", "a+", "x9", "Mixed", "zz"}, {"café", "naïve", "e", "é1"}],
+        ids=["ascii", "non-ascii"],
+    )
+    def test_chars_are_every_character_of_the_words(self, words):
+        assert _SpellIndex(words).chars == frozenset("".join(words))
 
     def test_bundled_and_mixed_words(self):
         # suggest_correction indexes the polarity table's keys
@@ -635,14 +670,16 @@ class TestSpellMemo:
         assert repr(lex) == before_repr == repr(fresh)
 
     def test_difflib_runs_once_per_threshold_and_token(self, monkeypatch):
+        # each memo miss asks the index for its candidates exactly once,
+        # "day" and "so" included, which have none
         calls = []
-        real = difflib.get_close_matches
+        real = _SpellIndex.candidates
 
-        def counting(word, possibilities, n, cutoff):
-            calls.append((cutoff, word))
-            return real(word, possibilities, n=n, cutoff=cutoff)
+        def counting(index, token, threshold):
+            calls.append((threshold, token))
+            return real(index, token, threshold)
 
-        monkeypatch.setattr(difflib, "get_close_matches", counting)
+        monkeypatch.setattr(_SpellIndex, "candidates", counting)
         lex = make_lexicon({"good"}, {"bad"}, {"not"})
         texts = ("gud day", "so gud", "gud gud")
         for threshold in (0.5, 0.9):
