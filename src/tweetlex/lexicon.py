@@ -40,15 +40,17 @@ class Lexicon(
 ):
     """Immutable sentiment vocabulary; safe to share across workers.
 
-    Scoring builds two private caches on first use and keeps them on the
+    Scoring builds private caches on first use and keeps them on the
     instance, outside equality, hashing and repr, so they die with it:
-    the polarity table that each token is looked up in, and the
+    the polarity table that each token is looked up in, a copy of it
+    that also knows the marker ending each text's tokens, and the
     spell-correction index with its plans and memo (``scoring.suggest_correction``).
     Pickles and copies leave them out; they are rebuilt on first use.
     """
 
     # class-level defaults; the instance's own __dict__ holds the built ones
     _polarity = None
+    _marked = None
     _spell_index = None
 
     def __getstate__(self):

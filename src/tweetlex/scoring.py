@@ -7,6 +7,12 @@ opposite bucket ("I am not sad" counts one positive, not one negative).
 The flip looks exactly one token back; anything between the negator and
 the sentiment word cancels it. Spell correction takes one ratio in [0, 1];
 score_text and classify raise ValueError for any other, whatever the input.
+
+Texts are scored a batch at a time: one tokenizer pass gives one flat
+token list, each text's tokens ended by a marker token, and one loop over
+it gives every text's hits. Without a detail CSV, classify counts the hit
+totals from a byte string of the tokens' sides instead. score_text is the
+batch code run on one text.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import compress, islice, repeat
+from operator import not_
 
 from .lexicon import Lexicon
 
@@ -21,42 +29,83 @@ DEFAULT_SPELL_THRESHOLD = 0.85
 
 # The sides of the polarity table. A hit on a sentiment word lands in
 # bucket side ^ negated, so the two sentiment sides must be 0 and 1.
-_POSITIVE, _NEGATIVE, _NEGATOR = 0, 1, 2
+# _END is the side of the _MARK that ends each text's tokens, and _OOV
+# that of a token in no list.
+_POSITIVE, _NEGATIVE, _NEGATOR, _END, _OOV = 0, 1, 2, 3, 4
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+# records scored at a time: one tokenizer pass per batch
+_BATCH = 256
+
+# Texts are tokenized a group at a time, joined by " \0 ": each text's
+# tokens are followed by one _MARK token. The spaces around it give each
+# text the edges it has alone, for a URL's \S+, the apostrophe rule and
+# lower()'s final sigma. A text's own "\0" becomes "\x01", which every
+# step treats alike: a non-space, non-word, uncased character.
+_MARK = "\0"
+
 _MENTION_RE = re.compile(r"@\w+")
+# URLs go in two passes with literal prefixes, which re finds fast, where
+# one (?:https?://|www\.) pass is tried at every "h" and "w". The first
+# pass leaves a non-space "\x01", so that a "www." right before the URL
+# still has the character the one pass would have seen after it.
+_HTTP_RE = re.compile(r"https?://\S+")
+_WWW_RE = re.compile(r"www\.\S+")
 # letter/digit runs; an apostrophe survives only between two of them
 # ("don't"). On text with no "_", \w is exactly [^\W_], and the simpler
-# class matches faster.
-_WORD_RE = re.compile(r"\w+(?:'\w+)*")
-# ASCII letters, digits and "'" stay; every other ASCII character, "_"
-# included, becomes a space
+# class matches faster. A lone _MARK is its own token.
+_WORD_RE = re.compile(r"\w+(?:'\w+)*|\0")
+# ASCII letters, digits, "'" and _MARK stay; every other ASCII character,
+# "_" and "\x01" included, becomes a space
 _ASCII_WORD_CHARS = str.maketrans(
-    {ch: ch if ch.isalnum() or ch == "'" else " " for ch in map(chr, range(128))}
+    {
+        ch: ch if ch.isalnum() or ch in "'\0" else " "
+        for ch in map(chr, range(128))
+    }
 )
 
 
-def _words(text: str) -> list[str]:
-    """The tokens of normalize(text), in order."""
-    text = text.lower()
+def _group_tokens(texts: list[str], ascii: bool) -> list[str]:
+    """The tokens of normalize(text) for each of texts, in order, each
+    text's followed by one _MARK; ascii says that every text is ASCII."""
+    if not texts:
+        return []
+    joined = " \0 ".join(texts) + " \0"
+    if joined.count(_MARK) != len(texts):
+        joined = " \0 ".join([text.replace(_MARK, "\x01") for text in texts]) + " \0"
+    joined = joined.lower()
     # most tweets hold no URL or mention; a substring test is far cheaper
     # than a regex pass that cannot match
-    if "://" in text or "www." in text:
-        text = _URL_RE.sub(" ", text)
-    if "@" in text:
-        text = _MENTION_RE.sub(" ", text)
-    if not text.isascii():
+    if "://" in joined:
+        joined = _HTTP_RE.sub("\x01", joined)
+    if "www." in joined:
+        joined = _WWW_RE.sub(" ", joined)
+    if "@" in joined:
+        joined = _MENTION_RE.sub(" ", joined)
+    if not ascii:
         # a space separates tokens just as the "_" did; mentions and URLs,
         # which may hold "_", are gone by now
-        return _WORD_RE.findall(text.replace("_", " "))
+        return _WORD_RE.findall(joined.replace("_", " "))
     # _WORD_RE's tokens without a regex: once each pair of apostrophes is
     # a space, no two are adjacent, so an apostrophe beside a space or an
     # edge is one that no word holds
-    text = text.translate(_ASCII_WORD_CHARS)
-    if "'" in text:
-        text = " " + text.replace("''", " ") + " "
-        text = text.replace(" '", " ").replace("' ", " ")
-    return text.split()
+    joined = joined.translate(_ASCII_WORD_CHARS)
+    if "'" in joined:
+        joined = " " + joined.replace("''", " ") + " "
+        joined = joined.replace(" '", " ").replace("' ", " ")
+    return joined.split()
+
+
+def _tokens(texts: list[str]) -> list[str]:
+    """The flat tokens of texts, each text's followed by one _MARK: those
+    of the ASCII texts first, then the others', each group in order.
+    ASCII text takes a translate-and-split path, which is exact only on
+    ASCII but much faster than _WORD_RE."""
+    flags = list(map(str.isascii, texts))
+    if all(flags):
+        return _group_tokens(texts, True)
+    return _group_tokens(list(compress(texts, flags)), True) + _group_tokens(
+        list(compress(texts, map(not_, flags))), False
+    )
 
 
 def normalize(text: str) -> str:
@@ -68,7 +117,7 @@ def normalize(text: str) -> str:
     leading '#' therefore vanishes while the tag word survives.
     Idempotent: normalizing twice changes nothing.
     """
-    return " ".join(_words(text))
+    return " ".join(_tokens([text])[:-1])
 
 
 def _table(lexicon: Lexicon) -> dict[str, int]:
@@ -88,6 +137,24 @@ def _table(lexicon: Lexicon) -> dict[str, int]:
         # a racing thread may build its own; both are equal
         lexicon._polarity = table
     return table
+
+
+def _marked_table(lexicon: Lexicon) -> dict[str, int]:
+    """The polarity table with _MARK mapped to _END, built on first use
+    and kept on the lexicon.
+
+    The tokenizer makes a _MARK token only at the end of a text, so the
+    marker wins over a lexicon entry "\0", which no text token can equal;
+    only a spell correction can give that word, and its side is then read
+    from _table.
+    """
+    marked = lexicon._marked
+    if marked is None:
+        marked = dict(_table(lexicon))
+        marked[_MARK] = _END
+        # a racing thread may build its own; both are equal
+        lexicon._marked = marked
+    return marked
 
 
 # a page translate numbers at most this many characters, from 1 up, and
@@ -307,27 +374,87 @@ def suggest_correction(
     return best
 
 
-def _hits(tokens, table: dict[str, int]) -> tuple[list, list]:
-    """The positive and the negative hits among tokens, as lists of
-    (token, negated) pairs, with one polarity-table lookup per token.
+def _sides(tokens: list[str], lexicon: Lexicon, threshold: float | None):
+    """The side of each of tokens, flat tokens from _tokens, as an
+    iterable; _OOV for a token in no list.
+
+    With a threshold, each token in no list is first replaced in tokens
+    by its closest lexicon word at that ratio, if any, and takes that
+    word's side, so the sides come as a list.
+    """
+    sides = map(_marked_table(lexicon).get, tokens, repeat(_OOV))
+    if threshold is None:
+        return sides
+    sides = list(sides)
+    table = _table(lexicon)
+    for at, side in enumerate(sides):
+        if side == _OOV:
+            suggestion = suggest_correction(tokens[at], lexicon, threshold)
+            if suggestion is not None:
+                tokens[at] = suggestion
+                sides[at] = table[suggestion]
+    return sides
+
+
+def _hits(tokens: list[str], sides) -> list[tuple[list, list]]:
+    """Each text's positive and negative hits, as two lists of (token,
+    negated) pairs, from flat tokens and their sides.
 
     A negator sets negated for the next token only; a sentiment word
     lands in bucket side ^ negated, its own side or, when negated, the
-    other one.
+    other one. _END closes the text's pair and resets negated, so that a
+    negator ending one text never flips the first word of the next.
     """
+    pairs = []
     hits = ([], [])  # indexed by _POSITIVE and _NEGATIVE
-    get = table.get
     negated = False  # the previous token was a negator
-    for token in tokens:
-        side = get(token)
-        if side is None:
+    for token, side in zip(tokens, sides):
+        # the sides in the order of how often they come
+        if side == _OOV:
             negated = False
-        elif side == _NEGATOR:
-            negated = True
-        else:
+        elif side < _NEGATOR:
             hits[side ^ negated].append((token, negated))
             negated = False
-    return hits
+        elif side == _END:
+            pairs.append(hits)
+            hits = ([], [])
+            negated = False
+        else:
+            negated = True
+    return pairs
+
+
+def _totals(sides) -> tuple[int, int]:
+    """The positive and the negative hit totals of flat tokens with these
+    sides, from bytes.count alone.
+
+    Negation looks exactly one token back, and _END and _OOV are neither
+    sentiment sides nor _NEGATOR, so a word is flipped exactly where the
+    byte before it is _NEGATOR.
+    """
+    sides = bytes(sides)
+    # _NEGATOR then _POSITIVE, and _NEGATOR then _NEGATIVE
+    flipped_positive, flipped_negative = sides.count(b"\2\0"), sides.count(b"\2\1")
+    return (
+        sides.count(b"\0") - flipped_positive + flipped_negative,
+        sides.count(b"\1") - flipped_negative + flipped_positive,
+    )
+
+
+def _score(texts: list[str], lexicon: Lexicon, threshold: float | None):
+    """score_text's (positive, negative) for each of texts, in order."""
+    tokens = _tokens(texts)
+    pairs = _hits(tokens, _sides(tokens, lexicon, threshold))
+    flags = list(map(str.isascii, texts))
+    if all(flags):
+        return pairs
+    # the ASCII texts' pairs come first, as their tokens do
+    at = range(len(texts))
+    order = list(compress(at, flags)) + list(compress(at, map(not_, flags)))
+    rows = [None] * len(texts)
+    for row, pair in zip(order, pairs):
+        rows[row] = pair
+    return rows
 
 
 def _check_threshold(threshold: float) -> None:
@@ -350,19 +477,12 @@ def score_text(
     not know is first replaced by its closest lexicon word at that
     ratio, if any (None, the default, keeps results lexicon-exact); any
     other ratio, NaN included, raises ValueError whatever the text.
-    Each token is looked up once in the lexicon's polarity table.
+    Each token is looked up once in the lexicon's polarity table. This
+    is classify's batch scoring run on one text.
     """
-    # the table once built, read without a function call per text
-    table = lexicon._polarity or _table(lexicon)
-    tokens = _words(text)
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
-        for at, token in enumerate(tokens):
-            if token not in table:
-                suggestion = suggest_correction(token, lexicon, spell_threshold)
-                if suggestion is not None:
-                    tokens[at] = suggestion
-    return _hits(tokens, table)
+    return _score([text], lexicon, spell_threshold)[0]
 
 
 AggregateResult = namedtuple(
@@ -377,27 +497,37 @@ def classify(
     records: Iterable[tuple], topic: str, lexicon: Lexicon, *,
     spell_threshold: float | None = None, detail=None,
 ) -> AggregateResult:
-    """Score each record with score_text and sum the hits.
+    """Score each record's text as score_text does and sum the hits.
 
     ``records`` are the (id, created_at, username, text, location)
-    tuples that ``fetch`` yields; ``spell_threshold`` is passed on to
+    tuples that ``fetch`` yields; ``spell_threshold`` is as in
     score_text, and one outside [0, 1] raises ValueError before any
-    record is drawn or any row written. When ``detail`` is an open
-    DetailCsv, each record's row is written to it as the record is
-    scored. Records are counted as they arrive, so a stream of them is
-    never held.
+    record is drawn or any row written. Records are drawn and scored a
+    batch of at most _BATCH (256) at a time, with one tokenizer pass per
+    batch, so at most one batch of a stream is held. When ``detail`` is
+    an open DetailCsv, each record's row is written to it, in record
+    order, before the next batch is drawn; without one, only the hit
+    totals are counted, which needs no per-token Python loop.
     """
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
-    write = detail.write if detail is not None else None
+    records = iter(records)
     tweets = total_positive = total_negative = 0
-    for _, created_at, username, text, _ in records:
-        positive, negative = score_text(text, lexicon, spell_threshold=spell_threshold)
-        if write is not None:
-            write(created_at, username, text, positive, negative)
-        tweets += 1
-        total_positive += len(positive)
-        total_negative += len(negative)
+    while batch := list(islice(records, _BATCH)):
+        tweets += len(batch)
+        texts = [text for _, _, _, text, _ in batch]
+        if detail is None:
+            tokens = _tokens(texts)
+            positive, negative = _totals(_sides(tokens, lexicon, spell_threshold))
+            total_positive += positive
+            total_negative += negative
+            continue
+        for (_, created_at, username, text, _), (positive, negative) in zip(
+            batch, _score(texts, lexicon, spell_threshold)
+        ):
+            detail.write(created_at, username, text, positive, negative)
+            total_positive += len(positive)
+            total_negative += len(negative)
     return _result(topic, tweets, total_positive, total_negative)
 
 

@@ -1,12 +1,13 @@
 import csv
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_lexicon
-from tweetlex import DetailCsv, classify
+from tweetlex import DetailCsv, classify, scoring
 
 UP_DOWN = make_lexicon({"up"}, {"down"})
 STAMP = datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc)
@@ -56,7 +57,7 @@ class TestAggregate:
         assert result.total_negative == 3
         assert result.positivity_pct == pytest.approx(50.0, abs=1e-9)
 
-    def test_records_are_streamed(self):
+    def test_records_are_streamed(self, tmp_path):
         drawn = []
 
         def stream():
@@ -66,6 +67,30 @@ class TestAggregate:
 
         assert classify_counts([(1, 0), (0, 1), (2, 2)]) == classify(stream(), "t", UP_DOWN)
         assert drawn == ["t0", "t1", "t2"]
+
+        # with a CSV, a batch's rows are written before the next is drawn
+        class CountingCsv(DetailCsv):
+            rows = 0
+
+            def write(self, *row):
+                self.rows += 1
+                super().write(*row)
+
+        def logged(counts, detail):
+            for record in records_of(counts):
+                # the records drawn, this one included, less the rows written
+                ahead.append(len(ahead) + 1 - detail.rows)
+                yield record
+
+        for batch in (1, 3, scoring._BATCH):
+            counts = [(i % 3, i % 2) for i in range(2 * batch + 2)]
+            ahead = []
+            with CountingCsv(tmp_path / "d.csv") as detail:
+                with mock.patch.object(scoring, "_BATCH", batch):
+                    result = classify(logged(counts, detail), "t", UP_DOWN, detail=detail)
+                assert detail.rows == len(counts)
+            assert result == classify_counts(counts)
+            assert max(ahead) == batch
 
     def test_detail_gets_one_row_per_record(self, tmp_path):
         out = tmp_path / "d.csv"

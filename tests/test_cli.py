@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_50
-from oracle import oracle_classify
+from oracle import oracle_classify, oracle_correct, oracle_read_lexicon
+from tweetlex import load_lexicon, suggest_correction
 from tweetlex.cli import (
     _EXIT_CODES,
     EXIT_BAD_LEXICON,
@@ -474,6 +475,48 @@ class TestCliOracle:
             notes.append(f"note: wrote {rows} detail rows to {out_csv}")
         assert _cli_run(args + ["--out-csv", str(out_csv)]) == (code, out, notes)
         assert (out_csv.read_bytes() if out_csv.exists() else None) == details
+
+
+class TestMarkerWords:
+    """Scoring ends each text's tokens with a "\\0" marker token, and a
+    text's own NUL is read as "\\x01". Wordlist entries of those two
+    characters are words like any other: no text token can equal them, so
+    they change no score, and spell correction still answers as difflib
+    over every word does."""
+
+    @pytest.mark.parametrize("threshold", [None, 0.0, 0.85])
+    def test_marker_entries_score_as_the_oracle(self, tmp_path, threshold):
+        lex = write_lexicon_dir(tmp_path, ["\0", "\x01", "good"], ["bad"], ["not"])
+        texts = ["covid not \0 good", "covid a\0b bad \x01", "covid \x01not\0 bad",
+                 "covid nott baad goood not", "not", "\0", "covid good \0"]
+        raw = b"".join(
+            json.dumps({"id": f"t{i}", "created_at": "2021-01-01T10:00:00Z",
+                        "username": "u", "text": text}).encode() + b"\n"
+            for i, text in enumerate(texts)
+        )
+        corpus, out_csv = tmp_path / "c.jsonl", tmp_path / "d.csv"
+        corpus.write_bytes(raw)
+        args = classify_args(corpus=corpus, lexicon_dir=lex)
+        if threshold is not None:
+            args.append(f"--spell-correct={threshold}")
+        code, out, _, _, details = oracle_classify(
+            raw, lex, "covid", spell_threshold=threshold
+        )
+        assert code == EXIT_OK and "positive words: 0" not in out
+        # the summary alone is counted from the tokens' sides, the CSV's
+        # rows from the hit loop
+        assert _cli_run(args)[:2] == (code, out)
+        assert _cli_run(args + ["--out-csv", str(out_csv)])[:2] == (code, out)
+        assert out_csv.read_bytes() == details
+        if threshold is not None:
+            lexicon = load_lexicon(*(lex / f"{name}.txt"
+                                     for name in ("positive", "negative", "negators")))
+            known = set().union(*oracle_read_lexicon(lex))
+            assert {"\0", "\x01"} <= known
+            for token in ["nott", "baad", "goood", "covid", "a", "\0", "\x01", "\0b"]:
+                assert suggest_correction(token, lexicon, threshold) == oracle_correct(
+                    token, known, threshold
+                )
 
 
 NO_SIGNAL_SUMMARY = """\

@@ -1,6 +1,8 @@
 import difflib
 import sys
 import threading
+from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,17 @@ from conftest import (
     known_words,
     make_lexicon,
 )
-from oracle import URL_PREFIXES, oracle_correct, oracle_normalize, oracle_score
+from oracle import (
+    URL_PREFIXES,
+    oracle_correct,
+    oracle_csv_bytes,
+    oracle_encode,
+    oracle_normalize,
+    oracle_score,
+)
 from tweetlex import (
+    DetailCsv,
+    classify,
     load_bundled_lexicon,
     load_lexicon,
     normalize,
@@ -776,3 +787,126 @@ class TestSpellCorrectedScoring:
             score_text("gud day", TOY, True)
         with pytest.raises(TypeError, match="spell_correct"):
             score_text("gud day", TOY, spell_correct=True)
+
+
+# Words the text strategies above make often: "ΑΣ" lowers to "ας" at a
+# word's end and to "ασ" inside one, so a lost final sigma changes sides.
+BATCH_LEX = make_lexicon({"a", "é", "ας"}, {"b", "s", "ασ"}, {"z", "not", "9"})
+STAMP = datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc)
+# Each piece a batch join must keep apart from its neighbours: a text's own
+# NUL (the marker's character) and "\x01" (what the marker-free rejoin and
+# the URL pass write), a final sigma, and a "www." before a URL. The pieces
+# glue to each other, and a space parts them from the texts above, whose
+# edges they would otherwise change (see tweet_text).
+_glued = st.lists(
+    st.sampled_from(["\x00", "\x01", "ΑΣ", "www.http://", "a", "z", "'"]),
+    min_size=1, max_size=4,
+).map("".join)
+batch_text = st.lists(st.one_of(tweet_text, ascii_text, _glued), max_size=4).map(" ".join)
+
+
+def oracle_rows(texts, lexicon, threshold):
+    """oracle_score's (positive, negative) for each text alone, each token
+    in no list first replaced by oracle_correct's answer, if any."""
+    known = known_words(lexicon)
+    rows = []
+    for text in texts:
+        tokens = oracle_normalize(text).split()
+        if threshold is not None:
+            answers = [oracle_correct(token, known, threshold) for token in tokens]
+            tokens = [
+                token if token in known or answer is None else answer
+                for token, answer in zip(tokens, answers)
+            ]
+        rows.append(oracle_score(
+            tokens, lexicon.positive_words, lexicon.negative_words, lexicon.negators
+        ))
+    return rows
+
+
+def classify_batched(texts, lexicon, batch, threshold, out):
+    """classify's result without a CSV, its result with one written to
+    out, and out's bytes, with scoring._BATCH set to batch."""
+    records = [(f"t{i}", STAMP, "u", text, None) for i, text in enumerate(texts)]
+    with mock.patch.object(scoring, "_BATCH", batch):
+        summary = classify(records, "t", lexicon, spell_threshold=threshold)
+        with DetailCsv(out) as detail:
+            detailed = classify(
+                records, "t", lexicon, spell_threshold=threshold, detail=detail
+            )
+    return summary, detailed, out.read_bytes()
+
+
+def oracle_detail_bytes(texts, rows):
+    header = ["date", "time", "username", "tweet", "positive_words", "negative_words"]
+    return oracle_csv_bytes([header] + [
+        ["2022-03-01", "10:00:00", "u", text, oracle_encode(pos), oracle_encode(neg)]
+        for text, (pos, neg) in zip(texts, rows)
+    ])
+
+
+class TestBatchEdges:
+    """classify tokenizes a batch of texts in one pass, each text's tokens
+    ended by a marker; every text must score as it does alone."""
+
+    @given(
+        texts=st.lists(batch_text, max_size=9),
+        batch=st.integers(1, 5),
+        threshold=st.sampled_from([None, 0.0, 0.85]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_batch_size_scores_as_the_oracle(
+        self, tmp_path_factory, texts, batch, threshold
+    ):
+        out = tmp_path_factory.mktemp("batch") / "d.csv"
+        summary, detailed, written = classify_batched(
+            texts, BATCH_LEX, batch, threshold, out
+        )
+        rows = oracle_rows(texts, BATCH_LEX, threshold)
+        assert summary == detailed
+        assert (summary.tweets_scored, summary.total_positive, summary.total_negative) == (
+            len(texts), sum(len(pos) for pos, _ in rows), sum(len(neg) for _, neg in rows)
+        )
+        assert written == oracle_detail_bytes(texts, rows)
+        assert [score_text(text, BATCH_LEX, spell_threshold=threshold)
+                for text in texts] == rows
+
+    @pytest.mark.parametrize("batch", [1, 2, 256])
+    def test_a_negator_ending_a_text_flips_nothing_after_it(self, tmp_path, batch):
+        texts = ["so not", "good"]
+        summary, _, written = classify_batched(texts, TOY, batch, None, tmp_path / "d.csv")
+        assert (summary.total_positive, summary.total_negative) == (1, 0)
+        assert written == oracle_detail_bytes(texts, [([], []), ([("good", False)], [])])
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_www_before_a_url_goes_with_it(self, tmp_path, batch):
+        text = "#goodwww.https://b'c"
+        assert normalize(text) == "good" == oracle_normalize(text)
+        # beside a text that is not ASCII, and one with a URL of its own
+        texts = [text, "ΑΣ http://x not", text]
+        summary, _, written = classify_batched(texts, TOY, batch, None, tmp_path / "d.csv")
+        assert summary.total_positive == 2
+        assert written == oracle_detail_bytes(texts, oracle_rows(texts, TOY, None))
+
+    @pytest.mark.parametrize("threshold", [None, 0.85])
+    def test_a_text_holding_nul_is_rejoined(self, tmp_path, threshold):
+        texts = ["not", "a\u0000b good", "not\u0000", "sad \u0001 \u0000"]
+        assert normalize(texts[1]) == "a b good"
+        summary, _, written = classify_batched(
+            texts, TOY, 256, threshold, tmp_path / "d.csv"
+        )
+        rows = oracle_rows(texts, TOY, threshold)
+        assert rows[1] == ([("good", False)], []) and rows[3] == ([], [("sad", False)])
+        assert (summary.total_positive, summary.total_negative) == (1, 1)
+        assert written == oracle_detail_bytes(texts, rows)
+
+    def test_a_correction_to_the_marker_is_a_word(self, tmp_path):
+        # with no other word, "\0" is every token's answer at ratio 0
+        lex = make_lexicon({"\0"}, set(), set())
+        assert suggest_correction("x", lex, 0.0) == "\0" == oracle_correct("x", {"\0"}, 0.0)
+        texts = ["x y", "", "zz"]
+        rows = oracle_rows(texts, lex, 0.0)
+        assert rows[0] == ([("\0", False), ("\0", False)], [])
+        summary, _, written = classify_batched(texts, lex, 2, 0.0, tmp_path / "d.csv")
+        assert (summary.tweets_scored, summary.total_positive) == (3, 3)
+        assert written == oracle_detail_bytes(texts, rows)
