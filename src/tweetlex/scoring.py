@@ -95,12 +95,12 @@ def _group_tokens(texts: list[str], ascii: bool) -> list[str]:
     return joined.split()
 
 
-def _tokens(texts: list[str]) -> list[str]:
+def _tokens(texts: list[str], flags: list[bool]) -> list[str]:
     """The flat tokens of texts, each text's followed by one _MARK: those
-    of the ASCII texts first, then the others', each group in order.
-    ASCII text takes a translate-and-split path, which is exact only on
-    ASCII but much faster than _WORD_RE."""
-    flags = list(map(str.isascii, texts))
+    of the ASCII texts first, then the others', each group in order;
+    flags holds each text's str.isascii(). ASCII text takes a
+    translate-and-split path, which is exact only on ASCII but much
+    faster than _WORD_RE."""
     if all(flags):
         return _group_tokens(texts, True)
     return _group_tokens(list(compress(texts, flags)), True) + _group_tokens(
@@ -117,7 +117,7 @@ def normalize(text: str) -> str:
     leading '#' therefore vanishes while the tag word survives.
     Idempotent: normalizing twice changes nothing.
     """
-    return " ".join(_tokens([text])[:-1])
+    return " ".join(_group_tokens([text], text.isascii())[:-1])
 
 
 def _table(lexicon: Lexicon) -> dict[str, int]:
@@ -443,9 +443,9 @@ def _totals(sides) -> tuple[int, int]:
 
 def _score(texts: list[str], lexicon: Lexicon, threshold: float | None):
     """score_text's (positive, negative) for each of texts, in order."""
-    tokens = _tokens(texts)
-    pairs = _hits(tokens, _sides(tokens, lexicon, threshold))
     flags = list(map(str.isascii, texts))
+    tokens = _tokens(texts, flags)
+    pairs = _hits(tokens, _sides(tokens, lexicon, threshold))
     if all(flags):
         return pairs
     # the ASCII texts' pairs come first, as their tokens do
@@ -478,11 +478,12 @@ def score_text(
     ratio, if any (None, the default, keeps results lexicon-exact); any
     other ratio, NaN included, raises ValueError whatever the text.
     Each token is looked up once in the lexicon's polarity table. This
-    is classify's batch scoring run on one text.
+    is classify's batch scoring run on one text, which is its own group.
     """
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
-    return _score([text], lexicon, spell_threshold)[0]
+    tokens = _group_tokens([text], text.isascii())
+    return _hits(tokens, _sides(tokens, lexicon, spell_threshold))[0]
 
 
 AggregateResult = namedtuple(
@@ -517,7 +518,7 @@ def classify(
         tweets += len(batch)
         texts = [text for _, _, _, text, _ in batch]
         if detail is None:
-            tokens = _tokens(texts)
+            tokens = _tokens(texts, list(map(str.isascii, texts)))
             positive, negative = _totals(_sides(tokens, lexicon, spell_threshold))
             total_positive += positive
             total_negative += negative

@@ -11,10 +11,12 @@ import ast
 import csv
 import functools
 import importlib.util
+import os
 import random
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,6 +30,7 @@ from tweetlex import (
     parse_utc,
     score_text,
 )
+from tweetlex import scoring
 from tweetlex.cli import main
 from tweetlex.scoring import _result
 
@@ -122,8 +125,7 @@ def test_lexicon_scale():
         assert not any(ch.isspace() for ch in token)
 
 
-@criterion("5 end-to-end golden run")
-def test_golden_run(tmp_path, capsys):
+def _golden_run(tmp_path, capsys):
     out_csv = tmp_path / "details.csv"
     start = time.perf_counter()
     code = main(
@@ -137,6 +139,30 @@ def test_golden_run(tmp_path, capsys):
     assert stdout == golden_summary
     assert out_csv.read_bytes() == (GOLDEN_DIR / "details_covid.csv").read_bytes()
     assert elapsed < 1.0
+
+
+@criterion("5 end-to-end golden run")
+def test_golden_run(tmp_path, capsys):
+    _golden_run(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_golden_run_through_child(tmp_path, capsys, batch):
+    """With batches this small, the CLI reads all but the first records of
+    the 20 in a forked child, and the run is still the golden one."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(scoring, "_BATCH", batch), mock.patch.object(os, "fork", fork):
+        _golden_run(tmp_path, capsys)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_regen_script_reproduces_goldens():

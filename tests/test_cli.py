@@ -3,10 +3,14 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_50
 from oracle import oracle_classify, oracle_correct, oracle_read_lexicon
-from tweetlex import load_lexicon, suggest_correction
+from tweetlex import QueryFilter, ReadCounts, fetch, load_lexicon, suggest_correction
+from tweetlex import cli, corpus, scoring
 from tweetlex.cli import (
     _EXIT_CODES,
     EXIT_BAD_LEXICON,
@@ -376,6 +381,43 @@ def _route_corpus(draw):
     return bom + b"".join(line + eol for line in lines)
 
 
+@contextlib.contextmanager
+def _watched(batch=None):
+    """Within it, scoring._BATCH is batch (unless None), and the forks of
+    the CLI's reader and the ReadCounts of its reads are recorded; on a
+    clean exit, no child of this process may be left, reaped or not."""
+    seen = SimpleNamespace(forks=0, counts=[])
+    real_fork, real_fetch = os.fork, cli.fetch
+
+    def fork():
+        pid = real_fork()
+        seen.forks += pid != 0
+        return pid
+
+    def fetch(*args):
+        records, counts = real_fetch(*args)
+        seen.counts.append(counts)
+        return records, counts
+
+    with (
+        mock.patch.object(os, "fork", fork),
+        mock.patch.object(cli, "fetch", fetch),
+        mock.patch.object(scoring, "_BATCH", batch or scoring._BATCH),
+    ):
+        yield seen
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _read_notes(corpus, valid, skipped):
+    """The "note:" lines of a run whose read saw valid records and skipped
+    lines, before any CSV note."""
+    if not valid:
+        return [f"note: corpus {corpus} has no valid records "
+                f"({skipped} malformed lines skipped)"]
+    return [f"note: skipped {skipped} malformed corpus lines"] if skipped else []
+
+
 def _cli_run(args):
     """(exit code, stdout, the "note:" lines of stderr) of one main call."""
     out, err = io.StringIO(), io.StringIO()
@@ -461,20 +503,199 @@ class TestCliOracle:
             raw, lex, "covid", since=since, until=until, bbox=bbox, limit=limit,
             spell_threshold=(threshold or 0.85) if spell_correct else None,
         )
-        notes = []
-        if code == EXIT_OK and not valid:
-            notes = [f"note: corpus {corpus} has no valid records "
-                     f"({skipped} malformed lines skipped)"]
-        elif code == EXIT_OK and skipped:
-            notes = [f"note: skipped {skipped} malformed corpus lines"]
-        assert _cli_run(args) == (code, out, notes)
-
+        notes = _read_notes(corpus, valid, skipped) if code == EXIT_OK else []
         out_csv = tmp / "d.csv"
+        csv_notes, kept = list(notes), 0
         if code == EXIT_OK:
-            rows = out.splitlines()[1].split()[-1]  # "  tweets scored:  N"
-            notes.append(f"note: wrote {rows} detail rows to {out_csv}")
-        assert _cli_run(args + ["--out-csv", str(out_csv)]) == (code, out, notes)
-        assert (out_csv.read_bytes() if out_csv.exists() else None) == details
+            kept = int(out.splitlines()[1].split()[-1])  # "  tweets scored:  N"
+            csv_notes.append(f"note: wrote {kept} detail rows to {out_csv}")
+
+        # batches of 1 and 2 send every run that keeps two or more records
+        # through the forked reader
+        for batch in (None, 1, 2):
+            out_csv.unlink(missing_ok=True)
+            with _watched(batch) as seen:
+                assert _cli_run(args) == (code, out, notes), batch
+                assert _cli_run(args + ["--out-csv", str(out_csv)]) == (
+                    code, out, csv_notes), batch
+            assert (out_csv.read_bytes() if out_csv.exists() else None) == details
+            assert seen.counts == [ReadCounts(valid, skipped)] * 2 * (code == EXIT_OK)
+            assert seen.forks == 2 * (batch is not None and kept > batch), batch
+
+
+def _long_corpus(path):
+    """Write a corpus of 2,400 lines, about 440 KB or seven 64 KiB blocks:
+    2,064 keep "covid", and 6% are malformed or blank."""
+    rng = random.Random(2510)
+    words = ["covid", "#covid", "good", "bad", "happy", "sad", "not", "never",
+             "the", "update", "café", "http://x.co/a", "@desk", "don't"]
+    lines = []
+    for i in range(2400):
+        draw = rng.random()
+        if draw < 0.03:
+            lines.append(rng.choice([b"broken {", b'{"id": ""}', b"\xff"]))
+        elif draw < 0.06:
+            lines.append(rng.choice([b"", b"  ", b"\t"]))
+        else:
+            record = {
+                "id": f"t{i}", "created_at": f"2021-03-{i % 28 + 1:02d}T10:00:00Z",
+                "username": rng.choice(["u", "a,b", 'q"']),
+                "text": " ".join(rng.choices(words, k=rng.randint(10, 26))),
+            }
+            lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5).encode())
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+def _file_run(args, tmp):
+    """(exit code, stdout, stderr) of one main call whose stdout and stderr
+    are buffered files, as a terminal's or a pipe's would be: a child that
+    flushed what it inherited, or ran on past its read, would show twice."""
+    out_path, err_path = tmp / "stdout.txt", tmp / "stderr.txt"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    return code, out_path.read_text(), err_path.read_text()
+
+
+class TestForkedReader:
+    """Past the first batch, the CLI reads the corpus in a forked child:
+    the output equals the oracle's and the one-process read's, and no
+    child outlives main on any way out of it."""
+
+    # 257: the head of one batch and one record, then a child with no more
+    # to send; 1000 stops the read part-way, 5000 reads the whole file
+    @pytest.mark.parametrize("limit", [None, 257, 1000, 5000])
+    def test_long_corpus_equals_oracle(self, tmp_path, limit):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        extra = {} if limit is None else {"limit": limit}
+        code, out, valid, skipped, details = oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", **extra)
+        records, counts = fetch(corpus_path, QueryFilter("covid"), limit or 500)
+        kept = len(list(records))
+        assert kept >= 257 and counts == ReadCounts(valid, skipped)
+        assert counts.skipped and kept == int(out.splitlines()[1].split()[-1])
+
+        args = classify_args(corpus=corpus_path, **extra)
+        out_csv = tmp_path / "d.csv"
+        notes = _read_notes(corpus_path, valid, skipped)
+        with _watched() as seen:
+            assert _cli_run(args) == (code, out, notes)
+            assert _cli_run(args + ["--out-csv", str(out_csv)]) == (
+                code, out, notes + [f"note: wrote {kept} detail rows to {out_csv}"])
+        assert out_csv.read_bytes() == details
+        assert seen.counts == [counts, counts] and seen.forks == 2
+
+    @pytest.mark.parametrize("why", ["no-fork", "fork-fails", "threads"])
+    def test_one_process_when_it_cannot_fork(self, tmp_path, why):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        code, out, valid, skipped, _ = oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=5000)
+        stop = threading.Event()
+        if why == "threads":
+            # a fork could copy a lock that this thread holds
+            waiter = threading.Thread(target=stop.wait)
+            waiter.start()
+        try:
+            with _watched() as seen, pytest.MonkeyPatch.context() as patch:
+                if why == "no-fork":
+                    patch.delattr(os, "fork")
+                elif why == "fork-fails":
+                    patch.setattr(os, "fork", mock.Mock(side_effect=OSError))
+                assert _cli_run(classify_args(corpus=corpus_path, limit=5000)) == (
+                    code, out, _read_notes(corpus_path, valid, skipped))
+        finally:
+            stop.set()
+            if why == "threads":
+                waiter.join(timeout=10)
+                assert not waiter.is_alive()
+        assert seen.counts == [ReadCounts(valid, skipped)] and seen.forks == 0
+
+    def test_normal_run_writes_each_output_once(self, tmp_path):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        out_csv = tmp_path / "d.csv"
+        args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
+        with _watched() as seen:
+            code, out, err = _file_run(args, tmp_path)
+        assert code == EXIT_OK and seen.forks == 1
+        assert out.count("Sentiment summary") == 1 and out.endswith("%\n")
+        assert err.count("note: wrote ") == 1
+        assert out_csv.read_bytes().count(b"date,time,") == 1
+
+    def test_failed_read_ends_as_in_one_process(self, tmp_path, monkeypatch):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        real_blocks = corpus._line_blocks
+
+        def failing_blocks(handle):
+            # the child, which reads past the first batch, inherits this
+            for count, lines in enumerate(real_blocks(handle)):
+                if count == 3:
+                    raise OSError(5, "Input/output error")
+                yield lines
+
+        monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
+        out_csv = tmp_path / "d.csv"
+        args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
+        with _watched() as seen:
+            forked = _file_run(args, tmp_path)
+        forked_csv = out_csv.read_bytes()
+        assert seen.forks == 1
+        monkeypatch.delattr(os, "fork")
+        assert _file_run(args, tmp_path) == forked
+        assert out_csv.read_bytes() == forked_csv
+        code, out, err = forked
+        assert code == EXIT_UNREADABLE and out == ""
+        assert err == f"error: cannot read corpus {corpus_path}: [Errno 5] Input/output error\n"
+        # the child sent whole batches before the failing one
+        assert forked_csv.count(b"\r\n") > 257 and forked_csv.count(b"date,time,") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_csv_kills_the_child(self, tmp_path):
+        args = classify_args(corpus=_long_corpus(tmp_path / "c.jsonl"), limit=5000,
+                             out_csv="/dev/full")
+        # small batches, so that the fork comes before the first full buffer
+        with _watched(batch=8) as seen:
+            code, out, err = _file_run(args, tmp_path)
+        assert code == EXIT_UNWRITABLE and seen.forks == 1
+        assert out == "" and err.count("error: ") == 1
+
+    def test_closed_stdout_reaps_the_child(self, tmp_path):
+        out_csv = tmp_path / "d.csv"
+        args = classify_args(corpus=_long_corpus(tmp_path / "c.jsonl"), limit=5000,
+                             out_csv=out_csv)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out, err = open(write_end, "w"), io.StringIO()
+        with _watched() as seen:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+        # the summary that main could not write is still in the buffer
+        with pytest.raises(BrokenPipeError):
+            out.close()
+        assert code == EXIT_UNWRITABLE and seen.forks == 1
+        assert err.getvalue().count("error: cannot write to stdout") == 1
+        assert out_csv.read_bytes().count(b"date,time,") == 1
+
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_consumer_error_kills_the_child(self, tmp_path, monkeypatch, with_csv):
+        real_sides = scoring._sides
+        calls = []
+
+        def failing_sides(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("scoring failed")
+            return real_sides(*args)
+
+        monkeypatch.setattr(scoring, "_sides", failing_sides)
+        out_csv = tmp_path / "d.csv"
+        args = classify_args(corpus=_long_corpus(tmp_path / "c.jsonl"), limit=5000)
+        with _watched() as seen, pytest.raises(RuntimeError, match="scoring failed"):
+            _file_run(args + ["--out-csv", str(out_csv)] * with_csv, tmp_path)
+        assert seen.forks == 1
+        assert (tmp_path / "stdout.txt").read_text() == ""
+        if with_csv:
+            assert out_csv.read_bytes().count(b"date,time,") == 1
 
 
 class TestMarkerWords:
