@@ -9,11 +9,12 @@ a stdout whose reader has gone (``tweetlex classify ... | true``).
 A classify run that keeps more than one batch of tweets reads the rest
 of the corpus in a second process where ``os.fork`` exists, so that the
 read and the scoring run at the same time on two cores (see
-_read_ahead). Memory is then held by two processes, each bounded by
-about one batch: one run over a 25,000-line corpus peaked at 17.4 MB of
-RSS in the scoring process and 14.5 MB in the reading one. Only this
-module forks: ``fetch`` and ``classify`` stay in the caller's process
-for library use.
+_read_ahead). Of each tweet, only what the scoring reads crosses the
+pipe: its text, or, when a CSV is written, its (created_at, username,
+text). Memory is then held by two processes, each bounded by about one
+batch: one run over a 25,000-line corpus peaked at 17.4 MB of RSS in the
+scoring process and 14.3 MB in the reading one. Only this module forks:
+``fetch`` and ``classify`` stay in the caller's process for library use.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import threading
 import warnings
 from contextlib import closing, nullcontext
-from itertools import chain
+from itertools import islice
 from pathlib import Path
 
 from . import scoring
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .lexicon import bundled_lexicon_dir, load_lexicon
 from .report import DetailCsv, render_summary
-from .scoring import DEFAULT_SPELL_THRESHOLD, classify
+from .scoring import DEFAULT_SPELL_THRESHOLD
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,37 +67,45 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 # A message on the pipe from the reading process is one kind byte, the
 # length of the pickled payload in four bytes, and the payload: a batch
-# of records, the final (valid, skipped, json_array) counts, or the
-# message of the FileUnreadable that ended the read.
+# of records cut by scoring._columns, the final (valid, skipped,
+# json_array) counts, or the message of the FileUnreadable that ended the
+# read.
 _RECORDS, _COUNTS, _ERROR = b"R", b"C", b"E"
 _HEADER = 5
 
 
-def _read_ahead(records, counts: ReadCounts, path):
-    """The records that fetch gave, as iterables for chain.from_iterable,
-    the rest of them read in a forked child once there is more than one
-    batch.
+def _read_ahead(records, counts: ReadCounts, path, columns):
+    """The records that fetch gave, cut by columns and grouped in lists
+    of scoring._BATCH for scoring._classify_batches; past the second
+    list, read in a forked child.
 
-    The first scoring._BATCH + 1 records are drawn here and yielded one
-    at a time, so that a read failing among them fails at the same
-    record as in one process. If they were all there, os.fork exists and
-    no other Python thread is alive (a fork can deadlock on a lock that
-    another thread holds), the child drains ``records`` into a pipe, a batch at
-    a time, while this process scores what it has; the pipe blocks the
-    child when the scoring falls behind. The child's final counts are
-    stored in ``counts``, and a read that fails in the child raises the
-    same FileUnreadable here, after the records read before it. Closing
-    this generator kills a child that has not finished, and reaps it
-    either way.
+    The first two lists are drawn here, and each is yielded once it is
+    whole, so that every list has the bounds it has in one process and
+    a read that fails fails at the same record, losing the list it was
+    drawing. If the second list holds any record, os.fork exists and no
+    other Python thread is alive (a fork can deadlock on a lock that
+    another thread holds), the child reads the rest of ``records`` and
+    sends it through a pipe, a list at a time and cut as it is here, while
+    this process scores; only what the scoring reads crosses the pipe,
+    and the pipe blocks the child when the scoring falls behind. The
+    child's final counts are stored in ``counts``, and a read that fails
+    in the child raises the same FileUnreadable here, after the same
+    lists. Closing this generator kills a child that has not finished,
+    and reaps it either way.
     """
-    for drawn, record in enumerate(records):
-        yield (record,)
-        if drawn == scoring._BATCH:
-            break
-    else:
+    size = scoring._BATCH
+    rows = map(columns, records)
+    batches = iter(lambda: list(islice(rows, size)), [])
+    batch = next(batches, None)
+    if batch is None:
+        return
+    yield batch
+    batch = next(batches, None)
+    if batch is None:
         return
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        yield records
+        yield batch
+        yield from batches
         return
     import pickle
     import signal
@@ -110,7 +119,8 @@ def _read_ahead(records, counts: ReadCounts, path):
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        yield records
+        yield batch
+        yield from batches
         return
     if not pid:
         try:
@@ -118,7 +128,7 @@ def _read_ahead(records, counts: ReadCounts, path):
             # finalizing the parent's garbage here could flush its buffers
             gc.disable()
             with open(write_end, "wb") as pipe:
-                _send_rest(records, counts, pipe)
+                _send_rest(rows, counts, pipe)
         finally:
             # no atexit handler, and no flush of a buffer the parent holds
             os._exit(0)
@@ -129,33 +139,44 @@ def _read_ahead(records, counts: ReadCounts, path):
     finished = False
     try:
         with open(read_end, "rb") as pipe:
+            yield batch
+            # the child's last list is short unless the rest was a whole
+            # number of lists; it is held until the read has ended well,
+            # because one process loses a list whose read fails
+            last = []
             while True:
                 header = pipe.read(_HEADER)
-                size = int.from_bytes(header[1:], "little")
-                payload = pipe.read(size)
-                if len(header) < _HEADER or len(payload) < size:
+                length = int.from_bytes(header[1:], "little")
+                payload = pipe.read(length)
+                if len(header) < _HEADER or len(payload) < length:
                     raise FileUnreadable(
                         f"cannot read corpus {path}: its reading process ended early"
                     )
                 kind, payload = header[:1], pickle.loads(payload)
                 if kind == _RECORDS:
-                    yield payload
+                    if len(payload) < size:
+                        last = payload
+                    else:
+                        yield payload
                     continue
                 finished = True
                 if kind == _ERROR:
                     raise FileUnreadable(payload)
                 counts.valid, counts.skipped, counts.json_array = payload
-                return
+                break
+        if last:
+            yield last
     finally:
         if not finished:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
-def _send_rest(records, counts: ReadCounts, pipe) -> None:
-    """In the reading child: write the rest of records to pipe in batches
-    of at most scoring._BATCH, then the final counts; or, if the read
-    fails, the records read before it and then its message."""
+def _send_rest(rows, counts: ReadCounts, pipe) -> None:
+    """In the reading child: write rows, the records that fetch gives
+    cut by scoring._columns, to pipe in lists of at most scoring._BATCH,
+    then the final counts; or, if the read fails, the rows read before
+    it and then its message."""
     from pickle import dumps
 
     def send(kind: bytes, payload) -> None:
@@ -167,8 +188,8 @@ def _send_rest(records, counts: ReadCounts, pipe) -> None:
     size = scoring._BATCH
     batch = []
     try:
-        for record in records:
-            batch.append(record)
+        for row in rows:
+            batch.append(row)
             if len(batch) == size:
                 send(_RECORDS, batch)
                 batch = []
@@ -187,24 +208,24 @@ def run_classify(args, query: QueryFilter) -> int:
     summary after it.
 
     The corpus is opened first, then the CSV, so a missing corpus leaves
-    an existing CSV untouched; ``classify`` scores each tweet, writes it
-    to the CSV and counts it as ``fetch`` reads it, past the first batch
-    in a second process (see _read_ahead). Nothing is printed on stdout
-    until the pass has ended, so a failed run prints no summary.
+    an existing CSV untouched. Each tweet is scored, written to the CSV
+    and counted as ``fetch`` reads it, a batch at a time; past the second
+    batch the read runs in a second process, which sends the parent only
+    each tweet's text, or its (created_at, username, text) when a CSV is
+    written (see _read_ahead). Nothing is printed on stdout until the
+    pass has ended, so a failed run prints no summary.
     """
     lexicon = load_lexicon(*_lexicon_paths(args))
     records, counts = fetch(args.corpus, query, args.limit)
     out_csv = args.out_csv
     with (
         DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail,
-        closing(_read_ahead(records, counts, args.corpus)) as parts,
+        closing(
+            _read_ahead(records, counts, args.corpus, scoring._columns(detail))
+        ) as batches,
     ):
-        result = classify(
-            chain.from_iterable(parts),
-            query.keyword,
-            lexicon,
-            spell_threshold=args.spell_correct,
-            detail=detail,
+        result = scoring._classify_batches(
+            batches, query.keyword, lexicon, args.spell_correct, detail
         )
         if not counts.valid:
             print(
@@ -340,6 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the descriptor behind sys.stdout at /dev/null, if it has one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
@@ -370,8 +404,11 @@ def main(argv=None) -> int:
                 return _fail(EXIT_USAGE, exc)
             return run_classify(args, query)
         except BrokenPipeError as exc:
-            # the reader of stdout is gone; the flush at exit must not fail too
-            sys.stdout = open(os.devnull, "w")
+            # the reader of stdout is gone; the flush at exit must not fail
+            # too, so the process's own stdout now writes to /dev/null (a
+            # stream a caller put in sys.stdout is left as it is)
+            if sys.stdout is sys.__stdout__:
+                _discard_stdout()
             return _fail(EXIT_UNWRITABLE, f"cannot write to stdout: {exc}")
         except TweetlexError as exc:
             return _fail(_EXIT_CODES[type(exc)], exc)

@@ -21,7 +21,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import compress, islice, repeat
-from operator import not_
+from operator import itemgetter, not_
 
 from .lexicon import Lexicon
 
@@ -510,20 +510,39 @@ def classify(
     order, before the next batch is drawn; without one, only the hit
     totals are counted, which needs no per-token Python loop.
     """
+    records = iter(records)
+    columns = _columns(detail)
+    batches = iter(lambda: list(map(columns, islice(records, _BATCH))), [])
+    return _classify_batches(batches, topic, lexicon, spell_threshold, detail)
+
+
+def _columns(detail):
+    """The function that cuts a record that fetch yields down to what
+    _classify_batches reads of it: its text, or, with a detail CSV, its
+    (created_at, username, text)."""
+    return itemgetter(3) if detail is None else itemgetter(1, 2, 3)
+
+
+def _classify_batches(
+    batches: Iterable[list], topic: str, lexicon: Lexicon,
+    spell_threshold: float | None, detail,
+) -> AggregateResult:
+    """classify's result for records already cut by _columns(detail) and
+    grouped in lists, each scored with one tokenizer pass; the threshold
+    is checked before the first list is drawn."""
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
-    records = iter(records)
     tweets = total_positive = total_negative = 0
-    while batch := list(islice(records, _BATCH)):
+    for batch in batches:
         tweets += len(batch)
-        texts = [text for _, _, _, text, _ in batch]
         if detail is None:
-            tokens = _tokens(texts, list(map(str.isascii, texts)))
+            tokens = _tokens(batch, list(map(str.isascii, batch)))
             positive, negative = _totals(_sides(tokens, lexicon, spell_threshold))
             total_positive += positive
             total_negative += negative
             continue
-        for (_, created_at, username, text, _), (positive, negative) in zip(
+        texts = [text for _, _, text in batch]
+        for (created_at, username, text), (positive, negative) in zip(
             batch, _score(texts, lexicon, spell_threshold)
         ):
             detail.write(created_at, username, text, positive, negative)

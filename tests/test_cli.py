@@ -1,13 +1,17 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -29,7 +33,7 @@ from tweetlex.cli import (
     EXIT_USAGE,
     main,
 )
-from tweetlex.errors import TweetlexError
+from tweetlex.errors import FileUnreadable, TweetlexError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BUNDLED_DIR = SRC_DIR / "tweetlex" / "data"
@@ -676,6 +680,34 @@ class TestForkedReader:
         assert err.getvalue().count("error: cannot write to stdout") == 1
         assert out_csv.read_bytes().count(b"date,time,") == 1
 
+    @pytest.mark.parametrize("own", [False, True])
+    def test_closed_stdout_leaks_no_file(self, tmp_path, monkeypatch, own):
+        args = classify_args(corpus=_long_corpus(tmp_path / "c.jsonl"), limit=5000)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out, err = open(write_end, "w"), io.StringIO()
+        if own:
+            # as in a process whose own stdout is the closed pipe
+            monkeypatch.setattr(sys, "__stdout__", out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _watched() as seen:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(args)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert code == EXIT_UNWRITABLE and seen.forks == 1
+        [error] = [line for line in err.getvalue().splitlines() if "error" in line]
+        assert error.startswith("error: cannot write to stdout: ")
+        # the process's own stdout now writes to /dev/null, and the summary
+        # left in its buffer goes there; a caller's stream is left as it was
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull)) == own
+        if own:
+            out.close()
+        else:
+            with pytest.raises(BrokenPipeError):
+                out.close()
+
     @pytest.mark.parametrize("with_csv", [False, True])
     def test_consumer_error_kills_the_child(self, tmp_path, monkeypatch, with_csv):
         real_sides = scoring._sides
@@ -696,6 +728,79 @@ class TestForkedReader:
         assert (tmp_path / "stdout.txt").read_text() == ""
         if with_csv:
             assert out_csv.read_bytes().count(b"date,time,") == 1
+
+
+def _pipe_messages(data: bytes) -> list[tuple[bytes, object]]:
+    """The (kind, payload) messages that _send_rest wrote as data."""
+    messages, at = [], 0
+    while at < len(data):
+        length = int.from_bytes(data[at + 1:at + cli._HEADER], "little")
+        end = at + cli._HEADER + length
+        messages.append((data[at:at + 1], pickle.loads(data[at + cli._HEADER:end])))
+        at = end
+    return messages
+
+
+class TestSendRest:
+    """The reading child sends only the columns that the scoring reads:
+    each text, or each (created_at, username, text) when a CSV is
+    written."""
+
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_sends_the_columns_then_the_counts(self, tmp_path, with_csv):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        query = QueryFilter("covid")
+        expected, expected_counts = fetch(corpus_path, query, 5000)
+        expected = list(expected)
+        records, counts = fetch(corpus_path, query, 5000)
+        # any detail object stands for the CSV that run_classify opens
+        columns = scoring._columns(object() if with_csv else None)
+        pipe = io.BytesIO()
+        cli._send_rest(map(columns, records), counts, pipe)
+        messages = _pipe_messages(pipe.getvalue())
+
+        batches = [payload for kind, payload in messages[:-1] if kind == cli._RECORDS]
+        assert len(batches) == len(messages) - 1
+        assert [len(batch) for batch in batches[:-1]] == [scoring._BATCH] * (len(batches) - 1)
+        rows = [row for batch in batches for row in batch]
+        if with_csv:
+            assert rows == [(stamp, user, text) for _, stamp, user, text, _ in expected]
+            assert all(type(stamp) is datetime and type(user) is type(text) is str
+                       for stamp, user, text in rows)
+        else:
+            assert rows == [text for _, _, _, text, _ in expected]
+            assert all(type(text) is str for text in rows)
+        assert counts == expected_counts
+        assert messages[-1] == (
+            cli._COUNTS, (counts.valid, counts.skipped, counts.json_array))
+        assert counts.valid and counts.skipped and not counts.json_array
+
+    def test_failed_read_sends_the_rows_before_it(self, tmp_path, monkeypatch):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        real_blocks = corpus._line_blocks
+
+        def failing_blocks(handle):
+            for count, lines in enumerate(real_blocks(handle)):
+                if count == 3:
+                    raise OSError(5, "Input/output error")
+                yield lines
+
+        monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
+        query = QueryFilter("covid")
+        expected = []
+        with pytest.raises(FileUnreadable) as failure:
+            for record in fetch(corpus_path, query, 5000)[0]:
+                expected.append(record[3])
+        records, counts = fetch(corpus_path, query, 5000)
+        pipe = io.BytesIO()
+        cli._send_rest(map(scoring._columns(None), records), counts, pipe)
+        messages = _pipe_messages(pipe.getvalue())
+
+        assert messages[-1] == (cli._ERROR, str(failure.value))
+        assert {kind for kind, _ in messages[:-1]} == {cli._RECORDS}
+        assert [text for _, batch in messages[:-1] for text in batch] == expected
+        # the rows of the batch the failure cut short come before the error
+        assert 0 < len(messages[-2][1]) < scoring._BATCH
 
 
 class TestMarkerWords:

@@ -1,7 +1,8 @@
 import difflib
 import sys
 import threading
-from datetime import datetime, timezone
+from contextlib import nullcontext
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -910,3 +911,59 @@ class TestBatchEdges:
         summary, _, written = classify_batched(texts, lex, 2, 0.0, tmp_path / "d.csv")
         assert (summary.tweets_scored, summary.total_positive) == (3, 3)
         assert written == oracle_detail_bytes(texts, rows)
+
+
+class TestBatchEntry:
+    """_classify_batches, given records cut by _columns and grouped in
+    lists, gives classify's result and CSV bytes."""
+
+    @given(
+        drawn=st.lists(
+            st.tuples(
+                st.datetimes(
+                    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                    timezones=st.sampled_from(
+                        [timezone.utc, timezone(timedelta(hours=5, minutes=30))]
+                    ),
+                ),
+                st.text(alphabet="u,\"é ", max_size=4),
+                batch_text,
+            ),
+            max_size=9,
+        ),
+        batch=st.sampled_from([1, 2, 256]),
+        with_csv=st.booleans(),
+        threshold=st.sampled_from([None, 0.85]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batches_give_what_classify_gives(
+        self, tmp_path_factory, drawn, batch, with_csv, threshold
+    ):
+        records = [
+            (f"t{i}", stamp, username, text, None)
+            for i, (stamp, username, text) in enumerate(drawn)
+        ]
+        tmp = tmp_path_factory.mktemp("entry")
+
+        def run(entry, path):
+            with DetailCsv(path) if with_csv else nullcontext() as detail:
+                result = entry(detail)
+            return result, path.read_bytes() if with_csv else None
+
+        def batched(detail):
+            rows = list(map(scoring._columns(detail), records))
+            return scoring._classify_batches(
+                [rows[at:at + batch] for at in range(0, len(rows), batch)],
+                "t", BATCH_LEX, threshold, detail,
+            )
+
+        with mock.patch.object(scoring, "_BATCH", batch):
+            expected = run(
+                lambda detail: classify(
+                    iter(records), "t", BATCH_LEX, spell_threshold=threshold,
+                    detail=detail,
+                ),
+                tmp / "classify.csv",
+            )
+            assert run(batched, tmp / "batches.csv") == expected
+        assert expected[0].tweets_scored == len(records)
