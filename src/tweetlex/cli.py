@@ -6,15 +6,16 @@ found no sentiment words), 2 bad usage or invalid option values, 3
 unreadable input file, 4 unusable lexicon, 5 unwritable output path or
 a stdout whose reader has gone (``tweetlex classify ... | true``).
 
-A classify run that keeps more than one batch of tweets reads the rest
-of the corpus in a second process where ``os.fork`` exists, so that the
-read and the scoring run at the same time on two cores (see
-_read_ahead). Of each tweet, only what the scoring reads crosses the
-pipe: its text, or, when a CSV is written, its (created_at, username,
-text). Memory is then held by two processes, each bounded by about one
-batch: one run over a 25,000-line corpus peaked at 17.4 MB of RSS in the
-scoring process and 14.3 MB in the reading one. Only this module forks:
-``fetch`` and ``classify`` stay in the caller's process for library use.
+A classify run that keeps at least two whole batches of tweets reads
+the rest of the corpus in a second process where ``os.fork`` exists, so
+that the read and the scoring run at the same time on two cores (see
+_read_ahead). The child sends the scoring's own batches as pickles, and
+of each tweet only what the scoring reads: its text, or, when a CSV is
+written, its (created_at, username, text). Memory is then held by two
+processes, each bounded by about one batch: one run over a 25,000-line
+corpus peaked at 17.4 MB of RSS in the scoring process and 14.3 MB in
+the reading one. Only this module forks: ``fetch`` and ``classify``
+stay in the caller's process for library use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import sys
 import threading
 import warnings
 from contextlib import closing, nullcontext
-from itertools import islice
 from pathlib import Path
 
 from . import scoring
@@ -65,46 +65,33 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
-# A message on the pipe from the reading process is one kind byte, the
-# length of the pickled payload in four bytes, and the payload: a batch
-# of records cut by scoring._columns, the final (valid, skipped,
-# json_array) counts, or the message of the FileUnreadable that ended the
-# read.
-_RECORDS, _COUNTS, _ERROR = b"R", b"C", b"E"
-_HEADER = 5
+def _read_ahead(records, counts: ReadCounts, path, detail):
+    """The lists that scoring._batches(records, detail) yields, for
+    scoring._classify_batches; past the second list, read in a forked
+    child.
 
-
-def _read_ahead(records, counts: ReadCounts, path, columns):
-    """The records that fetch gave, cut by columns and grouped in lists
-    of scoring._BATCH for scoring._classify_batches; past the second
-    list, read in a forked child.
-
-    The first two lists are drawn here, and each is yielded once it is
-    whole, so that every list has the bounds it has in one process and
-    a read that fails fails at the same record, losing the list it was
-    drawing. If the second list holds any record, os.fork exists and no
-    other Python thread is alive (a fork can deadlock on a lock that
-    another thread holds), the child reads the rest of ``records`` and
-    sends it through a pipe, a list at a time and cut as it is here, while
-    this process scores; only what the scoring reads crosses the pipe,
-    and the pipe blocks the child when the scoring falls behind. The
-    child's final counts are stored in ``counts``, and a read that fails
-    in the child raises the same FileUnreadable here, after the same
-    lists. Closing this generator kills a child that has not finished,
-    and reaps it either way.
+    The first two lists are drawn here. If the second is as long as the
+    first, so that the read has not ended, os.fork exists and no other
+    Python thread is alive (a fork can deadlock on a lock that another
+    thread holds), a child draws the rest of the lists and sends them
+    through a pipe while this process scores them as they arrive; the
+    pipe blocks the child when the scoring falls behind. The child's
+    final counts are stored in ``counts``, and a read that fails in the
+    child raises the same FileUnreadable here, after the same lists.
+    Closing this generator kills a child that has not finished, and
+    reaps it either way.
     """
-    size = scoring._BATCH
-    rows = map(columns, records)
-    batches = iter(lambda: list(islice(rows, size)), [])
-    batch = next(batches, None)
-    if batch is None:
+    batches = scoring._batches(records, detail)
+    first = next(batches, None)
+    if first is None:
         return
-    yield batch
-    batch = next(batches, None)
-    if batch is None:
+    yield first
+    second = next(batches, None)
+    if second is None:
         return
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        yield batch
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    if len(second) < len(first) or not can_fork:
+        yield second
         yield from batches
         return
     import pickle
@@ -119,7 +106,7 @@ def _read_ahead(records, counts: ReadCounts, path, columns):
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        yield batch
+        yield second
         yield from batches
         return
     if not pid:
@@ -128,7 +115,7 @@ def _read_ahead(records, counts: ReadCounts, path, columns):
             # finalizing the parent's garbage here could flush its buffers
             gc.disable()
             with open(write_end, "wb") as pipe:
-                _send_rest(rows, counts, pipe)
+                _send_rest(batches, counts, pipe)
         finally:
             # no atexit handler, and no flush of a buffer the parent holds
             os._exit(0)
@@ -138,69 +125,43 @@ def _read_ahead(records, counts: ReadCounts, path, columns):
     records.close()
     finished = False
     try:
+        # back-to-back protocol-5 pickles: lists, then a counts tuple or an error string
         with open(read_end, "rb") as pipe:
-            yield batch
-            # the child's last list is short unless the rest was a whole
-            # number of lists; it is held until the read has ended well,
-            # because one process loses a list whose read fails
-            last = []
+            yield second
             while True:
-                header = pipe.read(_HEADER)
-                length = int.from_bytes(header[1:], "little")
-                payload = pipe.read(length)
-                if len(header) < _HEADER or len(payload) < length:
+                try:
+                    message = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
                     raise FileUnreadable(
                         f"cannot read corpus {path}: its reading process ended early"
-                    )
-                kind, payload = header[:1], pickle.loads(payload)
-                if kind == _RECORDS:
-                    if len(payload) < size:
-                        last = payload
-                    else:
-                        yield payload
+                    ) from None
+                if isinstance(message, list):
+                    yield message
                     continue
                 finished = True
-                if kind == _ERROR:
-                    raise FileUnreadable(payload)
-                counts.valid, counts.skipped, counts.json_array = payload
-                break
-        if last:
-            yield last
+                if isinstance(message, str):
+                    raise FileUnreadable(message)
+                counts.valid, counts.skipped, counts.json_array = message
+                return
     finally:
         if not finished:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
-def _send_rest(rows, counts: ReadCounts, pipe) -> None:
-    """In the reading child: write rows, the records that fetch gives
-    cut by scoring._columns, to pipe in lists of at most scoring._BATCH,
-    then the final counts; or, if the read fails, the rows read before
-    it and then its message."""
-    from pickle import dumps
+def _send_rest(batches, counts: ReadCounts, pipe) -> None:
+    """In the reading child: pickle each list that batches yields to
+    pipe, then the final counts; or, if the read fails, its message."""
+    from pickle import dump
 
-    def send(kind: bytes, payload) -> None:
-        data = dumps(payload, 5)
-        pipe.write(kind + len(data).to_bytes(_HEADER - 1, "little"))
-        pipe.write(data)
-        pipe.flush()
-
-    size = scoring._BATCH
-    batch = []
     try:
-        for row in rows:
-            batch.append(row)
-            if len(batch) == size:
-                send(_RECORDS, batch)
-                batch = []
+        for batch in batches:
+            dump(batch, pipe, 5)
+            pipe.flush()
     except FileUnreadable as exc:
-        if batch:
-            send(_RECORDS, batch)
-        send(_ERROR, str(exc))
-        return
-    if batch:
-        send(_RECORDS, batch)
-    send(_COUNTS, (counts.valid, counts.skipped, counts.json_array))
+        dump(str(exc), pipe, 5)
+    else:
+        dump((counts.valid, counts.skipped, counts.json_array), pipe, 5)
 
 
 def run_classify(args, query: QueryFilter) -> int:
@@ -209,10 +170,10 @@ def run_classify(args, query: QueryFilter) -> int:
 
     The corpus is opened first, then the CSV, so a missing corpus leaves
     an existing CSV untouched. Each tweet is scored, written to the CSV
-    and counted as ``fetch`` reads it, a batch at a time; past the second
-    batch the read runs in a second process, which sends the parent only
-    each tweet's text, or its (created_at, username, text) when a CSV is
-    written (see _read_ahead). Nothing is printed on stdout until the
+    and counted as ``fetch`` reads it, a batch at a time; past two whole
+    batches the read runs in a second process, which sends the parent
+    only each tweet's text, or its (created_at, username, text) when a
+    CSV is written (see _read_ahead). Nothing is printed on stdout until the
     pass has ended, so a failed run prints no summary.
     """
     lexicon = load_lexicon(*_lexicon_paths(args))
@@ -220,9 +181,7 @@ def run_classify(args, query: QueryFilter) -> int:
     out_csv = args.out_csv
     with (
         DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail,
-        closing(
-            _read_ahead(records, counts, args.corpus, scoring._columns(detail))
-        ) as batches,
+        closing(_read_ahead(records, counts, args.corpus, detail)) as batches,
     ):
         result = scoring._classify_batches(
             batches, query.keyword, lexicon, args.spell_correct, detail

@@ -510,26 +510,27 @@ def classify(
     order, before the next batch is drawn; without one, only the hit
     totals are counted, which needs no per-token Python loop.
     """
-    records = iter(records)
-    columns = _columns(detail)
-    batches = iter(lambda: list(map(columns, islice(records, _BATCH))), [])
-    return _classify_batches(batches, topic, lexicon, spell_threshold, detail)
+    return _classify_batches(
+        _batches(records, detail), topic, lexicon, spell_threshold, detail
+    )
 
 
-def _columns(detail):
-    """The function that cuts a record that fetch yields down to what
-    _classify_batches reads of it: its text, or, with a detail CSV, its
-    (created_at, username, text)."""
-    return itemgetter(3) if detail is None else itemgetter(1, 2, 3)
+def _batches(records: Iterable[tuple], detail):
+    """The records that fetch yields, each cut to what _classify_batches
+    reads of it (its text, or, with a detail CSV, its (created_at,
+    username, text)), in lists of _BATCH but the last, which may be short;
+    a read that fails loses the list it was drawing."""
+    rows = map(itemgetter(3) if detail is None else itemgetter(1, 2, 3), records)
+    return iter(lambda: list(islice(rows, _BATCH)), [])
 
 
 def _classify_batches(
     batches: Iterable[list], topic: str, lexicon: Lexicon,
     spell_threshold: float | None, detail,
 ) -> AggregateResult:
-    """classify's result for records already cut by _columns(detail) and
-    grouped in lists, each scored with one tokenizer pass; the threshold
-    is checked before the first list is drawn."""
+    """classify's result for the lists that _batches(records, detail)
+    yields, each scored with one tokenizer pass; the threshold is checked
+    before the first list is drawn."""
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
     tweets = total_positive = total_negative = 0

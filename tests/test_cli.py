@@ -389,8 +389,12 @@ def _route_corpus(draw):
 def _watched(batch=None):
     """Within it, scoring._BATCH is batch (unless None), and the forks of
     the CLI's reader and the ReadCounts of its reads are recorded; on a
-    clean exit, no child of this process may be left, reaped or not."""
+    clean exit, no child of this process may be left, reaped or not, and
+    where /proc/self/fd lists them, the same descriptors are open as
+    before, so that no end of a pipe is left open."""
     seen = SimpleNamespace(forks=0, counts=[])
+    fds = "/proc/self/fd"
+    opened = set(os.listdir(fds)) if os.path.isdir(fds) else None
     real_fork, real_fetch = os.fork, cli.fetch
 
     def fork():
@@ -411,6 +415,8 @@ def _watched(batch=None):
         yield seen
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if opened is not None:
+        assert set(os.listdir(fds)) == opened
 
 
 def _read_notes(corpus, valid, skipped):
@@ -476,6 +482,17 @@ class TestCliOracle:
         until="2021-07-01T02:00:00+05:30", bbox=None, limit=6, spell_correct=False,
         threshold=0.85,
     )
+    # three kept records: with batches of 2, the second list is short, so
+    # the read has ended and the run stays in one process
+    @example(
+        raw=b"".join(
+            b'{"id": "t%d", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
+            b' "text": "covid %s"}\n' % (i, word)
+            for i, word in enumerate([b"good", b"bad", b"not good"])
+        ),
+        positive={"good"}, negative={"bad"}, negators={"not"}, since=None, until=None,
+        bbox=None, limit=6, spell_correct=False, threshold=0.85,
+    )
     @settings(max_examples=120, deadline=None)
     def test_cli_equals_oracle(
         self, tmp_path_factory, raw, positive, negative, negators, since, until,
@@ -514,8 +531,8 @@ class TestCliOracle:
             kept = int(out.splitlines()[1].split()[-1])  # "  tweets scored:  N"
             csv_notes.append(f"note: wrote {kept} detail rows to {out_csv}")
 
-        # batches of 1 and 2 send every run that keeps two or more records
-        # through the forked reader
+        # batches of 1 and 2 send every run that keeps two whole lists (2
+        # or 4 records or more) through the forked reader
         for batch in (None, 1, 2):
             out_csv.unlink(missing_ok=True)
             with _watched(batch) as seen:
@@ -524,7 +541,7 @@ class TestCliOracle:
                     code, out, csv_notes), batch
             assert (out_csv.read_bytes() if out_csv.exists() else None) == details
             assert seen.counts == [ReadCounts(valid, skipped)] * 2 * (code == EXIT_OK)
-            assert seen.forks == 2 * (batch is not None and kept > batch), batch
+            assert seen.forks == 2 * (batch is not None and kept >= 2 * batch), batch
 
 
 def _long_corpus(path):
@@ -567,9 +584,10 @@ class TestForkedReader:
     the output equals the oracle's and the one-process read's, and no
     child outlives main on any way out of it."""
 
-    # 257: the head of one batch and one record, then a child with no more
-    # to send; 1000 stops the read part-way, 5000 reads the whole file
-    @pytest.mark.parametrize("limit", [None, 257, 1000, 5000])
+    # None (500) and 257: a short second list ends the read, which stays in
+    # one process; 512: two whole lists, then a child that sends only the
+    # counts; 1000 stops the read part-way, 5000 reads the whole file
+    @pytest.mark.parametrize("limit", [None, 257, 512, 1000, 5000])
     def test_long_corpus_equals_oracle(self, tmp_path, limit):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
         extra = {} if limit is None else {"limit": limit}
@@ -588,7 +606,8 @@ class TestForkedReader:
             assert _cli_run(args + ["--out-csv", str(out_csv)]) == (
                 code, out, notes + [f"note: wrote {kept} detail rows to {out_csv}"])
         assert out_csv.read_bytes() == details
-        assert seen.counts == [counts, counts] and seen.forks == 2
+        assert seen.counts == [counts, counts]
+        assert seen.forks == (0 if limit in (None, 257) else 2)
 
     @pytest.mark.parametrize("why", ["no-fork", "fork-fails", "threads"])
     def test_one_process_when_it_cannot_fork(self, tmp_path, why):
@@ -652,6 +671,54 @@ class TestForkedReader:
         assert err == f"error: cannot read corpus {corpus_path}: [Errno 5] Input/output error\n"
         # the child sent whole batches before the failing one
         assert forked_csv.count(b"\r\n") > 257 and forked_csv.count(b"date,time,") == 1
+
+    # the child dies after sending nothing, or one whole list and half of
+    # the next one's message
+    @pytest.mark.parametrize("whole", [None, 1])
+    def test_child_that_dies_ends_the_read(self, tmp_path, monkeypatch, whole):
+        real_send = cli._send_rest
+
+        class Dying:
+            """A pipe that passes on whole messages, which each end in a
+            flush, and ends the process halfway through the one after
+            ``whole`` of them."""
+
+            def __init__(self, pipe):
+                self.pipe, self.left, self.data = pipe, whole, b""
+
+            def write(self, data):
+                self.data += bytes(data)
+                return len(data)
+
+            def flush(self):
+                end = len(self.data) if self.left else len(self.data) // 2
+                self.pipe.write(self.data[:end])
+                self.pipe.flush()
+                if not self.left:
+                    os._exit(0)
+                self.left -= 1
+                self.data = b""
+
+        def dying_send(rows, counts, pipe):
+            # the child, which sends the rest of the read, inherits this
+            if whole is not None:
+                real_send(rows, counts, Dying(pipe))
+
+        monkeypatch.setattr(cli, "_send_rest", dying_send)
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        out_csv = tmp_path / "d.csv"
+        args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
+        with _watched() as seen:
+            code, out, err = _file_run(args, tmp_path)
+        assert seen.forks == 1
+        assert code == EXIT_UNREADABLE and out == ""
+        assert err == (f"error: cannot read corpus {corpus_path}:"
+                       " its reading process ended early\n")
+        # the rows of the two lists read here and of those the child sent
+        rows = scoring._BATCH * (2 + (whole or 0))
+        details = oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=rows)[-1]
+        assert out_csv.read_bytes() == details
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_unwritable_csv_kills_the_child(self, tmp_path):
@@ -730,15 +797,14 @@ class TestForkedReader:
             assert out_csv.read_bytes().count(b"date,time,") == 1
 
 
-def _pipe_messages(data: bytes) -> list[tuple[bytes, object]]:
-    """The (kind, payload) messages that _send_rest wrote as data."""
-    messages, at = [], 0
-    while at < len(data):
-        length = int.from_bytes(data[at + 1:at + cli._HEADER], "little")
-        end = at + cli._HEADER + length
-        messages.append((data[at:at + 1], pickle.loads(data[at + cli._HEADER:end])))
-        at = end
-    return messages
+def _pipe_messages(data: bytes) -> list:
+    """The messages that _send_rest wrote as data."""
+    pipe, messages = io.BytesIO(data), []
+    while True:
+        try:
+            messages.append(pickle.load(pipe))
+        except EOFError:
+            return messages
 
 
 class TestSendRest:
@@ -754,14 +820,15 @@ class TestSendRest:
         expected = list(expected)
         records, counts = fetch(corpus_path, query, 5000)
         # any detail object stands for the CSV that run_classify opens
-        columns = scoring._columns(object() if with_csv else None)
+        batches = scoring._batches(records, object() if with_csv else None)
         pipe = io.BytesIO()
-        cli._send_rest(map(columns, records), counts, pipe)
+        cli._send_rest(batches, counts, pipe)
         messages = _pipe_messages(pipe.getvalue())
 
-        batches = [payload for kind, payload in messages[:-1] if kind == cli._RECORDS]
-        assert len(batches) == len(messages) - 1
+        batches = messages[:-1]
+        assert all(type(batch) is list for batch in batches)
         assert [len(batch) for batch in batches[:-1]] == [scoring._BATCH] * (len(batches) - 1)
+        assert 0 < len(batches[-1]) <= scoring._BATCH
         rows = [row for batch in batches for row in batch]
         if with_csv:
             assert rows == [(stamp, user, text) for _, stamp, user, text, _ in expected]
@@ -771,11 +838,12 @@ class TestSendRest:
             assert rows == [text for _, _, _, text, _ in expected]
             assert all(type(text) is str for text in rows)
         assert counts == expected_counts
-        assert messages[-1] == (
-            cli._COUNTS, (counts.valid, counts.skipped, counts.json_array))
+        assert messages[-1] == (counts.valid, counts.skipped, counts.json_array)
         assert counts.valid and counts.skipped and not counts.json_array
 
     def test_failed_read_sends_the_rows_before_it(self, tmp_path, monkeypatch):
+        """The child sends exactly the whole lists that the read in one
+        process yields before the failure, then the failure's message."""
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
         real_blocks = corpus._line_blocks
 
@@ -787,20 +855,20 @@ class TestSendRest:
 
         monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
         query = QueryFilter("covid")
-        expected = []
+        expected, read = [], []
         with pytest.raises(FileUnreadable) as failure:
             for record in fetch(corpus_path, query, 5000)[0]:
-                expected.append(record[3])
+                read.append(record[3])
+                if len(read) == scoring._BATCH:
+                    expected.append(read)
+                    read = []
+        # the read failed part-way through a list, which is not sent
+        assert expected and read
         records, counts = fetch(corpus_path, query, 5000)
         pipe = io.BytesIO()
-        cli._send_rest(map(scoring._columns(None), records), counts, pipe)
-        messages = _pipe_messages(pipe.getvalue())
+        cli._send_rest(scoring._batches(records, None), counts, pipe)
 
-        assert messages[-1] == (cli._ERROR, str(failure.value))
-        assert {kind for kind, _ in messages[:-1]} == {cli._RECORDS}
-        assert [text for _, batch in messages[:-1] for text in batch] == expected
-        # the rows of the batch the failure cut short come before the error
-        assert 0 < len(messages[-2][1]) < scoring._BATCH
+        assert _pipe_messages(pipe.getvalue()) == [*expected, str(failure.value)]
 
 
 class TestMarkerWords:

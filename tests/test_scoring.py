@@ -914,8 +914,8 @@ class TestBatchEdges:
 
 
 class TestBatchEntry:
-    """_classify_batches, given records cut by _columns and grouped in
-    lists, gives classify's result and CSV bytes."""
+    """_classify_batches, given the lists that _batches yields, gives
+    classify's result and CSV bytes."""
 
     @given(
         drawn=st.lists(
@@ -951,11 +951,11 @@ class TestBatchEntry:
             return result, path.read_bytes() if with_csv else None
 
         def batched(detail):
-            rows = list(map(scoring._columns(detail), records))
-            return scoring._classify_batches(
-                [rows[at:at + batch] for at in range(0, len(rows), batch)],
-                "t", BATCH_LEX, threshold, detail,
-            )
+            lists = list(scoring._batches(iter(records), detail))
+            rows = [text if detail is None else (stamp, username, text)
+                    for _, stamp, username, text, _ in records]
+            assert lists == [rows[at:at + batch] for at in range(0, len(rows), batch)]
+            return scoring._classify_batches(lists, "t", BATCH_LEX, threshold, detail)
 
         with mock.patch.object(scoring, "_BATCH", batch):
             expected = run(
