@@ -11,9 +11,10 @@ the rest of the corpus in a second process where ``os.fork`` exists, so
 that the read and the scoring run at the same time on two cores (see
 _read_ahead). The child sends the scoring's own batches as pickles, and
 of each tweet only what the scoring reads: its text, or, when a CSV is
-written, its (created_at, username, text). Memory is then held by two
+written, its row head (the date, time and username fields of its CSV
+row, formatted in the child) and its text. Memory is then held by two
 processes, each bounded by about one batch: one run over a 25,000-line
-corpus peaked at 17.4 MB of RSS in the scoring process and 14.3 MB in
+corpus peaked at 17.2 MB of RSS in the scoring process and 14.5 MB in
 the reading one. Only this module forks: ``fetch`` and ``classify``
 stay in the caller's process for library use.
 """
@@ -67,8 +68,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def _read_ahead(records, counts: ReadCounts, path, detail):
     """The lists that scoring._batches(records, detail) yields, for
-    scoring._classify_batches; past the second list, read in a forked
-    child.
+    scoring._classify_batches: of each tweet, its text, or, with a
+    detail CSV, its row head and text. Past the second list, they are
+    read, and the heads made, in a forked child.
 
     The first two lists are drawn here. If the second is as long as the
     first, so that the read has not ended, os.fork exists and no other
@@ -172,8 +174,8 @@ def run_classify(args, query: QueryFilter) -> int:
     an existing CSV untouched. Each tweet is scored, written to the CSV
     and counted as ``fetch`` reads it, a batch at a time; past two whole
     batches the read runs in a second process, which sends the parent
-    only each tweet's text, or its (created_at, username, text) when a
-    CSV is written (see _read_ahead). Nothing is printed on stdout until the
+    only each tweet's text, or its row head and text when a CSV is
+    written (see _read_ahead). Nothing is printed on stdout until the
     pass has ended, so a failed run prints no summary.
     """
     lexicon = load_lexicon(*_lexicon_paths(args))

@@ -37,6 +37,10 @@ class DetailCsv:
     ``\\ud800`` escape can put in a field, is written as that escape's
     six ASCII characters, so the file stays valid UTF-8. Any OSError
     from opening, writing or closing is raised as PathUnwritable.
+
+    A row has two entries: write, from a record's fields, and _write_row,
+    from a head that _head made of its date, time and username (in the
+    CLI, in the process that reads the corpus) and its text and hits.
     """
 
     def __init__(self, path):
@@ -54,14 +58,28 @@ class DetailCsv:
         encoded positive and negative hits, each a list of (token,
         negated) pairs. created_at must be timezone-aware; a naive one
         raises ValueError rather than being read as local time."""
+        self._write_row(self._head(created_at, username), text, positive, negative)
+
+    @staticmethod
+    def _head(created_at, username) -> str:
+        """The row's UTC date, time and username, each ended by a comma."""
         if created_at.tzinfo is not timezone.utc:
             if created_at.utcoffset() is None:
                 raise ValueError("created_at must be timezone-aware")
             created_at = created_at.astimezone(timezone.utc)
-        # one row is one write: a Python call per field would cost more
-        # than the formatting does
         if _needs_quotes(username):
             username = _quoted(username)
+        # isoformat pads the year to four digits, where %Y may not, and
+        # neither the date nor the time ever needs quoting
+        return (
+            f"{created_at.date().isoformat()},"
+            f"{created_at.time().isoformat('seconds')},{username},"
+        )
+
+    def _write_row(self, head: str, text, positive, negative) -> None:
+        """Write one row from its head (see _head), raw text and hits."""
+        # one row is one write: a Python call per field would cost more
+        # than the formatting does
         if _needs_quotes(text):
             text = _quoted(text)
         # the tokens of a hit are what the tokenizer keeps, or a lexicon
@@ -73,13 +91,7 @@ class DetailCsv:
         if _needs_quotes(negative):
             negative = _quoted(negative)
         try:
-            # isoformat pads the year to four digits, where %Y may not, and
-            # neither the date nor the time ever needs quoting
-            self._handle.write(
-                f"{created_at.date().isoformat()},"
-                f"{created_at.time().isoformat('seconds')},"
-                f"{username},{text},{positive},{negative}\r\n"
-            )
+            self._handle.write(f"{head}{text},{positive},{negative}\r\n")
         except OSError as exc:
             raise self._unwritable(exc) from exc
 

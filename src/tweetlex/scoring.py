@@ -508,7 +508,10 @@ def classify(
     batch, so at most one batch of a stream is held. When ``detail`` is
     an open DetailCsv, each record's row is written to it, in record
     order, before the next batch is drawn; without one, only the hit
-    totals are counted, which needs no per-token Python loop.
+    totals are counted, which needs no per-token Python loop. A row's
+    date and time are formatted as its batch is drawn, so a naive
+    created_at raises DetailCsv.write's ValueError with no row of its
+    batch written.
     """
     return _classify_batches(
         _batches(records, detail), topic, lexicon, spell_threshold, detail
@@ -517,10 +520,18 @@ def classify(
 
 def _batches(records: Iterable[tuple], detail):
     """The records that fetch yields, each cut to what _classify_batches
-    reads of it (its text, or, with a detail CSV, its (created_at,
-    username, text)), in lists of _BATCH but the last, which may be short;
-    a read that fails loses the list it was drawing."""
-    rows = map(itemgetter(3) if detail is None else itemgetter(1, 2, 3), records)
+    reads of it (its text, or, with a detail CSV, the pair of its row
+    head, from detail._head, and its text), in lists of _BATCH but the
+    last, which may be short; a read that fails, or a head that raises,
+    loses the list it was drawing."""
+    if detail is None:
+        rows = map(itemgetter(3), records)
+    else:
+        head = detail._head
+        rows = (
+            (head(created_at, username), text)
+            for _, created_at, username, text, _ in records
+        )
     return iter(lambda: list(islice(rows, _BATCH)), [])
 
 
@@ -542,11 +553,11 @@ def _classify_batches(
             total_positive += positive
             total_negative += negative
             continue
-        texts = [text for _, _, text in batch]
-        for (created_at, username, text), (positive, negative) in zip(
+        texts = [text for _, text in batch]
+        for (head, text), (positive, negative) in zip(
             batch, _score(texts, lexicon, spell_threshold)
         ):
-            detail.write(created_at, username, text, positive, negative)
+            detail._write_row(head, text, positive, negative)
             total_positive += len(positive)
             total_negative += len(negative)
     return _result(topic, tweets, total_positive, total_negative)

@@ -72,9 +72,9 @@ class TestAggregate:
         class CountingCsv(DetailCsv):
             rows = 0
 
-            def write(self, *row):
+            def _write_row(self, *row):
                 self.rows += 1
-                super().write(*row)
+                super()._write_row(*row)
 
         def logged(counts, detail):
             for record in records_of(counts):
@@ -103,6 +103,22 @@ class TestAggregate:
             assert list(csv.reader(handle))[1:] == [
                 ["2022-03-01", "10:00:00", "u", "up", "up", ""],
                 ["2022-03-01", "10:00:00", "u", "", "", ""],
+            ]
+
+    def test_naive_stamp_loses_its_whole_list(self, tmp_path):
+        # a row's head is made as its list is drawn, so a naive stamp ends
+        # the run before any row of its list is written
+        records = records_of([(1, 0), (0, 1), (1, 1), (0, 0)])
+        records[3] = ("t3", datetime(2022, 3, 1, 10, 0), "u", "up", None)
+        out = tmp_path / "d.csv"
+        with DetailCsv(out) as detail:
+            with mock.patch.object(scoring, "_BATCH", 2):
+                with pytest.raises(ValueError, match="timezone-aware"):
+                    classify(records, "t", UP_DOWN, detail=detail)
+        with open(out, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle))[1:] == [
+                ["2022-03-01", "10:00:00", "u", "up", "up", ""],
+                ["2022-03-01", "10:00:00", "u", "down", "", "down"],
             ]
 
     def test_spell_correct_is_passed_on(self):

@@ -11,7 +11,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -34,6 +33,7 @@ from tweetlex.cli import (
     main,
 )
 from tweetlex.errors import FileUnreadable, TweetlexError
+from tweetlex.report import DetailCsv
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BUNDLED_DIR = SRC_DIR / "tweetlex" / "data"
@@ -808,9 +808,10 @@ def _pipe_messages(data: bytes) -> list:
 
 
 class TestSendRest:
-    """The reading child sends only the columns that the scoring reads:
-    each text, or each (created_at, username, text) when a CSV is
-    written."""
+    """The reading child sends only what the scoring reads of each
+    tweet: its text, or, when a CSV is written, its row head (the date,
+    time and username fields, formatted by DetailCsv._head) and its
+    text."""
 
     @pytest.mark.parametrize("with_csv", [False, True])
     def test_sends_the_columns_then_the_counts(self, tmp_path, with_csv):
@@ -819,10 +820,10 @@ class TestSendRest:
         expected, expected_counts = fetch(corpus_path, query, 5000)
         expected = list(expected)
         records, counts = fetch(corpus_path, query, 5000)
-        # any detail object stands for the CSV that run_classify opens
-        batches = scoring._batches(records, object() if with_csv else None)
-        pipe = io.BytesIO()
-        cli._send_rest(batches, counts, pipe)
+        with DetailCsv(tmp_path / "d.csv") if with_csv else contextlib.nullcontext() as detail:
+            batches = scoring._batches(records, detail)
+            pipe = io.BytesIO()
+            cli._send_rest(batches, counts, pipe)
         messages = _pipe_messages(pipe.getvalue())
 
         batches = messages[:-1]
@@ -831,9 +832,10 @@ class TestSendRest:
         assert 0 < len(batches[-1]) <= scoring._BATCH
         rows = [row for batch in batches for row in batch]
         if with_csv:
-            assert rows == [(stamp, user, text) for _, stamp, user, text, _ in expected]
-            assert all(type(stamp) is datetime and type(user) is type(text) is str
-                       for stamp, user, text in rows)
+            assert all(type(head) is type(text) is str for head, text in rows)
+            assert rows == [
+                (detail._head(stamp, user), text) for _, stamp, user, text, _ in expected
+            ]
         else:
             assert rows == [text for _, _, _, text, _ in expected]
             assert all(type(text) is str for text in rows)

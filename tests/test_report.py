@@ -180,12 +180,18 @@ class TestCsvBytes:
     ])
     @settings(max_examples=80)
     def test_bytes_equal_stdlib_writer(self, tmp_path_factory, rows):
-        out = tmp_path_factory.mktemp("csv") / "d.csv"
-        with DetailCsv(out) as detail:
+        """Both row entries, write and _write_row of a _head, give the
+        stdlib writer's bytes."""
+        tmp = tmp_path_factory.mktemp("csv")
+        with DetailCsv(tmp / "d.csv") as detail:
             for user, text, positive, negative, when in rows:
                 detail.write(when, user, text, positive, negative)
-        expected = [HEADER.split(",")] + [_oracle_row(*row) for row in rows]
-        assert out.read_bytes() == oracle_csv_bytes(expected)
+        with DetailCsv(tmp / "head.csv") as detail:
+            for user, text, positive, negative, when in rows:
+                detail._write_row(detail._head(when, user), text, positive, negative)
+        expected = oracle_csv_bytes([HEADER.split(",")] + [_oracle_row(*row) for row in rows])
+        assert (tmp / "d.csv").read_bytes() == expected
+        assert (tmp / "head.csv").read_bytes() == expected
 
 
 class TestRenderSummary:

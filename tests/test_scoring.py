@@ -952,7 +952,7 @@ class TestBatchEntry:
 
         def batched(detail):
             lists = list(scoring._batches(iter(records), detail))
-            rows = [text if detail is None else (stamp, username, text)
+            rows = [text if detail is None else (detail._head(stamp, username), text)
                     for _, stamp, username, text, _ in records]
             assert lists == [rows[at:at + batch] for at in range(0, len(rows), batch)]
             return scoring._classify_batches(lists, "t", BATCH_LEX, threshold, detail)
