@@ -11,7 +11,8 @@ compiling its modules. The workloads run in turn. For each, pair i runs
 each checkout, one run at a time; the parent goes first in even pairs
 and the change in odd ones. The script prints every seed's end-to-end
 metrics and, after each workload's last pair, one summary block: each
-side's median and quartiles per metric, then one line per metric saying
+side's failed and attempted calls, each side's median and quartiles per
+metric, then one line per metric saying
 whether a gain can be claimed, with how many pairs the change won (ties
 count for neither side) and its median gain, and one line per metric
 saying whether it regressed. A gain is claimed when the change wins at
@@ -91,31 +92,37 @@ def regression_verdict(parent: list[float], change: list[float], better: str,
 
 
 def run_pairs(sides: dict, workload: str, pairs: int, first_seed: int,
-              names: list[str]) -> tuple[dict, int]:
-    """Each side's values of every named metric over the pairs, and the
-    failed calls, printing each run's metrics as it ends."""
+              names: list[str]) -> tuple[dict, dict]:
+    """Each side's values of every named metric over the pairs, and each
+    side's [failed, attempted] calls, printing each run's metrics as it
+    ends."""
     values = {side: {name: [] for name in names} for side in sides}
-    failed = 0
+    calls = {side: [0, 0] for side in sides}
     for i in range(pairs):
         seed = first_seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             result = run_once(sides[side], workload, seed)
-            failed += result["failed"]
+            calls[side][0] += result["failed"]
+            calls[side][1] += result["attempted"]
             metrics = result["metrics"]
             for name in names:
                 values[side][name].append(metrics[name]["value"])
             shown = " ".join(f"{name}={metrics[name]['value']:.6g}" for name in names)
             print(f"{workload} seed {seed} {side:<6} failed="
                   f"{result['failed']}/{result['attempted']} {shown}", flush=True)
-    return values, failed
+    return values, calls
 
 
 def print_summary(workload: str, pairs: int, first_seed: int, values: dict,
-                  metrics: dict) -> None:
-    """The quartile lines, gain verdicts and regression verdicts of one
-    workload; metrics maps each name to its BENCHMARK.json entry."""
+                  metrics: dict, calls: dict) -> None:
+    """The failed-call line, quartile lines, gain verdicts and regression
+    verdicts of one workload; metrics maps each name to its
+    BENCHMARK.json entry, and calls each side to its [failed, attempted]
+    calls."""
     print(f"\n{workload}, {pairs} pairs, seeds {first_seed}-{first_seed + pairs - 1}")
+    print("  failed calls " + "  ".join(
+        f"{side} {failed}/{attempted}" for side, (failed, attempted) in calls.items()))
     gains, regressions = [], []
     for name, metric in metrics.items():
         parent, change = values["parent"][name], values["change"][name]
@@ -164,10 +171,10 @@ def main(argv=None) -> int:
         compile_tree(checkout)
     failed = 0
     for workload in workloads:
-        values, workload_failed = run_pairs(
+        values, calls = run_pairs(
             sides, workload, args.pairs, args.first_seed, list(metrics))
-        failed += workload_failed
-        print_summary(workload, args.pairs, args.first_seed, values, metrics)
+        failed += sum(side_failed for side_failed, _ in calls.values())
+        print_summary(workload, args.pairs, args.first_seed, values, metrics, calls)
     if failed:
         print(f"bench_pairs: {failed} failed calls", file=sys.stderr)
         return 1

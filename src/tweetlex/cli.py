@@ -11,10 +11,11 @@ the rest of the corpus in a second process where ``os.fork`` exists, so
 that the read and the scoring run at the same time on two cores (see
 _read_ahead). The child sends the scoring's own batches as pickles, and
 of each tweet only what the scoring reads: its text, or, when a CSV is
-written, its row head (the date, time and username fields of its CSV
-row, formatted in the child) and its text. Memory is then held by two
+written, its row head (every field of its CSV row before the hits: the
+date, time, username and text, formatted and quoted in the child) and
+its raw text, which the scoring tokenizes. Memory is then held by two
 processes, each bounded by about one batch: one run over a 25,000-line
-corpus peaked at 17.2 MB of RSS in the scoring process and 14.5 MB in
+corpus peaked at 17.2 MB of RSS in the scoring process and 14.6 MB in
 the reading one. Only this module forks: ``fetch`` and ``classify``
 stay in the caller's process for library use.
 """
@@ -69,7 +70,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 def _read_ahead(records, counts: ReadCounts, path, detail):
     """The lists that scoring._batches(records, detail) yields, for
     scoring._classify_batches: of each tweet, its text, or, with a
-    detail CSV, its row head and text. Past the second list, they are
+    detail CSV, its row head (its CSV row up to the hit fields, the text
+    field included) and its raw text. Past the second list, they are
     read, and the heads made, in a forked child.
 
     The first two lists are drawn here. If the second is as long as the

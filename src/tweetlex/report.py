@@ -39,8 +39,12 @@ class DetailCsv:
     from opening, writing or closing is raised as PathUnwritable.
 
     A row has two entries: write, from a record's fields, and _write_row,
-    from a head that _head made of its date, time and username (in the
-    CLI, in the process that reads the corpus) and its text and hits.
+    from a head that _head made of its date, time, username and text (in
+    the CLI, in the process that reads the corpus) and its hits. A hit
+    field needs quoting only when a hit token can hold one of those
+    characters, which a tokenizer token never does; _quotable tells
+    whether some lexicon word, which spell correction can make a hit,
+    does.
     """
 
     def __init__(self, path):
@@ -58,40 +62,45 @@ class DetailCsv:
         encoded positive and negative hits, each a list of (token,
         negated) pairs. created_at must be timezone-aware; a naive one
         raises ValueError rather than being read as local time."""
-        self._write_row(self._head(created_at, username), text, positive, negative)
+        self._write_row(self._head(created_at, username, text), positive, negative, True)
 
     @staticmethod
-    def _head(created_at, username) -> str:
-        """The row's UTC date, time and username, each ended by a comma."""
+    def _head(created_at, username, text) -> str:
+        """The row's UTC date, time, username and text, each ended by a comma."""
         if created_at.tzinfo is not timezone.utc:
             if created_at.utcoffset() is None:
                 raise ValueError("created_at must be timezone-aware")
             created_at = created_at.astimezone(timezone.utc)
         if _needs_quotes(username):
             username = _quoted(username)
+        if _needs_quotes(text):
+            text = _quoted(text)
         # isoformat pads the year to four digits, where %Y may not, and
         # neither the date nor the time ever needs quoting
         return (
             f"{created_at.date().isoformat()},"
-            f"{created_at.time().isoformat('seconds')},{username},"
+            f"{created_at.time().isoformat('seconds')},{username},{text},"
         )
 
-    def _write_row(self, head: str, text, positive, negative) -> None:
-        """Write one row from its head (see _head), raw text and hits."""
+    @staticmethod
+    def _quotable(words: Iterable[str]) -> bool:
+        """Whether any of words holds a character that needs quoting."""
+        return _needs_quotes("".join(words)) is not None
+
+    def _write_row(self, head: str, positive, negative, quote_hits: bool) -> None:
+        """Write one row from its head (see _head) and hits; the hit
+        fields are tested for quoting only where quote_hits is true."""
         # one row is one write: a Python call per field would cost more
         # than the formatting does
-        if _needs_quotes(text):
-            text = _quoted(text)
-        # the tokens of a hit are what the tokenizer keeps, or a lexicon
-        # word, which may hold any character
         positive = encode_matches(positive) if positive else ""
-        if _needs_quotes(positive):
-            positive = _quoted(positive)
         negative = encode_matches(negative) if negative else ""
-        if _needs_quotes(negative):
-            negative = _quoted(negative)
+        if quote_hits:
+            if _needs_quotes(positive):
+                positive = _quoted(positive)
+            if _needs_quotes(negative):
+                negative = _quoted(negative)
         try:
-            self._handle.write(f"{head}{text},{positive},{negative}\r\n")
+            self._handle.write(f"{head}{positive},{negative}\r\n")
         except OSError as exc:
             raise self._unwritable(exc) from exc
 

@@ -509,9 +509,9 @@ def classify(
     an open DetailCsv, each record's row is written to it, in record
     order, before the next batch is drawn; without one, only the hit
     totals are counted, which needs no per-token Python loop. A row's
-    date and time are formatted as its batch is drawn, so a naive
-    created_at raises DetailCsv.write's ValueError with no row of its
-    batch written.
+    date, time, username and text fields are formatted as its batch is
+    drawn, so a naive created_at raises DetailCsv.write's ValueError
+    with no row of its batch written.
     """
     return _classify_batches(
         _batches(records, detail), topic, lexicon, spell_threshold, detail
@@ -521,15 +521,16 @@ def classify(
 def _batches(records: Iterable[tuple], detail):
     """The records that fetch yields, each cut to what _classify_batches
     reads of it (its text, or, with a detail CSV, the pair of its row
-    head, from detail._head, and its text), in lists of _BATCH but the
-    last, which may be short; a read that fails, or a head that raises,
-    loses the list it was drawing."""
+    head, from detail._head: every field before the hits, the text
+    included, and its raw text, which the scoring tokenizes), in lists
+    of _BATCH but the last, which may be short; a read that fails, or a
+    head that raises, loses the list it was drawing."""
     if detail is None:
         rows = map(itemgetter(3), records)
     else:
         head = detail._head
         rows = (
-            (head(created_at, username), text)
+            (head(created_at, username, text), text)
             for _, created_at, username, text, _ in records
         )
     return iter(lambda: list(islice(rows, _BATCH)), [])
@@ -544,6 +545,10 @@ def _classify_batches(
     before the first list is drawn."""
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
+    if detail is not None:
+        # a hit is a tokenizer token, which never holds a character that
+        # needs quoting, or a spell correction's lexicon word
+        quote_hits = spell_threshold is not None and detail._quotable(_table(lexicon))
     tweets = total_positive = total_negative = 0
     for batch in batches:
         tweets += len(batch)
@@ -554,10 +559,10 @@ def _classify_batches(
             total_negative += negative
             continue
         texts = [text for _, text in batch]
-        for (head, text), (positive, negative) in zip(
+        for (head, _), (positive, negative) in zip(
             batch, _score(texts, lexicon, spell_threshold)
         ):
-            detail._write_row(head, text, positive, negative)
+            detail._write_row(head, positive, negative, quote_hits)
             total_positive += len(positive)
             total_negative += len(negative)
     return _result(topic, tweets, total_positive, total_negative)

@@ -36,7 +36,8 @@ def test_summary_prints_one_verdict_per_metric(capsys):
         "run_s": {"better": "lower", "bound": 0.25},
         "lines_per_s": {"better": "higher", "bound": 0.25},
     }
-    bench_pairs.print_summary("w", 4, 1, values, metrics)
+    calls = {"parent": [0, 400], "change": [0, 400]}
+    bench_pairs.print_summary("w", 4, 1, values, metrics, calls)
     out = capsys.readouterr().out.splitlines()
     verdicts = [line for line in out if " gain " in line]
     assert [line.split()[:3] for line in verdicts] == [
@@ -45,6 +46,29 @@ def test_summary_prints_one_verdict_per_metric(capsys):
     ]
     regressions = [line.split(":")[0].split(None, 1) for line in out if "bound" in line]
     assert regressions == [["run_s", "within bound"], ["lines_per_s", "within bound"]]
+
+
+def test_summary_prints_each_sides_failed_calls(capsys, monkeypatch):
+    """Each side's failed and attempted calls are summed over the pairs
+    and printed apart, so a failure on one side is not hidden by the
+    other's."""
+    runs = {("parent", 7): (0, 100), ("change", 7): (2, 90),
+            ("parent", 8): (1, 120), ("change", 8): (0, 80)}
+
+    def run_once(checkout, workload, seed):
+        failed, attempted = runs[checkout, seed]
+        return {"failed": failed, "attempted": attempted,
+                "metrics": {"run_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    sides = {"parent": "parent", "change": "change"}
+    values, calls = bench_pairs.run_pairs(sides, "w", 2, 7, ["run_s"])
+    assert calls == {"parent": [1, 220], "change": [2, 170]}
+    capsys.readouterr()
+    metrics = {"run_s": {"better": "lower", "bound": 0.25}}
+    bench_pairs.print_summary("w", 2, 7, values, metrics, calls)
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "  failed calls parent 1/220  change 2/170"
 
 
 PARENT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]

@@ -334,6 +334,9 @@ class TestClassify:
 # noise around the sentiment words. Each text holds one topic word, most
 # of which the "covid" query keeps.
 _ROUTE_VOCAB = ["good", "bad", "not", "never", "nice", "sad"]
+# wordlist entries that a CSV field must quote; no text token can equal
+# one, but --spell-correct maps "nice", "nicee" and "sad" to them
+_ROUTE_QUOTABLE = ["nice,", 'sa"d']
 _ROUTE_TEXT = _ROUTE_VOCAB + [
     "gud", "nott", "baad", "nicee", "day", "don't", "x'y", "'", "@not",
     "http://x.co/good", "café", "sad_day", "good,", 'q"', "not good",
@@ -443,8 +446,10 @@ class TestCliOracle:
 
     @given(
         raw=_route_corpus(),
-        positive=st.sets(st.sampled_from(_ROUTE_VOCAB), min_size=1, max_size=3),
-        negative=st.sets(st.sampled_from(_ROUTE_VOCAB), max_size=3),
+        positive=st.sets(
+            st.sampled_from(_ROUTE_VOCAB + _ROUTE_QUOTABLE), min_size=1, max_size=3
+        ),
+        negative=st.sets(st.sampled_from(_ROUTE_VOCAB + _ROUTE_QUOTABLE), max_size=3),
         negators=st.sets(st.sampled_from(_ROUTE_VOCAB)),
         since=st.none() | st.sampled_from(_ROUTE_SINCE),
         until=st.none() | st.sampled_from(_ROUTE_UNTIL),
@@ -492,6 +497,17 @@ class TestCliOracle:
         ),
         positive={"good"}, negative={"bad"}, negators={"not"}, since=None, until=None,
         bbox=None, limit=6, spell_correct=False, threshold=0.85,
+    )
+    # four kept records whose corrected hits need quoting, a flipped one
+    # among them: with batches of 1 and 2, the rows are cut in the child
+    @example(
+        raw=b"".join(
+            b'{"id": "t%d", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
+            b' "text": "covid %s"}\n' % (i, words)
+            for i, words in enumerate([b"nicee", b"sad good", b"not nice", b"bad"])
+        ),
+        positive={"nice,", "good"}, negative={'sa"d', "bad"}, negators={"not"},
+        since=None, until=None, bbox=None, limit=6, spell_correct=True, threshold=0.6,
     )
     @settings(max_examples=120, deadline=None)
     def test_cli_equals_oracle(
@@ -810,8 +826,8 @@ def _pipe_messages(data: bytes) -> list:
 class TestSendRest:
     """The reading child sends only what the scoring reads of each
     tweet: its text, or, when a CSV is written, its row head (the date,
-    time and username fields, formatted by DetailCsv._head) and its
-    text."""
+    time, username and text fields, formatted by DetailCsv._head) and
+    its raw text."""
 
     @pytest.mark.parametrize("with_csv", [False, True])
     def test_sends_the_columns_then_the_counts(self, tmp_path, with_csv):
@@ -834,7 +850,8 @@ class TestSendRest:
         if with_csv:
             assert all(type(head) is type(text) is str for head, text in rows)
             assert rows == [
-                (detail._head(stamp, user), text) for _, stamp, user, text, _ in expected
+                (detail._head(stamp, user, text), text)
+                for _, stamp, user, text, _ in expected
             ]
         else:
             assert rows == [text for _, _, _, text, _ in expected]

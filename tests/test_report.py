@@ -181,17 +181,33 @@ class TestCsvBytes:
     @settings(max_examples=80)
     def test_bytes_equal_stdlib_writer(self, tmp_path_factory, rows):
         """Both row entries, write and _write_row of a _head, give the
-        stdlib writer's bytes."""
+        stdlib writer's bytes: _write_row with its hit quoting on, and
+        with it on only where _quotable finds a hit token to quote."""
         tmp = tmp_path_factory.mktemp("csv")
         with DetailCsv(tmp / "d.csv") as detail:
             for user, text, positive, negative, when in rows:
                 detail.write(when, user, text, positive, negative)
-        with DetailCsv(tmp / "head.csv") as detail:
-            for user, text, positive, negative, when in rows:
-                detail._write_row(detail._head(when, user), text, positive, negative)
+        tokens = [token for _, _, *hits, _ in rows for side in hits for token, _ in side]
+        quotable = DetailCsv._quotable(tokens)
+        for name, quote_hits in (("head.csv", True), ("skip.csv", quotable)):
+            with DetailCsv(tmp / name) as detail:
+                for user, text, positive, negative, when in rows:
+                    head = detail._head(when, user, text)
+                    detail._write_row(head, positive, negative, quote_hits)
         expected = oracle_csv_bytes([HEADER.split(",")] + [_oracle_row(*row) for row in rows])
         assert (tmp / "d.csv").read_bytes() == expected
         assert (tmp / "head.csv").read_bytes() == expected
+        assert (tmp / "skip.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "words, quotable",
+        [([], False), (["good", "é", "\0", "|!"], False), (["good", "nice,"], True),
+         (['sa"d'], True), (["a\rb"], True), (["\n"], True)],
+    )
+    def test_quotable_finds_a_word_to_quote(self, words, quotable):
+        assert DetailCsv._quotable(words) is quotable
+        assert quotable is any(oracle_csv_bytes([[word]]) != f"{word}\r\n".encode()
+                               for word in words)
 
 
 class TestRenderSummary:

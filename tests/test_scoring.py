@@ -806,6 +806,31 @@ _glued = st.lists(
 batch_text = st.lists(st.one_of(tweet_text, ascii_text, _glued), max_size=4).map(" ".join)
 
 
+# the characters for which a CSV field is quoted, and two that the tokenizer
+# treats apart: "_" (not a word character on the ASCII path) and the marker
+_csv_chars = st.text(
+    alphabet=st.sampled_from(list(',"\r\n_\0\x01 a9\'@:/.w')), max_size=12
+)
+_mixed_csv_chars = st.builds(
+    "".join, st.lists(_csv_chars | st.sampled_from(["é", "ΑΣ", "\u2028", "_é_"]) | st.text(),
+                      min_size=1, max_size=4),
+)
+
+
+class TestTokenChars:
+    @given(
+        texts=st.lists(_csv_chars | _mixed_csv_chars | batch_text, max_size=8),
+    )
+    @settings(max_examples=300)
+    def test_no_token_needs_csv_quotes(self, texts):
+        """No token but the marker holds a comma, quote, CR or LF, so a
+        hit field of tokenizer tokens never needs quoting."""
+        tokens = scoring._tokens(texts, list(map(str.isascii, texts)))
+        assert tokens.count(scoring._MARK) == len(texts)
+        words = [token for token in tokens if token != scoring._MARK]
+        assert not [token for token in words if set(token) & set(',"\r\n')]
+
+
 def oracle_rows(texts, lexicon, threshold):
     """oracle_score's (positive, negative) for each text alone, each token
     in no list first replaced by oracle_correct's answer, if any."""
@@ -952,7 +977,7 @@ class TestBatchEntry:
 
         def batched(detail):
             lists = list(scoring._batches(iter(records), detail))
-            rows = [text if detail is None else (detail._head(stamp, username), text)
+            rows = [text if detail is None else (detail._head(stamp, username, text), text)
                     for _, stamp, username, text, _ in records]
             assert lists == [rows[at:at + batch] for at in range(0, len(rows), batch)]
             return scoring._classify_batches(lists, "t", BATCH_LEX, threshold, detail)
