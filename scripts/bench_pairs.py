@@ -12,12 +12,14 @@ each checkout, one run at a time; the parent goes first in even pairs
 and the change in odd ones. The script prints every seed's end-to-end
 metrics and, after each workload's last pair, one summary block: each
 side's failed and attempted calls, each side's median and quartiles per
-metric, then one line per metric saying
-whether a gain can be claimed, with how many pairs the change won (ties
-count for neither side) and its median gain, and one line per metric
-saying whether it regressed. A gain is claimed when the change wins at
-least 9/10 of the pairs and its median is better than the parent's by
-more than the parent's interquartile range. A metric is "worse beyond
+metric, each followed by the median of the per-pair change/parent
+ratios and how many pairs fall below and above 1 (both runs of a pair
+share a seed, so this cancels what the seed alone moves), then one line
+per metric saying whether a gain can be claimed, with how many pairs the
+change won (ties count for neither side) and its median gain, and one
+line per metric saying whether it regressed. A gain is claimed when the
+change wins at least 9/10 of the pairs and its median is better than the
+parent's by more than the parent's interquartile range. A metric is "worse beyond
 bound" when the change's median is worse than the parent's by more than
 the metric's bound times the parent's median; otherwise it is
 "unresolved" when the parent's interquartile range is wider than that,
@@ -73,6 +75,15 @@ def gain_claimed(wins: int, pairs: int, gain: float, parent_iqr: float) -> bool:
     neither side) and its median gain, in the metric's better direction,
     exceeds the parent's interquartile range."""
     return 10 * wins >= 9 * pairs and gain > parent_iqr
+
+
+def paired_ratios(parent: list[float], change: list[float]) -> str:
+    """The median of the pairs' change/parent ratios, and how many pairs
+    fall below and above 1 (ties count for neither side)."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    below, above = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
+    return (f"paired change/parent median {statistics.median(ratios):.4f}: "
+            f"below 1 in {below}/{len(ratios)} pairs, above 1 in {above}")
 
 
 def regression_verdict(parent: list[float], change: list[float], better: str,
@@ -134,6 +145,7 @@ def print_summary(workload: str, pairs: int, first_seed: int, values: dict,
         print(f"  {name:<12} parent median {p_med:.6g} (q1 {p_q1:.6g}, q3 {p_q3:.6g})  "
               f"change median {c_med:.6g} (q1 {c_q1:.6g}, q3 {c_q3:.6g})  "
               f"change {(c_med - p_med) / p_med:+.1%}")
+        print("    " + paired_ratios(parent, change))
         claimed = gain_claimed(wins, pairs, gain, parent_iqr)
         gains.append(f"  {name:<12} gain {'' if claimed else 'not '}claimed: "
                      f"wins {wins}/{pairs} (9/10 needed), median gain {gain:.6g} "

@@ -58,13 +58,19 @@ _EXIT_CODES = {
 }
 
 
+def _diagnose(line: str) -> None:
+    """Print line on sys.stderr, or drop it where there is none (fd 2 closed)."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def _fail(code: int, message) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _diagnose(f"error: {message}")
     return code
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
+    _diagnose(f"warning: {message}")
 
 
 def _read_ahead(records, counts: ReadCounts, path, detail):
@@ -79,11 +85,14 @@ def _read_ahead(records, counts: ReadCounts, path, detail):
     Python thread is alive (a fork can deadlock on a lock that another
     thread holds), a child draws the rest of the lists and sends them
     through a pipe while this process scores them as they arrive; the
-    pipe blocks the child when the scoring falls behind. The child's
-    final counts are stored in ``counts``, and a read that fails in the
-    child raises the same FileUnreadable here, after the same lists.
-    Closing this generator kills a child that has not finished, and
-    reaps it either way.
+    pipe blocks the child when the scoring falls behind. Otherwise, or
+    if the fork fails, the rest are drawn here. The child turns gc off
+    and ends with os._exit, so it never flushes a buffer it inherited:
+    output written before the fork is written once, by this process.
+    The child's final counts are stored in ``counts``, and a read that
+    fails in the child raises the same FileUnreadable here, after the
+    same lists. Closing this generator kills a child that has not
+    finished, and reaps it either way.
     """
     batches = scoring._batches(records, detail)
     first = next(batches, None)
@@ -93,23 +102,19 @@ def _read_ahead(records, counts: ReadCounts, path, detail):
     second = next(batches, None)
     if second is None:
         return
-    can_fork = hasattr(os, "fork") and threading.active_count() == 1
-    if len(second) < len(first) or not can_fork:
-        yield second
-        yield from batches
-        return
-    import pickle
-    import signal
+    pid = None
+    if len(second) == len(first) and hasattr(os, "fork") and threading.active_count() == 1:
+        # imported before the fork, so that the child finds pickle loaded
+        import pickle
+        import signal
 
-    # the child ends with os._exit, so what these hold is written once
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
         yield second
         yield from batches
         return
@@ -191,27 +196,18 @@ def run_classify(args, query: QueryFilter) -> int:
             batches, query.keyword, lexicon, args.spell_correct, detail
         )
         if not counts.valid:
-            print(
+            _diagnose(
                 f"note: corpus {args.corpus} has no valid records "
-                f"({counts.skipped} malformed lines skipped)",
-                file=sys.stderr,
+                f"({counts.skipped} malformed lines skipped)"
             )
             if counts.json_array:
-                print(
-                    "  it looks like one JSON array; one JSON object per line"
-                    " is expected",
-                    file=sys.stderr,
+                _diagnose(
+                    "  it looks like one JSON array; one JSON object per line is expected"
                 )
         elif counts.skipped:
-            print(
-                f"note: skipped {counts.skipped} malformed corpus lines",
-                file=sys.stderr,
-            )
+            _diagnose(f"note: skipped {counts.skipped} malformed corpus lines")
     if detail is not None:
-        print(
-            f"note: wrote {result.tweets_scored} detail rows to {out_csv}",
-            file=sys.stderr,
-        )
+        _diagnose(f"note: wrote {result.tweets_scored} detail rows to {out_csv}")
     # flushed here, so a closed stdout fails inside main and not at exit
     print(render_summary(result), flush=True)
     return EXIT_OK

@@ -441,22 +441,6 @@ def _totals(sides) -> tuple[int, int]:
     )
 
 
-def _score(texts: list[str], lexicon: Lexicon, threshold: float | None):
-    """score_text's (positive, negative) for each of texts, in order."""
-    flags = list(map(str.isascii, texts))
-    tokens = _tokens(texts, flags)
-    pairs = _hits(tokens, _sides(tokens, lexicon, threshold))
-    if all(flags):
-        return pairs
-    # the ASCII texts' pairs come first, as their tokens do
-    at = range(len(texts))
-    order = list(compress(at, flags)) + list(compress(at, map(not_, flags)))
-    rows = [None] * len(texts)
-    for row, pair in zip(order, pairs):
-        rows[row] = pair
-    return rows
-
-
 def _check_threshold(threshold: float) -> None:
     """Raise ValueError unless threshold is a ratio in [0, 1] (NaN is not)."""
     if not 0.0 <= threshold <= 1.0:
@@ -541,8 +525,9 @@ def _classify_batches(
     spell_threshold: float | None, detail,
 ) -> AggregateResult:
     """classify's result for the lists that _batches(records, detail)
-    yields, each scored with one tokenizer pass; the threshold is checked
-    before the first list is drawn."""
+    yields, each tokenized and looked up once, then counted from its
+    sides alone or, with a detail CSV, from its hits, a row each; the
+    threshold is checked before the first list is drawn."""
     if spell_threshold is not None:
         _check_threshold(spell_threshold)
     if detail is not None:
@@ -552,16 +537,21 @@ def _classify_batches(
     tweets = total_positive = total_negative = 0
     for batch in batches:
         tweets += len(batch)
+        texts = batch if detail is None else [text for _, text in batch]
+        flags = list(map(str.isascii, texts))
+        tokens = _tokens(texts, flags)
+        sides = _sides(tokens, lexicon, spell_threshold)
         if detail is None:
-            tokens = _tokens(batch, list(map(str.isascii, batch)))
-            positive, negative = _totals(_sides(tokens, lexicon, spell_threshold))
+            positive, negative = _totals(sides)
             total_positive += positive
             total_negative += negative
             continue
-        texts = [text for _, text in batch]
-        for (head, _), (positive, negative) in zip(
-            batch, _score(texts, lexicon, spell_threshold)
-        ):
+        pairs = _hits(tokens, sides)
+        if not all(flags):
+            # the ASCII texts' pairs come first, as their tokens do
+            ascii_pairs, other_pairs = iter(pairs), islice(pairs, flags.count(True), None)
+            pairs = [next(ascii_pairs if flag else other_pairs) for flag in flags]
+        for (head, _), (positive, negative) in zip(batch, pairs):
             detail._write_row(head, positive, negative, quote_hits)
             total_positive += len(positive)
             total_negative += len(negative)

@@ -71,6 +71,19 @@ def test_summary_prints_each_sides_failed_calls(capsys, monkeypatch):
     assert out[2] == "  failed calls parent 1/220  change 2/170"
 
 
+def test_summary_prints_paired_ratios(capsys):
+    """Under each metric's quartile line: the median change/parent ratio
+    of the pairs, and how many pairs fall on each side of 1."""
+    values = {"parent": {"run_s": [1.0, 2.0, 4.0, 1.0]},
+              "change": {"run_s": [0.9, 2.2, 3.6, 1.0]}}
+    metrics = {"run_s": {"better": "lower", "bound": 0.25}}
+    bench_pairs.print_summary("w", 4, 1, values, metrics, {"parent": [0, 4], "change": [0, 4]})
+    out = capsys.readouterr().out.splitlines()
+    # ratios 0.9, 1.1, 0.9 and 1.0: the tie counts for neither side
+    assert out[3].startswith("  run_s        parent median 1.5 ")
+    assert out[4] == "    paired change/parent median 0.9500: below 1 in 2/4 pairs, above 1 in 1"
+
+
 PARENT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
 
 

@@ -584,12 +584,15 @@ def _long_corpus(path):
     return path
 
 
-def _file_run(args, tmp):
+def _file_run(args, tmp, pending=("", "")):
     """(exit code, stdout, stderr) of one main call whose stdout and stderr
-    are buffered files, as a terminal's or a pipe's would be: a child that
-    flushed what it inherited, or ran on past its read, would show twice."""
+    are buffered files, as a terminal's or a pipe's would be, each first
+    given its text in pending, unflushed: a child that flushed what it
+    inherited, or ran on past its read, would show twice."""
     out_path, err_path = tmp / "stdout.txt", tmp / "stderr.txt"
     with open(out_path, "w") as out, open(err_path, "w") as err:
+        out.write(pending[0])
+        err.write(pending[1])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)
     return code, out_path.read_text(), err_path.read_text()
@@ -660,6 +663,33 @@ class TestForkedReader:
         assert out.count("Sentiment summary") == 1 and out.endswith("%\n")
         assert err.count("note: wrote ") == 1
         assert out_csv.read_bytes().count(b"date,time,") == 1
+
+    def test_unflushed_output_is_written_once(self, tmp_path):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        code, out, valid, skipped, _ = oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=5000)
+        notes = "".join(f"{note}\n" for note in _read_notes(corpus_path, valid, skipped))
+        args = classify_args(corpus=corpus_path, limit=5000)
+        with _watched() as seen:
+            # "y" has no newline, so a line-buffered stream holds it too
+            assert _file_run(args, tmp_path, pending=("x", "y")) == (
+                code, "x" + out, "y" + notes)
+        assert seen.forks == 1
+
+    # a process started without stdout or stderr has None there
+    @pytest.mark.parametrize("closed", [1, 2])
+    def test_closed_stream_ends_as_in_one_process(self, tmp_path, closed):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        code, out, valid, skipped, _ = oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=5000)
+        notes = "".join(f"{note}\n" for note in _read_notes(corpus_path, valid, skipped))
+        assert code == EXIT_OK and notes
+        proc = _run_cli(classify_args(corpus=corpus_path, limit=5000), tmp_path,
+                        closed=closed)
+        assert proc.returncode == EXIT_OK
+        # the one stream left holds exactly what it holds in any run
+        assert (proc.stdout.decode(), proc.stderr.decode()) == (
+            ("", notes) if closed == 1 else (out, ""))
 
     def test_failed_read_ends_as_in_one_process(self, tmp_path, monkeypatch):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
@@ -763,12 +793,17 @@ class TestForkedReader:
         assert err.getvalue().count("error: cannot write to stdout") == 1
         assert out_csv.read_bytes().count(b"date,time,") == 1
 
-    @pytest.mark.parametrize("own", [False, True])
+    # True: the process's own stdout is the pipe; "no-descriptor": it is a
+    # stream that has no descriptor, and the pipe goes unused
+    @pytest.mark.parametrize("own", [False, True, "no-descriptor"])
     def test_closed_stdout_leaks_no_file(self, tmp_path, monkeypatch, own):
         args = classify_args(corpus=_long_corpus(tmp_path / "c.jsonl"), limit=5000)
         read_end, write_end = os.pipe()
         os.close(read_end)
         out, err = open(write_end, "w"), io.StringIO()
+        if own == "no-descriptor":
+            out.close()
+            out = _ReaderGone()
         if own:
             # as in a process whose own stdout is the closed pipe
             monkeypatch.setattr(sys, "__stdout__", out)
@@ -782,6 +817,9 @@ class TestForkedReader:
         assert code == EXIT_UNWRITABLE and seen.forks == 1
         [error] = [line for line in err.getvalue().splitlines() if "error" in line]
         assert error.startswith("error: cannot write to stdout: ")
+        if own == "no-descriptor":
+            assert out.getvalue() == "" and not out.closed
+            return
         # the process's own stdout now writes to /dev/null, and the summary
         # left in its buffer goes there; a caller's stream is left as it was
         assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull)) == own
@@ -811,6 +849,13 @@ class TestForkedReader:
         assert (tmp_path / "stdout.txt").read_text() == ""
         if with_csv:
             assert out_csv.read_bytes().count(b"date,time,") == 1
+
+
+class _ReaderGone(io.StringIO):
+    """A stream with no descriptor whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
 
 def _pipe_messages(data: bytes) -> list:
@@ -1091,12 +1136,16 @@ def test_memory_is_flat_in_matches(tmp_path, capsys):
     assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
-def _run_cli(args, cwd, stdout=subprocess.PIPE):
-    """Run ``python -m tweetlex.cli`` from this checkout, the fixture on stdin."""
+def _run_cli(args, cwd, stdout=subprocess.PIPE, closed=None):
+    """Run ``python -m tweetlex.cli`` from this checkout, the fixture on
+    stdin; closed, 1 or 2, names a descriptor it starts without."""
     pythonpath = [str(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    command = [sys.executable, "-m", "tweetlex.cli", *args]
+    if closed is not None:
+        command = ["sh", "-c", f'exec "$@" {closed}>&-', "sh", *command]
     return subprocess.run(
-        [sys.executable, "-m", "tweetlex.cli", *args],
+        command,
         input=CORPUS_50.read_bytes(),
         stdout=stdout,
         stderr=subprocess.PIPE,
@@ -1108,6 +1157,12 @@ def _run_cli(args, cwd, stdout=subprocess.PIPE):
 
 def _unusable_lexicon_dir(tmp_path):
     return write_lexicon_dir(tmp_path, [";empty"], [";empty"], ["not"])
+
+
+def _spaced_negators(tmp_path):
+    path = tmp_path / "negators.txt"
+    path.write_text("not\nno way\n", encoding="utf-8")
+    return path
 
 
 def _invalid_utf8_list(tmp_path):
@@ -1144,6 +1199,28 @@ def test_process_exit_code(tmp_path, code, extra):
     if "positive_words" in extra:
         # one bad byte still rejects the whole wordlist, unlike a corpus line
         assert str(extra["positive_words"]).encode() in errors[0]
+
+
+@pytest.mark.parametrize(
+    "code, extra",
+    [
+        (EXIT_OK, {"corpus": "/dev/stdin", "out_csv": "d.csv"}),
+        (EXIT_OK, {"corpus": "/dev/stdin", "negators": _spaced_negators}),
+        (EXIT_USAGE, {"limit": 0}),
+        (EXIT_UNREADABLE, {"corpus": "absent.jsonl"}),
+    ],
+    ids=["note", "warning", "usage", "unreadable"],
+)
+def test_closed_stderr_drops_diagnostics(tmp_path, code, extra):
+    """With fd 2 closed, sys.stderr is None, where print would write to
+    stdout: each note, warning and error is dropped instead."""
+    extra = {k: v(tmp_path) if callable(v) else v for k, v in extra.items()}
+    args = classify_args(**extra)
+    with_stderr = _run_cli(args, tmp_path)
+    proc = _run_cli(args, tmp_path, closed=2)
+    assert with_stderr.returncode == proc.returncode == code
+    assert with_stderr.stderr and b"Traceback" not in with_stderr.stderr
+    assert (proc.stdout, proc.stderr) == (with_stderr.stdout, b"")
 
 
 @pytest.mark.parametrize("command", ["classify", "lexicon-check"])
