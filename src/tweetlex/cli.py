@@ -80,15 +80,19 @@ def _read_ahead(records, counts: ReadCounts, path, detail):
     field included) and its raw text. Past the second list, they are
     read, and the heads made, in a forked child.
 
-    The first two lists are drawn here. If the second is as long as the
-    first, so that the read has not ended, os.fork exists and no other
-    Python thread is alive (a fork can deadlock on a lock that another
-    thread holds), a child draws the rest of the lists and sends them
-    through a pipe while this process scores them as they arrive; the
-    pipe blocks the child when the scoring falls behind. Otherwise, or
-    if the fork fails, the rest are drawn here. The child turns gc off
-    and ends with os._exit, so it never flushes a buffer it inherited:
-    output written before the fork is written once, by this process.
+    The first two lists are drawn here before either is yielded, so that
+    a child starts reading before the first list is scored; if drawing
+    the second raises, the first is yielded and then the error raised,
+    as when each list is drawn after the one before is scored. If the
+    second is as long as the first, so that the read has not ended,
+    os.fork exists and no other Python thread is alive (a fork can
+    deadlock on a lock that another thread holds), a child draws the
+    rest of the lists and sends them through a pipe while this process
+    scores the first two and then the rest as they arrive; the pipe
+    blocks the child when the scoring falls behind. Otherwise, or if the
+    fork fails, the rest are drawn here. The child turns gc off and ends
+    with os._exit, so it never flushes a buffer it inherited: output
+    written before the fork is written once, by this process.
     The child's final counts are stored in ``counts``, and a read that
     fails in the child raises the same FileUnreadable here, after the
     same lists. Closing this generator kills a child that has not
@@ -98,10 +102,11 @@ def _read_ahead(records, counts: ReadCounts, path, detail):
     first = next(batches, None)
     if first is None:
         return
-    yield first
-    second = next(batches, None)
-    if second is None:
-        return
+    try:
+        second = next(batches, [])
+    except Exception:
+        yield first
+        raise
     pid = None
     if len(second) == len(first) and hasattr(os, "fork") and threading.active_count() == 1:
         # imported before the fork, so that the child finds pickle loaded
@@ -115,8 +120,10 @@ def _read_ahead(records, counts: ReadCounts, path, detail):
             os.close(read_end)
             os.close(write_end)
     if pid is None:
-        yield second
-        yield from batches
+        yield first
+        if second:
+            yield second
+            yield from batches
         return
     if not pid:
         try:
@@ -136,6 +143,7 @@ def _read_ahead(records, counts: ReadCounts, path, detail):
     try:
         # back-to-back protocol-5 pickles: lists, then a counts tuple or an error string
         with open(read_end, "rb") as pipe:
+            yield first
             yield second
             while True:
                 try:

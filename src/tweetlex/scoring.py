@@ -62,6 +62,10 @@ _ASCII_WORD_CHARS = str.maketrans(
         for ch in map(chr, range(128))
     }
 )
+# on translated ASCII text, [a-z0-9] is exactly \w: an apostrophe with
+# no word character on one side is one that no word holds. Starting with
+# the literal apostrophe lets re skip from one apostrophe to the next.
+_STRAY_APOSTROPHE_RE = re.compile(r"'(?:(?<![a-z0-9]')|(?![a-z0-9]))")
 
 
 def _group_tokens(texts: list[str], ascii: bool) -> list[str]:
@@ -85,13 +89,11 @@ def _group_tokens(texts: list[str], ascii: bool) -> list[str]:
         # a space separates tokens just as the "_" did; mentions and URLs,
         # which may hold "_", are gone by now
         return _WORD_RE.findall(joined.replace("_", " "))
-    # _WORD_RE's tokens without a regex: once each pair of apostrophes is
-    # a space, no two are adjacent, so an apostrophe beside a space or an
-    # edge is one that no word holds
+    # _WORD_RE's tokens from translate and split: an apostrophe stays
+    # only between two letters or digits; every other one becomes a space
     joined = joined.translate(_ASCII_WORD_CHARS)
     if "'" in joined:
-        joined = " " + joined.replace("''", " ") + " "
-        joined = joined.replace(" '", " ").replace("' ", " ")
+        joined = _STRAY_APOSTROPHE_RE.sub(" ", joined)
     return joined.split()
 
 

@@ -718,6 +718,60 @@ class TestForkedReader:
         # the child sent whole batches before the failing one
         assert forked_csv.count(b"\r\n") > 257 and forked_csv.count(b"date,time,") == 1
 
+    def test_failed_second_list_ends_as_in_one_process(self, tmp_path, monkeypatch):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        real_blocks = corpus._line_blocks
+
+        def failing_blocks(handle):
+            # the first two blocks hold the first list and part of the second
+            for count, lines in enumerate(real_blocks(handle)):
+                if count == 2:
+                    raise OSError(5, "Input/output error")
+                yield lines
+
+        monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
+        out_csv = tmp_path / "d.csv"
+        args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
+        with _watched() as seen:
+            early = _file_run(args, tmp_path)
+        early_csv = out_csv.read_bytes()
+        assert seen.forks == 0
+        monkeypatch.delattr(os, "fork")
+        assert _file_run(args, tmp_path) == early
+        assert out_csv.read_bytes() == early_csv
+        assert early == (EXIT_UNREADABLE, "", f"error: cannot read corpus {corpus_path}:"
+                         " [Errno 5] Input/output error\n")
+        # the first list's rows, and none of the second's
+        assert early_csv == oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=scoring._BATCH)[-1]
+
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_fork_comes_before_the_first_list_is_scored(
+        self, tmp_path, monkeypatch, with_csv
+    ):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        real_classify = scoring._classify_batches
+        forks_at_first = []
+
+        def watching(batches, *args):
+            def watched():
+                for batch in batches:
+                    if not forks_at_first:
+                        forks_at_first.append(seen.forks)
+                    yield batch
+            return real_classify(watched(), *args)
+
+        monkeypatch.setattr(scoring, "_classify_batches", watching)
+        code, out, valid, skipped, details = oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=5000)
+        extra = {"out_csv": tmp_path / "d.csv"} if with_csv else {}
+        with _watched() as seen:
+            assert _cli_run(classify_args(corpus=corpus_path, limit=5000, **extra))[:2] == (
+                code, out)
+        assert forks_at_first == [1] and seen.forks == 1
+        if with_csv:
+            assert extra["out_csv"].read_bytes() == details
+
     # the child dies after sending nothing, or one whole list and half of
     # the next one's message
     @pytest.mark.parametrize("whole", [None, 1])

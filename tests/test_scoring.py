@@ -171,6 +171,8 @@ class TestAsciiTokenizer:
             ("'a' 'b'", "a b"),
             ("a_'b_", "a b"),
             ("x\x1fy\x00z", "x y z"),
+            ("9'9", "9'9"),
+            ("x'\x00'y", "x y"),
         ],
     )
     def test_apostrophes_and_separators(self, text, expected):
@@ -924,6 +926,25 @@ class TestBatchEdges:
         rows = oracle_rows(texts, TOY, threshold)
         assert rows[1] == ([("good", False)], []) and rows[3] == ([], [("sad", False)])
         assert (summary.total_positive, summary.total_negative) == (1, 1)
+        assert written == oracle_detail_bytes(texts, rows)
+
+    @pytest.mark.parametrize("batch", [1, 2, 256])
+    def test_apostrophes_at_text_edges(self, tmp_path, batch):
+        # an apostrophe that ends or starts a text is beside the join's
+        # space, and a negator before it must flip nothing in the next text
+        lex = make_lexicon({"good", "t", "y"}, {"bad", "x", "rock'n'roll"},
+                           {"don", "9", "not"})
+        texts = ["don'", "'t good", "9'", "''", "not' bad", "x'\x00'y",
+                 "rock'n'roll", "'9'9'"]
+        summary, detailed, written = classify_batched(
+            texts, lex, batch, None, tmp_path / "d.csv"
+        )
+        rows = oracle_rows(texts, lex, None)
+        assert rows[1] == ([("t", False), ("good", False)], [])
+        assert summary == detailed
+        assert (summary.total_positive, summary.total_negative) == (
+            sum(len(pos) for pos, _ in rows), sum(len(neg) for _, neg in rows)
+        )
         assert written == oracle_detail_bytes(texts, rows)
 
     def test_a_correction_to_the_marker_is_a_word(self, tmp_path):
