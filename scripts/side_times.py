@@ -6,10 +6,11 @@
 for example ``scripts/side_times.py --runs 30 classify --query q --corpus
 c.jsonl``. After one warm-up call, it calls ``tweetlex.cli.main(ARGV)`` N
 times (default 20), with stdout and stderr captured. Around each call it
-takes the wall time, the CPU time (user + system) of this process, which
-scores (RUSAGE_SELF), and that of the children reaped during the call,
-which is the reading child of a forked run and 0.0 for a run that stays in
-one process (RUSAGE_CHILDREN). It prints one line per measure with its
+takes the wall time, the CPU time (user + system) of this process, the
+parent, which reads the corpus and scores the even chunks of it
+(RUSAGE_SELF), and that of the children reaped during the call: the child
+of a forked run, which scores the odd chunks, and 0.0 for a run that stays
+in one process (RUSAGE_CHILDREN). It prints one line per measure with its
 median and quartiles in ms, then which process used more CPU by median.
 It exits 1 if a call does not return 0.
 """
@@ -26,7 +27,7 @@ import time
 
 from tweetlex import cli
 
-MEASURES = ("wall", "scoring_cpu", "child_cpu")
+MEASURES = ("wall", "parent_cpu", "child_cpu")
 
 
 def _clocks() -> tuple[float, float, float]:
@@ -67,8 +68,8 @@ def report(times: dict[str, list[float]]) -> None:
     for name in MEASURES:
         q1, medians[name], q3 = statistics.quantiles(times[name], n=4)
         print(f"{name}: median {medians[name]:.2f} ms, quartiles {q1:.2f} {q3:.2f} ms")
-    more = "scoring" if medians["scoring_cpu"] >= medians["child_cpu"] else "child"
-    gap = abs(medians["scoring_cpu"] - medians["child_cpu"])
+    more = "parent" if medians["parent_cpu"] >= medians["child_cpu"] else "child"
+    gap = abs(medians["parent_cpu"] - medians["child_cpu"])
     print(f"more CPU: {more} by {gap:.2f} ms")
 
 

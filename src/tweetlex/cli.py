@@ -6,18 +6,21 @@ found no sentiment words), 2 bad usage or invalid option values, 3
 unreadable input file, 4 unusable lexicon, 5 unwritable output path or
 a stdout whose reader has gone (``tweetlex classify ... | true``).
 
-A classify run that keeps at least two whole batches of tweets reads
-the rest of the corpus in a second process where ``os.fork`` exists, so
-that the read and the scoring run at the same time on two cores (see
-_read_ahead). The child sends the scoring's own batches as pickles, and
-of each tweet only what the scoring reads: its text, or, when a CSV is
-written, its row head (every field of its CSV row before the hits: the
-date, time, username and text, formatted and quoted in the child) and
-its raw text, which the scoring tokenizes. Memory is then held by two
-processes, each bounded by about one batch: one run over a 25,000-line
-corpus peaked at 17.2 MB of RSS in the scoring process and 14.6 MB in
-the reading one. Only this module forks: ``fetch`` and ``classify``
-stay in the caller's process for library use.
+A classify run reads its corpus as chunks of whole lines, about _CHUNK
+(256 KiB) each, and parses, filters and scores each chunk on its own;
+the chunks' hit totals, read counts and CSV rows are summed and written
+in file order (see _classify_corpus). Where ``os.fork`` exists, a run
+whose corpus goes on past its first chunk forks one child, so that the
+two processes score alternate chunks on two cores: this process reads
+the corpus, scores the even chunks and sends the bytes of each odd one
+through a pipe, and the child sends back that chunk's totals and counts
+and, when a CSV is written, its rows as one string. A run whose corpus
+ends inside its first chunk, one made while another thread is alive,
+and one where os.fork is missing or fails scores every chunk in this
+process. Each process holds a few chunks at a time: one run over a
+25,000-line corpus with a CSV peaked at 17.6 MB of RSS in this process
+and 15.0 MB in the child. Only this module forks: ``fetch`` and
+``classify`` stay in the caller's process for library use.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ import sys
 import threading
 import warnings
 from contextlib import closing, nullcontext
+from functools import partial
+from io import BytesIO
 from pathlib import Path
 
-from . import scoring
-from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, fetch, parse_utc
+from . import corpus, scoring
+from .corpus import DEFAULT_LIMIT, QueryFilter, ReadCounts, parse_utc
 from .errors import (
     DroppedEntriesWarning,
     EmptyWordlistWarning,
@@ -50,6 +55,10 @@ EXIT_USAGE = 2
 EXIT_UNREADABLE = 3
 EXIT_BAD_LEXICON = 4
 EXIT_UNWRITABLE = 5
+
+# The corpus is read in chunks of whole lines, each from a read of this
+# many bytes; in a forked run, the two processes score alternate chunks.
+_CHUNK = 4 * corpus._BLOCK
 
 _EXIT_CODES = {
     FileUnreadable: EXIT_UNREADABLE,
@@ -73,112 +82,202 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     _diagnose(f"warning: {message}")
 
 
-def _read_ahead(records, counts: ReadCounts, path, detail):
-    """The lists that scoring._batches(records, detail) yields, for
-    scoring._classify_batches: of each tweet, its text, or, with a
-    detail CSV, its row head (its CSV row up to the hit fields, the text
-    field included) and its raw text. Past the second list, they are
-    read, and the heads made, in a forked child.
+def _score_chunk(chunk: bytes, limit: int, detail, *, query: QueryFilter, lexicon,
+                 threshold) -> tuple:
+    """(tweets scored, positive hits, negative hits, valid records,
+    skipped lines, json_array) of the tweets that query keeps among the
+    lines of chunk, up to limit of them, as ``classify`` scores them with
+    the spell threshold (each row written to detail, if it is not None);
+    the counts are those of a ReadCounts that read chunk alone."""
+    counts = ReadCounts()
+    records = corpus._scan((BytesIO(chunk),), query, limit, counts)
+    result = scoring._classify_batches(
+        scoring._batches(records, detail), query.keyword, lexicon, threshold, detail
+    )
+    return (result.tweets_scored, result.total_positive, result.total_negative,
+            counts.valid, counts.skipped, counts.json_array)
 
-    The first two lists are drawn here before either is yielded, so that
-    a child starts reading before the first list is scored; if drawing
-    the second raises, the first is yielded and then the error raised,
-    as when each list is drawn after the one before is scored. If the
-    second is as long as the first, so that the read has not ended,
-    os.fork exists and no other Python thread is alive (a fork can
-    deadlock on a lock that another thread holds), a child draws the
-    rest of the lists and sends them through a pipe while this process
-    scores the first two and then the rest as they arrive; the pipe
-    blocks the child when the scoring falls behind. Otherwise, or if the
-    fork fails, the rest are drawn here. The child turns gc off and ends
-    with os._exit, so it never flushes a buffer it inherited: output
-    written before the fork is written once, by this process.
-    The child's final counts are stored in ``counts``, and a read that
-    fails in the child raises the same FileUnreadable here, after the
-    same lists. Closing this generator kills a child that has not
-    finished, and reaps it either way.
-    """
-    batches = scoring._batches(records, detail)
-    first = next(batches, None)
-    if first is None:
-        return
-    try:
-        second = next(batches, [])
-    except Exception:
-        yield first
-        raise
-    pid = None
-    if len(second) == len(first) and hasattr(os, "fork") and threading.active_count() == 1:
-        # imported before the fork, so that the child finds pickle loaded
-        import pickle
-        import signal
 
-        read_end, write_end = os.pipe()
+class _Tally:
+    """The sum of chunks' _score_chunk results, added in file order, and
+    the limit left. The read's json_array hint is that of the first chunk
+    with a line that is not blank."""
+
+    __slots__ = ("left", "tweets", "positive", "negative", "counts")
+
+    def __init__(self, limit: int):
+        self.left = limit
+        self.tweets = self.positive = self.negative = 0
+        self.counts = ReadCounts()
+
+    def add(self, result: tuple) -> bool:
+        """Add one chunk's result; whether the limit is now reached."""
+        tweets, positive, negative, valid, skipped, json_array = result
+        counts = self.counts
+        if not (counts.valid or counts.skipped):
+            counts.json_array = json_array
+        counts.valid += valid
+        counts.skipped += skipped
+        self.tweets += tweets
+        self.positive += positive
+        self.negative += negative
+        self.left -= tweets
+        return not self.left
+
+
+def _pairs(chunks):
+    """The chunks two at a time, as (even, odd) pairs, odd None past the
+    end. If reading an odd chunk fails, the even one comes first, paired
+    with None, and then the error, as when each chunk is read after the
+    one before is scored."""
+    for even in chunks:
         try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-    if pid is None:
-        yield first
-        if second:
-            yield second
-            yield from batches
-        return
+            odd = next(chunks, None)
+        except FileUnreadable:
+            yield even, None
+            raise
+        yield even, odd
+
+
+def _classify_corpus(chunks, score, limit: int, detail, path) -> _Tally:
+    """The _Tally of a classify run over chunks, corpus._file_chunks of
+    the corpus at path: each chunk scored by score, a _score_chunk with
+    its keywords given, with the limit left, the results added in file
+    order, and the rows written to detail in that order, until the limit
+    is reached.
+
+    If the corpus goes on past its first chunk, a child from _fork scores
+    the odd chunks while this process scores the even ones: each odd
+    chunk is sent before the even one before it is scored, and its result
+    is read after. The child scores with the whole limit, so the one odd
+    chunk whose tweets reach the limit left is scored again here, with
+    that limit. This process reads a chunk's result before it sends the
+    next chunk, so neither waits on a full pipe that the other is not
+    reading. The child is killed and reaped on every way out.
+    """
+    tally = _Tally(limit)
+    child = None
+    try:
+        for at, (even, odd) in enumerate(_pairs(chunks)):
+            if odd is not None:
+                if not at:
+                    child = _fork(score, limit, detail is not None, path)
+                if child is not None:
+                    child.send(odd)
+            if tally.add(score(even, tally.left, detail)):
+                break
+            if odd is None:
+                continue
+            if child is None:
+                result = score(odd, tally.left, detail)
+            else:
+                *result, rows = child.receive()
+                if result[0] >= tally.left:
+                    # the read ends at the limit inside this chunk, where
+                    # the child's counts went on to its end
+                    result = score(odd, tally.left, detail)
+                elif rows:
+                    detail._write_rows(rows)
+            if tally.add(result):
+                break
+    finally:
+        if child is not None:
+            child.close()
+    return tally
+
+
+def _fork(score, limit: int, with_rows: bool, path):
+    """A _Child that scores the chunks sent to it with score and limit,
+    for the corpus at path; or None where os.fork is missing, another
+    Python thread is alive (a fork can deadlock on a lock that another
+    thread holds), or the fork fails.
+
+    The child turns gc off and ends with os._exit, so it never flushes a
+    buffer it inherited: output written before the fork is written once,
+    by this process.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    # imported before the fork, so that the child finds it loaded
+    import pickle  # noqa: F401
+
+    down, up = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*down, *up):
+            os.close(fd)
+        return None
     if not pid:
         try:
-            os.close(read_end)
+            os.close(down[1])
+            os.close(up[0])
             # finalizing the parent's garbage here could flush its buffers
             gc.disable()
-            with open(write_end, "wb") as pipe:
-                _send_rest(batches, counts, pipe)
+            with open(down[0], "rb") as source, open(up[1], "wb") as sink:
+                _serve(source, sink, score, limit, with_rows)
         finally:
             # no atexit handler, and no flush of a buffer the parent holds
             os._exit(0)
-    os.close(write_end)
-    # the parent's copy of the file closes, and counts.valid is the head's
-    # until the child's counts arrive
-    records.close()
-    finished = False
-    try:
-        # back-to-back protocol-5 pickles: lists, then a counts tuple or an error string
-        with open(read_end, "rb") as pipe:
-            yield first
-            yield second
-            while True:
-                try:
-                    message = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise FileUnreadable(
-                        f"cannot read corpus {path}: its reading process ended early"
-                    ) from None
-                if isinstance(message, list):
-                    yield message
-                    continue
-                finished = True
-                if isinstance(message, str):
-                    raise FileUnreadable(message)
-                counts.valid, counts.skipped, counts.json_array = message
-                return
-    finally:
-        if not finished:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    os.close(down[0])
+    os.close(up[1])
+    return _Child(pid, open(down[1], "wb"), open(up[0], "rb"), path)
 
 
-def _send_rest(batches, counts: ReadCounts, pipe) -> None:
-    """In the reading child: pickle each list that batches yields to
-    pipe, then the final counts; or, if the read fails, its message."""
-    from pickle import dump
+def _serve(source, sink, score, limit: int, with_rows: bool) -> None:
+    """In the child: for each chunk that source sends, until it ends,
+    send sink the chunk's score result with limit, followed by its CSV
+    rows as one string when with_rows is set, else None."""
+    from pickle import dump, load
 
-    try:
-        for batch in batches:
-            dump(batch, pipe, 5)
-            pipe.flush()
-    except FileUnreadable as exc:
-        dump(str(exc), pipe, 5)
-    else:
-        dump((counts.valid, counts.skipped, counts.json_array), pipe, 5)
+    while True:
+        try:
+            chunk = load(source)
+        except EOFError:
+            return
+        rows = DetailCsv._buffer() if with_rows else None
+        result = score(chunk, limit, rows)
+        dump((*result, rows and rows._handle.getvalue()), sink, 5)
+        sink.flush()
+
+
+class _Child:
+    """The parent's end of a child from _fork: back-to-back protocol-5
+    pickles, chunk bytes going down and result tuples coming up."""
+
+    def __init__(self, pid: int, down, up, path):
+        self.pid, self.down, self.up, self.path = pid, down, up, path
+
+    def send(self, chunk: bytes) -> None:
+        from pickle import dump
+
+        try:
+            dump(chunk, self.down, 5)
+            self.down.flush()
+        except BrokenPipeError:
+            pass  # the child has ended, which the next receive raises
+
+    def receive(self) -> tuple:
+        from pickle import UnpicklingError, load
+
+        try:
+            return load(self.up)
+        except (EOFError, UnpicklingError):
+            raise FileUnreadable(
+                f"cannot read corpus {self.path}: its second process ended early"
+            ) from None
+
+    def close(self) -> None:
+        """Kill the child, reap it and close the pipes."""
+        from signal import SIGKILL
+
+        os.kill(self.pid, SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.up.close()
+        try:
+            self.down.close()
+        except BrokenPipeError:
+            pass  # a chunk that the child never read
 
 
 def run_classify(args, query: QueryFilter) -> int:
@@ -186,23 +285,24 @@ def run_classify(args, query: QueryFilter) -> int:
     summary after it.
 
     The corpus is opened first, then the CSV, so a missing corpus leaves
-    an existing CSV untouched. Each tweet is scored, written to the CSV
-    and counted as ``fetch`` reads it, a batch at a time; past two whole
-    batches the read runs in a second process, which sends the parent
-    only each tweet's text, or its row head and text when a CSV is
-    written (see _read_ahead). Nothing is printed on stdout until the
-    pass has ended, so a failed run prints no summary.
+    an existing CSV untouched. The corpus is read, and its tweets scored,
+    written to the CSV and counted, a chunk at a time, in two processes
+    where it can fork (see _classify_corpus). Nothing is printed on
+    stdout until the pass has ended, so a failed run prints no summary.
     """
     lexicon = load_lexicon(*_lexicon_paths(args))
-    records, counts = fetch(args.corpus, query, args.limit)
+    # built before a fork, so that the two processes share it
+    scoring._marked_table(lexicon)
+    chunks = corpus._file_chunks(args.corpus, _CHUNK)
+    next(chunks)
+    score = partial(_score_chunk, query=query, lexicon=lexicon, threshold=args.spell_correct)
     out_csv = args.out_csv
     with (
+        closing(chunks),
         DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail,
-        closing(_read_ahead(records, counts, args.corpus, detail)) as batches,
     ):
-        result = scoring._classify_batches(
-            batches, query.keyword, lexicon, args.spell_correct, detail
-        )
+        tally = _classify_corpus(chunks, score, args.limit, detail, args.corpus)
+        counts = tally.counts
         if not counts.valid:
             _diagnose(
                 f"note: corpus {args.corpus} has no valid records "
@@ -215,7 +315,8 @@ def run_classify(args, query: QueryFilter) -> int:
         elif counts.skipped:
             _diagnose(f"note: skipped {counts.skipped} malformed corpus lines")
     if detail is not None:
-        _diagnose(f"note: wrote {result.tweets_scored} detail rows to {out_csv}")
+        _diagnose(f"note: wrote {tally.tweets} detail rows to {out_csv}")
+    result = scoring._result(query.keyword, tally.tweets, tally.positive, tally.negative)
     # flushed here, so a closed stdout fails inside main and not at exit
     print(render_summary(result), flush=True)
     return EXIT_OK

@@ -39,7 +39,7 @@ MAX_LINE_BYTES = 1 << 20
 # costs less per line than reading them from the file one by one.
 _BLOCK = 1 << 16
 # The C scanner behind json.loads, without the wrappers' whitespace and
-# trailing-data checks, which _read makes itself. It raises StopIteration
+# trailing-data checks, which _scan makes itself. It raises StopIteration
 # where no JSON value starts, and ValueError for other malformed JSON.
 _scan_once = json.JSONDecoder().scan_once
 _NUMBER = (int, float)
@@ -164,26 +164,29 @@ class ReadCounts:
         return (self.valid, self.skipped) == (other.valid, other.skipped)
 
 
-def _line_blocks(handle):
-    """The lines of a binary file, one block read at a time.
+def _chunks(handle, size: int):
+    """The bytes of a binary file as chunks of whole lines, each line with
+    its newline (the file's last line may lack one).
 
-    For each block, yields an iterator over the lines that the block
-    ends, each with its newline (the file's last line may lack one). A
-    line of MAX_LINE_BYTES or more before its newline is yielded as its
-    first MAX_LINE_BYTES bytes alone, one bytes object in place of an
-    iterator; the rest of it is read and dropped, never held. A leading
-    byte-order mark becomes three spaces, so the first line keeps its
-    length. Only the first line of a block can be longer than a block,
-    so no other line needs the length test.
+    Each read1(size) that ends a line gives one chunk: the lines it ends,
+    with the start of the first carried over from the reads before, so a
+    pipe's lines are never held for more input than a read returned. A
+    leading byte-order mark becomes three spaces, so the first line keeps
+    its length. A line of MAX_LINE_BYTES or more before its newline is
+    read and dropped as it comes, never held whole, and stands in its
+    chunk as _stand_in(its head), which the line loop skips as it would
+    skip the whole line. size must stay below MAX_LINE_BYTES - 3, so that
+    only the line a chunk's first read ends can be that long.
     """
-    head = handle.read(3)  # all three bytes, or the end, even from a pipe
-    if head == codecs.BOM_UTF8:
-        head = b"   "
-    # what is there, so that a pipe's lines are not held for a full block
     read = handle.read1
-    carry = b""  # the start of a line that no block read so far ends
+    head = read(size)
+    if len(head) < 3:
+        head += handle.read(3 - len(head))  # all three bytes, or the end
+    if head.startswith(codecs.BOM_UTF8):
+        head = b"   " + memoryview(head)[3:]
+    carry = b""  # the start of a line that no read so far ends
     dropping = False  # reading the rest of a line of MAX_LINE_BYTES or more
-    for block in chain((head + read(_BLOCK),), iter(partial(read, _BLOCK), b"")):
+    for block in chain((head,), iter(partial(read, size), b"")):
         if dropping:
             start = block.find(b"\n") + 1
             if not start:
@@ -194,104 +197,118 @@ def _line_blocks(handle):
         if not end:
             carry += block
             if len(carry) >= MAX_LINE_BYTES:
-                yield carry[:MAX_LINE_BYTES]
+                yield _stand_in(carry)
                 carry, dropping = b"", True
             continue
-        lines = BytesIO(block[:end] if end < len(block) else block)
-        first = carry + lines.readline()
-        if len(first) > MAX_LINE_BYTES:  # the newline is its last byte
-            yield first[:MAX_LINE_BYTES]
-            yield lines
+        if len(carry) + end <= MAX_LINE_BYTES:
+            # one copy: a slice of a memoryview copies nothing
+            yield carry + memoryview(block)[:end] if carry else block[:end]
         else:
-            yield chain((first,), lines)
+            first = block.find(b"\n") + 1
+            if len(carry) + first > MAX_LINE_BYTES:  # the newline is its last byte
+                yield _stand_in(carry + block[:first]) + block[first:end]
+            else:
+                yield carry + memoryview(block)[:end]
         carry = block[end:]
     if carry:
-        yield (carry,)
+        yield carry
 
 
-def _read(path, query: QueryFilter, limit: int, counts: ReadCounts):
-    """The generator behind fetch; its first step only opens the file.
-    Each line is checked inline: a Python call per line would add to the
-    C JSON scan, which is most of a read."""
+def _stand_in(head: bytes) -> bytes:
+    """A short line that the line loop skips, as one skipped line, as it
+    would skip a line of MAX_LINE_BYTES or more that opens with head:
+    invalid UTF-8, opening with "[" where the long line's first byte that
+    is not ASCII whitespace is one, for ReadCounts.json_array."""
+    return b"[\xff\n" if head.lstrip().startswith(b"[") else b"\xff\n"
+
+
+def _file_chunks(path, size: int | None = None):
+    """_chunks of the file at path, in chunks of size (default _BLOCK,
+    read when the first chunk is); the generator's first step only opens
+    the file, and an OSError from opening or reading it is raised as
+    FileUnreadable."""
+    try:
+        with open(path, "rb") as handle:
+            yield
+            yield from _chunks(handle, size or _BLOCK)
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
+
+
+def _scan(blocks, query: QueryFilter, limit: int, counts: ReadCounts):
+    """The tweets that query keeps among the lines of blocks, an iterable
+    of line iterables, as fetch yields them, up to limit of them; counts,
+    fresh, are filled as fetch's are. Each line is checked inline: a
+    Python call per line would add to the C JSON scan, which is most of a
+    read."""
     keyword = query.keyword.lower()
     in_bounds = query._bounds()
     scan_once, fromisoformat, utc = _scan_once, datetime.fromisoformat, timezone.utc
     valid = kept = 0
     try:
-        with open(path, "rb") as handle:
-            yield
-            for lines in _line_blocks(handle):
-                if lines.__class__ is bytes:
-                    # the head of a line of MAX_LINE_BYTES or more, the rest
-                    # of which is dropped as it is read
-                    if not (valid or counts.skipped):
-                        counts.json_array = lines.lstrip().startswith(b"[")
-                    counts.skipped += 1
-                    continue
-                for line in lines:
-                    # OverflowError: a huge lat/lon or a timestamp that leaves
-                    # datetime's range in UTC; RecursionError: deep JSON nesting;
-                    # TypeError: fromisoformat given a created_at that is no string
+        for lines in blocks:
+            for line in lines:
+                # OverflowError: a huge lat/lon or a timestamp that leaves
+                # datetime's range in UTC; RecursionError: deep JSON nesting;
+                # TypeError: fromisoformat given a created_at that is no string
+                try:
+                    doc = line.decode().strip(" \t\n\r")
+                    obj, end = scan_once(doc, 0)
+                    if end != len(doc) or type(obj) is not dict:
+                        raise ValueError("a line must hold one JSON object")
+                    get = obj.get
+                    tweet_id, stamp, username, text = (
+                        get("id"), get("created_at"), get("username"),
+                        get("text"),
+                    )
+                    if not (type(tweet_id) is str and tweet_id
+                            and type(username) is str and type(text) is str):
+                        raise ValueError("bad id, username or text")
+                    # parse_utc's steps, inline: its second parse is paid
+                    # only where fromisoformat fails
                     try:
-                        doc = line.decode().strip(" \t\n\r")
-                        obj, end = scan_once(doc, 0)
-                        if end != len(doc) or type(obj) is not dict:
-                            raise ValueError("a line must hold one JSON object")
-                        get = obj.get
-                        tweet_id, stamp, username, text = (
-                            get("id"), get("created_at"), get("username"),
-                            get("text"),
+                        created_at = fromisoformat(stamp)
+                    except ValueError:
+                        created_at = parse_utc(stamp)
+                    if created_at.tzinfo is None:
+                        created_at = created_at.replace(tzinfo=utc)
+                    elif created_at.tzinfo is not utc:
+                        created_at = created_at.astimezone(utc)
+                    lat, lon = get("lat"), get("lon")
+                    if lat is None and lon is None:
+                        location = None
+                    # not bool, an int subclass; a lone lat or lon is None
+                    elif type(lat) not in _NUMBER or type(lon) not in _NUMBER:
+                        raise ValueError(
+                            "lat and lon must be numbers, given together"
                         )
-                        if not (type(tweet_id) is str and tweet_id
-                                and type(username) is str and type(text) is str):
-                            raise ValueError("bad id, username or text")
-                        # parse_utc's steps, inline: its second parse is paid
-                        # only where fromisoformat fails
-                        try:
-                            created_at = fromisoformat(stamp)
-                        except ValueError:
-                            created_at = parse_utc(stamp)
-                        if created_at.tzinfo is None:
-                            created_at = created_at.replace(tzinfo=utc)
-                        elif created_at.tzinfo is not utc:
-                            created_at = created_at.astimezone(utc)
-                        lat, lon = get("lat"), get("lon")
-                        if lat is None and lon is None:
-                            location = None
-                        # not bool, an int subclass; a lone lat or lon is None
-                        elif type(lat) not in _NUMBER or type(lon) not in _NUMBER:
+                    else:
+                        location = lat, lon = float(lat), float(lon)
+                        if not (-90.0 <= lat <= 90.0
+                                and -180.0 <= lon <= 180.0):
                             raise ValueError(
-                                "lat and lon must be numbers, given together"
+                                f"location out of range: {location}"
                             )
-                        else:
-                            location = lat, lon = float(lat), float(lon)
-                            if not (-90.0 <= lat <= 90.0
-                                    and -180.0 <= lon <= 180.0):
-                                raise ValueError(
-                                    f"location out of range: {location}"
-                                )
-                    except (
-                        ValueError, TypeError, OverflowError, RecursionError,
-                        StopIteration,
-                    ):
-                        # a line of Unicode whitespace alone is blank: it is
-                        # neither valid nor skipped
-                        if line.decode("utf-8", "replace").strip():
-                            if not (valid or counts.skipped):
-                                counts.json_array = line.lstrip().startswith(b"[")
-                            counts.skipped += 1
-                        continue
-                    valid += 1
-                    if keyword in text.lower() and (
-                        in_bounds is None or in_bounds(created_at, location)
-                    ):
-                        counts.valid = valid
-                        yield tweet_id, created_at, username, text, location
-                        kept += 1
-                        if kept == limit:
-                            return
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
+                except (
+                    ValueError, TypeError, OverflowError, RecursionError,
+                    StopIteration,
+                ):
+                    # a line of Unicode whitespace alone is blank: it is
+                    # neither valid nor skipped
+                    if line.decode("utf-8", "replace").strip():
+                        if not (valid or counts.skipped):
+                            counts.json_array = line.lstrip().startswith(b"[")
+                        counts.skipped += 1
+                    continue
+                valid += 1
+                if keyword in text.lower() and (
+                    in_bounds is None or in_bounds(created_at, location)
+                ):
+                    counts.valid = valid
+                    yield tweet_id, created_at, username, text, location
+                    kept += 1
+                    if kept == limit:
+                        return
     finally:
         counts.valid = valid
 
@@ -317,7 +334,7 @@ def fetch(
     limit = operator.index(limit)
     if limit <= 0:
         raise ValueError("limit must be positive")
+    chunks = _file_chunks(path)
+    next(chunks)
     counts = ReadCounts()
-    records = _read(path, query, limit, counts)
-    next(records)
-    return records, counts
+    return _scan(map(BytesIO, chunks), query, limit, counts), counts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Iterable
 from datetime import timezone
@@ -39,12 +40,12 @@ class DetailCsv:
     from opening, writing or closing is raised as PathUnwritable.
 
     A row has two entries: write, from a record's fields, and _write_row,
-    from a head that _head made of its date, time, username and text (in
-    the CLI, in the process that reads the corpus) and its hits. A hit
-    field needs quoting only when a hit token can hold one of those
-    characters, which a tokenizer token never does; _quotable tells
-    whether some lexicon word, which spell correction can make a hit,
-    does.
+    from a head that _head made of its date, time, username and text and
+    its hits. A hit field needs quoting only when a hit token can hold one
+    of those characters, which a tokenizer token never does; _quotable
+    tells whether some lexicon word, which spell correction can make a
+    hit, does. The CLI's second process writes its rows to a _buffer, and
+    the first passes them on with _write_rows.
     """
 
     def __init__(self, path):
@@ -56,6 +57,14 @@ class DetailCsv:
             self._handle.write(",".join(CSV_COLUMNS) + "\r\n")
         except OSError as exc:
             raise self._unwritable(exc) from exc
+
+    @classmethod
+    def _buffer(cls):
+        """A DetailCsv with no path and no header whose rows go to an
+        io.StringIO, its _handle, which never needs closing."""
+        detail = cls.__new__(cls)
+        detail.path, detail._handle = None, io.StringIO()
+        return detail
 
     def write(self, created_at, username, text, positive, negative) -> None:
         """Write one row: UTC date and time, username, raw text, and the
@@ -101,6 +110,13 @@ class DetailCsv:
                 negative = _quoted(negative)
         try:
             self._handle.write(f"{head}{positive},{negative}\r\n")
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
+
+    def _write_rows(self, rows: str) -> None:
+        """Write rows, whole rows as _write_row writes them."""
+        try:
+            self._handle.write(rows)
         except OSError as exc:
             raise self._unwritable(exc) from exc
 

@@ -30,7 +30,7 @@ from tweetlex import (
     parse_utc,
     score_text,
 )
-from tweetlex import scoring
+from tweetlex import cli
 from tweetlex.cli import main
 from tweetlex.scoring import _result
 
@@ -146,10 +146,11 @@ def test_golden_run(tmp_path, capsys):
     _golden_run(tmp_path, capsys)
 
 
-@pytest.mark.parametrize("batch", [1, 2])
-def test_golden_run_through_child(tmp_path, capsys, batch):
-    """With batches this small, the CLI reads all but the first records of
-    the 20 in a forked child, and the run is still the golden one."""
+@pytest.mark.parametrize("kib", [1, 2])
+def test_golden_run_through_child(tmp_path, capsys, kib):
+    """With chunks of this many KiB, the CLI scores every other chunk of
+    the 8.8 KB fixture in a forked child, and the run is still the golden
+    one."""
     real_fork, forks = os.fork, []
 
     def fork():
@@ -158,7 +159,7 @@ def test_golden_run_through_child(tmp_path, capsys, batch):
             forks.append(pid)
         return pid
 
-    with mock.patch.object(scoring, "_BATCH", batch), mock.patch.object(os, "fork", fork):
+    with mock.patch.object(cli, "_CHUNK", kib * 1024), mock.patch.object(os, "fork", fork):
         _golden_run(tmp_path, capsys)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):

@@ -1,5 +1,7 @@
+import codecs
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
@@ -16,11 +18,14 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_50
-from oracle import oracle_classify, oracle_correct, oracle_read_lexicon
+import oracle
+from oracle import (
+    oracle_classify, oracle_correct, oracle_read_corpus, oracle_read_lexicon,
+)
 from tweetlex import QueryFilter, ReadCounts, fetch, load_lexicon, suggest_correction
 from tweetlex import cli, corpus, scoring
 from tweetlex.cli import (
@@ -389,31 +394,33 @@ def _route_corpus(draw):
 
 
 @contextlib.contextmanager
-def _watched(batch=None):
-    """Within it, scoring._BATCH is batch (unless None), and the forks of
-    the CLI's reader and the ReadCounts of its reads are recorded; on a
-    clean exit, no child of this process may be left, reaped or not, and
-    where /proc/self/fd lists them, the same descriptors are open as
-    before, so that no end of a pipe is left open."""
+def _watched(batch=None, chunk=None):
+    """Within it, scoring._BATCH is batch and cli._CHUNK is chunk (unless
+    None), and the forks of the CLI and the final ReadCounts of its runs
+    are recorded; on a clean exit, no child of this process may be left,
+    reaped or not, and where /proc/self/fd lists them, the same
+    descriptors are open as before, so that no end of a pipe is left
+    open."""
     seen = SimpleNamespace(forks=0, counts=[])
     fds = "/proc/self/fd"
     opened = set(os.listdir(fds)) if os.path.isdir(fds) else None
-    real_fork, real_fetch = os.fork, cli.fetch
+    real_fork, real_classify = os.fork, cli._classify_corpus
 
     def fork():
         pid = real_fork()
         seen.forks += pid != 0
         return pid
 
-    def fetch(*args):
-        records, counts = real_fetch(*args)
-        seen.counts.append(counts)
-        return records, counts
+    def classify_corpus(*args):
+        tally = real_classify(*args)
+        seen.counts.append(tally.counts)
+        return tally
 
     with (
         mock.patch.object(os, "fork", fork),
-        mock.patch.object(cli, "fetch", fetch),
+        mock.patch.object(cli, "_classify_corpus", classify_corpus),
         mock.patch.object(scoring, "_BATCH", batch or scoring._BATCH),
+        mock.patch.object(cli, "_CHUNK", chunk or cli._CHUNK),
     ):
         yield seen
     with pytest.raises(ChildProcessError):
@@ -487,8 +494,7 @@ class TestCliOracle:
         until="2021-07-01T02:00:00+05:30", bbox=None, limit=6, spell_correct=False,
         threshold=0.85,
     )
-    # three kept records: with batches of 2, the second list is short, so
-    # the read has ended and the run stays in one process
+    # three kept records: with batches of 2, the second list is short
     @example(
         raw=b"".join(
             b'{"id": "t%d", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
@@ -499,7 +505,7 @@ class TestCliOracle:
         bbox=None, limit=6, spell_correct=False, threshold=0.85,
     )
     # four kept records whose corrected hits need quoting, a flipped one
-    # among them: with batches of 1 and 2, the rows are cut in the child
+    # among them, in batches of 1 and 2
     @example(
         raw=b"".join(
             b'{"id": "t%d", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
@@ -547,8 +553,8 @@ class TestCliOracle:
             kept = int(out.splitlines()[1].split()[-1])  # "  tweets scored:  N"
             csv_notes.append(f"note: wrote {kept} detail rows to {out_csv}")
 
-        # batches of 1 and 2 send every run that keeps two whole lists (2
-        # or 4 records or more) through the forked reader
+        # a corpus of one chunk is scored in one process; TestChunkEdges
+        # splits corpora like these between two
         for batch in (None, 1, 2):
             out_csv.unlink(missing_ok=True)
             with _watched(batch) as seen:
@@ -557,7 +563,7 @@ class TestCliOracle:
                     code, out, csv_notes), batch
             assert (out_csv.read_bytes() if out_csv.exists() else None) == details
             assert seen.counts == [ReadCounts(valid, skipped)] * 2 * (code == EXIT_OK)
-            assert seen.forks == 2 * (batch is not None and kept >= 2 * batch), batch
+            assert seen.forks == 0, batch
 
 
 def _long_corpus(path):
@@ -598,15 +604,34 @@ def _file_run(args, tmp, pending=("", "")):
     return code, out_path.read_text(), err_path.read_text()
 
 
+# the long corpus in chunks of 64 KiB: seven, of about 300 kept tweets each
+_SMALL_CHUNK = 1 << 16
+
+
+def _chunks_of(path, size=_SMALL_CHUNK):
+    """The chunks that a classify run reads from the file at path, in
+    chunks of size."""
+    with open(path, "rb") as handle:
+        return list(corpus._chunks(handle, size))
+
+
+def _prefix_csv(path, chunks):
+    """The CSV bytes of a run over the first chunks of the long corpus at
+    path, in chunks of _SMALL_CHUNK."""
+    raw = b"".join(_chunks_of(path)[:chunks])
+    return oracle_classify(raw, BUNDLED_DIR, "covid", limit=5000)[-1]
+
+
 class TestForkedReader:
-    """Past the first batch, the CLI reads the corpus in a forked child:
-    the output equals the oracle's and the one-process read's, and no
+    """The CLI scores every other chunk of the corpus in a forked child:
+    the output equals the oracle's and the one-process run's, and no
     child outlives main on any way out of it."""
 
-    # None (500) and 257: a short second list ends the read, which stays in
-    # one process; 512: two whole lists, then a child that sends only the
-    # counts; 1000 stops the read part-way, 5000 reads the whole file
-    @pytest.mark.parametrize("limit", [None, 257, 512, 1000, 5000])
+    # In chunks of 64 KiB, the first two end at 305 and 620 kept tweets:
+    # 257 and 305 end the read in this process's first chunk, 305 on its
+    # last tweet; None (500), 512 and 620 in the child's first, which is
+    # scored again here; 1000 part-way; 5000 reads the whole file.
+    @pytest.mark.parametrize("limit", [None, 257, 305, 512, 620, 1000, 5000])
     def test_long_corpus_equals_oracle(self, tmp_path, limit):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
         extra = {} if limit is None else {"limit": limit}
@@ -620,13 +645,14 @@ class TestForkedReader:
         args = classify_args(corpus=corpus_path, **extra)
         out_csv = tmp_path / "d.csv"
         notes = _read_notes(corpus_path, valid, skipped)
-        with _watched() as seen:
+        with _watched(chunk=_SMALL_CHUNK) as seen:
             assert _cli_run(args) == (code, out, notes)
             assert _cli_run(args + ["--out-csv", str(out_csv)]) == (
                 code, out, notes + [f"note: wrote {kept} detail rows to {out_csv}"])
         assert out_csv.read_bytes() == details
         assert seen.counts == [counts, counts]
-        assert seen.forks == (0 if limit in (None, 257) else 2)
+        # the corpus goes on past its first chunk, so each run forks
+        assert seen.forks == 2
 
     @pytest.mark.parametrize("why", ["no-fork", "fork-fails", "threads"])
     def test_one_process_when_it_cannot_fork(self, tmp_path, why):
@@ -693,18 +719,21 @@ class TestForkedReader:
 
     def test_failed_read_ends_as_in_one_process(self, tmp_path, monkeypatch):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
-        real_blocks = corpus._line_blocks
+        expected_csv = _prefix_csv(corpus_path, 3)
+        real_chunks = corpus._chunks
 
-        def failing_blocks(handle):
-            # the child, which reads past the first batch, inherits this
-            for count, lines in enumerate(real_blocks(handle)):
+        def failing_chunks(handle, size):
+            # the fourth chunk, which this process reads after the child
+            # has scored the second
+            for count, chunk in enumerate(real_chunks(handle, size)):
                 if count == 3:
                     raise OSError(5, "Input/output error")
-                yield lines
+                yield chunk
 
-        monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
+        monkeypatch.setattr(corpus, "_chunks", failing_chunks)
         out_csv = tmp_path / "d.csv"
         args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
+        monkeypatch.setattr(cli, "_CHUNK", _SMALL_CHUNK)
         with _watched() as seen:
             forked = _file_run(args, tmp_path)
         forked_csv = out_csv.read_bytes()
@@ -715,23 +744,25 @@ class TestForkedReader:
         code, out, err = forked
         assert code == EXIT_UNREADABLE and out == ""
         assert err == f"error: cannot read corpus {corpus_path}: [Errno 5] Input/output error\n"
-        # the child sent whole batches before the failing one
-        assert forked_csv.count(b"\r\n") > 257 and forked_csv.count(b"date,time,") == 1
+        # the rows of the three whole chunks before the failing one
+        assert forked_csv == expected_csv
 
     def test_failed_second_list_ends_as_in_one_process(self, tmp_path, monkeypatch):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
-        real_blocks = corpus._line_blocks
+        expected_csv = _prefix_csv(corpus_path, 1)
+        real_chunks = corpus._chunks
 
-        def failing_blocks(handle):
-            # the first two blocks hold the first list and part of the second
-            for count, lines in enumerate(real_blocks(handle)):
-                if count == 2:
+        def failing_chunks(handle, size):
+            # the second chunk, before any fork
+            for count, chunk in enumerate(real_chunks(handle, size)):
+                if count == 1:
                     raise OSError(5, "Input/output error")
-                yield lines
+                yield chunk
 
-        monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
+        monkeypatch.setattr(corpus, "_chunks", failing_chunks)
         out_csv = tmp_path / "d.csv"
         args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
+        monkeypatch.setattr(cli, "_CHUNK", _SMALL_CHUNK)
         with _watched() as seen:
             early = _file_run(args, tmp_path)
         early_csv = out_csv.read_bytes()
@@ -741,9 +772,8 @@ class TestForkedReader:
         assert out_csv.read_bytes() == early_csv
         assert early == (EXIT_UNREADABLE, "", f"error: cannot read corpus {corpus_path}:"
                          " [Errno 5] Input/output error\n")
-        # the first list's rows, and none of the second's
-        assert early_csv == oracle_classify(
-            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=scoring._BATCH)[-1]
+        # the first chunk's rows, and none of the second's
+        assert early_csv == expected_csv
 
     @pytest.mark.parametrize("with_csv", [False, True])
     def test_fork_comes_before_the_first_list_is_scored(
@@ -772,11 +802,11 @@ class TestForkedReader:
         if with_csv:
             assert extra["out_csv"].read_bytes() == details
 
-    # the child dies after sending nothing, or one whole list and half of
-    # the next one's message
+    # the child dies after sending nothing, or one whole result and half
+    # of the next one's message
     @pytest.mark.parametrize("whole", [None, 1])
     def test_child_that_dies_ends_the_read(self, tmp_path, monkeypatch, whole):
-        real_send = cli._send_rest
+        real_serve = cli._serve
 
         class Dying:
             """A pipe that passes on whole messages, which each end in a
@@ -799,33 +829,31 @@ class TestForkedReader:
                 self.left -= 1
                 self.data = b""
 
-        def dying_send(rows, counts, pipe):
-            # the child, which sends the rest of the read, inherits this
+        def dying_serve(source, sink, *args):
+            # the child, which scores every other chunk, inherits this
             if whole is not None:
-                real_send(rows, counts, Dying(pipe))
+                real_serve(source, Dying(sink), *args)
 
-        monkeypatch.setattr(cli, "_send_rest", dying_send)
+        monkeypatch.setattr(cli, "_serve", dying_serve)
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
         out_csv = tmp_path / "d.csv"
         args = classify_args(corpus=corpus_path, limit=5000, out_csv=out_csv)
-        with _watched() as seen:
+        with _watched(chunk=_SMALL_CHUNK) as seen:
             code, out, err = _file_run(args, tmp_path)
         assert seen.forks == 1
         assert code == EXIT_UNREADABLE and out == ""
         assert err == (f"error: cannot read corpus {corpus_path}:"
-                       " its reading process ended early\n")
-        # the rows of the two lists read here and of those the child sent
-        rows = scoring._BATCH * (2 + (whole or 0))
-        details = oracle_classify(
-            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=rows)[-1]
-        assert out_csv.read_bytes() == details
+                       " its second process ended early\n")
+        # the rows of the chunks scored here before the result that never
+        # came, and of those whose results the child sent
+        assert out_csv.read_bytes() == _prefix_csv(corpus_path, 1 + 2 * (whole or 0))
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_unwritable_csv_kills_the_child(self, tmp_path):
         args = classify_args(corpus=_long_corpus(tmp_path / "c.jsonl"), limit=5000,
                              out_csv="/dev/full")
-        # small batches, so that the fork comes before the first full buffer
-        with _watched(batch=8) as seen:
+        # the fork comes before the first chunk's rows fill the buffer
+        with _watched() as seen:
             code, out, err = _file_run(args, tmp_path)
         assert code == EXIT_UNWRITABLE and seen.forks == 1
         assert out == "" and err.count("error: ") == 1
@@ -913,7 +941,7 @@ class _ReaderGone(io.StringIO):
 
 
 def _pipe_messages(data: bytes) -> list:
-    """The messages that _send_rest wrote as data."""
+    """The messages that _serve wrote as data."""
     pipe, messages = io.BytesIO(data), []
     while True:
         try:
@@ -922,71 +950,309 @@ def _pipe_messages(data: bytes) -> list:
             return messages
 
 
-class TestSendRest:
-    """The reading child sends only what the scoring reads of each
-    tweet: its text, or, when a CSV is written, its row head (the date,
-    time, username and text fields, formatted by DetailCsv._head) and
-    its raw text."""
+class TestServe:
+    """The child scores each chunk sent to it, as this process would
+    score it alone, and sends back the chunk's totals and counts and,
+    when a CSV is written, its rows as one string."""
 
     @pytest.mark.parametrize("with_csv", [False, True])
-    def test_sends_the_columns_then_the_counts(self, tmp_path, with_csv):
+    def test_sends_each_chunks_result_and_rows(self, tmp_path, with_csv):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
-        query = QueryFilter("covid")
-        expected, expected_counts = fetch(corpus_path, query, 5000)
-        expected = list(expected)
-        records, counts = fetch(corpus_path, query, 5000)
-        with DetailCsv(tmp_path / "d.csv") if with_csv else contextlib.nullcontext() as detail:
-            batches = scoring._batches(records, detail)
-            pipe = io.BytesIO()
-            cli._send_rest(batches, counts, pipe)
-        messages = _pipe_messages(pipe.getvalue())
+        chunks = _chunks_of(corpus_path)
+        lexicon = load_lexicon(*(BUNDLED_DIR / f"{name}.txt"
+                                 for name in ("positive", "negative", "negators")))
+        score = functools.partial(cli._score_chunk, query=QueryFilter("covid"),
+                                  lexicon=lexicon, threshold=None)
+        source, sink = io.BytesIO(), io.BytesIO()
+        for chunk in chunks:
+            pickle.dump(chunk, source, 5)
+        source.seek(0)
+        cli._serve(source, sink, score, 5000, with_csv)
+        messages = _pipe_messages(sink.getvalue())
 
-        batches = messages[:-1]
-        assert all(type(batch) is list for batch in batches)
-        assert [len(batch) for batch in batches[:-1]] == [scoring._BATCH] * (len(batches) - 1)
-        assert 0 < len(batches[-1]) <= scoring._BATCH
-        rows = [row for batch in batches for row in batch]
-        if with_csv:
-            assert all(type(head) is type(text) is str for head, text in rows)
-            assert rows == [
-                (detail._head(stamp, user, text), text)
-                for _, stamp, user, text, _ in expected
-            ]
+        assert len(messages) == len(chunks)
+        for chunk, (*result, rows) in zip(chunks, messages):
+            assert tuple(result) == score(chunk, 5000, None)
+            if not with_csv:
+                assert rows is None
+                continue
+            # the rows an oracle run over this chunk alone writes after its header
+            details = oracle_classify(chunk, BUNDLED_DIR, "covid", limit=5000)[-1]
+            assert rows.encode("utf-8", "backslashreplace") == details.split(b"\r\n", 1)[1]
+        # every chunk holds kept tweets, valid records and skipped lines
+        assert all(kept and valid and skipped for kept, _, _, valid, skipped, *_ in messages)
+
+    def test_a_chunk_is_cut_at_the_limit(self, tmp_path):
+        corpus_path = _long_corpus(tmp_path / "c.jsonl")
+        [chunk, *_] = _chunks_of(corpus_path)
+        lexicon = load_lexicon(*(BUNDLED_DIR / f"{name}.txt"
+                                 for name in ("positive", "negative", "negators")))
+        kept, positive, negative, valid, skipped, json_array = cli._score_chunk(
+            chunk, 7, None, query=QueryFilter("covid"), lexicon=lexicon, threshold=None)
+        _, out, oracle_valid, oracle_skipped, _ = oracle_classify(
+            chunk, BUNDLED_DIR, "covid", limit=7)
+        assert (kept, valid, skipped, json_array) == (7, oracle_valid, oracle_skipped, False)
+        assert f"positive words: {positive}\n" in out and f"negative words: {negative}\n" in out
+
+
+# What a corpus line can be at a chunk's edge. A long line is one of
+# _EDGE_MAX bytes or more before its newline, once MAX_LINE_BYTES is
+# patched down to that.
+_EDGE_MAX = 160
+_EDGE_LONG_LINES = [
+    b" " * _EDGE_MAX,
+    b"[" + b"1," * _EDGE_MAX + b"1]",
+    b'{"id": "t", "created_at": "2021-01-01T10:00:00Z", "username": "u",'
+    b' "text": "covid good' + b" " * _EDGE_MAX + b'"}',
+]
+_EDGE_ARRAY_OPENERS = [b"[", b'  [{"id": "a"},', b"[1]"]
+
+
+@st.composite
+def _edge_corpus(draw):
+    """Corpus bytes with lines of every kind a chunk edge can cut: a BOM,
+    CRLF ends, blank lines and lines of whitespace alone, invalid UTF-8,
+    lines of _EDGE_MAX bytes or more, just under or just over it, and a
+    first line that opens a JSON array."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(_EDGE_ARRAY_OPENERS)))
+    kinds = ["tweet", "tweet", "tweet", "bad", "blank", "long", "near"]
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds), max_size=14))):
+        if kind == "bad":
+            lines.append(draw(st.sampled_from(_ROUTE_BAD_LINES)))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(_ROUTE_BLANK_LINES)))
+        elif kind == "long":
+            line = draw(st.sampled_from(_EDGE_LONG_LINES))
+            lines.append(line + b" " * draw(st.integers(0, 2 * _EDGE_MAX)))
         else:
-            assert rows == [text for _, _, _, text, _ in expected]
-            assert all(type(text) is str for text in rows)
-        assert counts == expected_counts
-        assert messages[-1] == (counts.valid, counts.skipped, counts.json_array)
-        assert counts.valid and counts.skipped and not counts.json_array
+            record = {
+                "id": f"t{i}",
+                "created_at": draw(st.sampled_from(_ROUTE_STAMPS)),
+                "username": draw(st.sampled_from(["u", "a,b", 'q"'])),
+            }
+            words = draw(st.lists(st.sampled_from(_ROUTE_TEXT), max_size=6))
+            words.insert(
+                draw(st.integers(0, len(words))), draw(st.sampled_from(_ROUTE_TOPIC))
+            )
+            record["text"] = " ".join(words)
+            line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+            line = line.encode("utf-8", "surrogatepass")
+            if kind == "near":
+                # padded to a byte under, at or over the long-line length
+                line += b" " * max(0, _EDGE_MAX - len(line) + draw(st.integers(-2, 1)))
+            lines.append(line)
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    raw = bom + eol.join(lines)
+    return raw + eol if lines and draw(st.booleans()) else raw
 
-    def test_failed_read_sends_the_rows_before_it(self, tmp_path, monkeypatch):
-        """The child sends exactly the whole lists that the read in one
-        process yields before the failure, then the failure's message."""
+
+def _opens_array(raw: bytes) -> bool:
+    """Whether the first line of raw that is not blank opens a JSON array,
+    as ReadCounts.json_array tells (a long line is never blank)."""
+    for number, line in enumerate(raw.split(b"\n")):
+        long = len(line) >= _EDGE_MAX
+        if number == 0:
+            line = line.removeprefix(codecs.BOM_UTF8)
+        if long or line.decode("utf-8", "replace").strip():
+            return line.lstrip().startswith(b"[")
+    return False
+
+
+def _full_run(args):
+    """(exit code, stdout, stderr lines) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+class TestChunkEdges:
+    """With chunks of a few bytes, a classify run, forked or in one
+    process, gives the exit code, summary, notes and CSV bytes of
+    oracle_classify, wherever the chunk edges and the limit fall."""
+
+    @given(raw=_edge_corpus(), chunk=st.integers(1, 40), data=st.data(),
+           since=st.none() | st.sampled_from(_ROUTE_SINCE),
+           until=st.none() | st.sampled_from(_ROUTE_UNTIL))
+    @settings(max_examples=60, deadline=None)
+    def test_runs_equal_the_oracle(self, tmp_path_factory, raw, chunk, data, since,
+                                   until):
+        tmp = tmp_path_factory.mktemp("edges")
+        lex = write_lexicon_dir(tmp, ["good", "nice,"], ["bad", 'sa"d'], ["not", "never"])
+        path, out_csv = tmp / "c.jsonl", tmp / "d.csv"
+        path.write_bytes(raw)
+        window = {"since": since, "until": until}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "MAX_LINE_BYTES", _EDGE_MAX)
+            patch.setattr(oracle, "ORACLE_MAX_LINE_BYTES", _EDGE_MAX)
+            chunks = _chunks_of(path, chunk)
+            # the kept tweets at the end of each chunk; the limit falls a
+            # tweet before, on or after one of them
+            edges = [len(oracle_read_corpus(b"".join(chunks[:end]), "covid", since,
+                                            until)[0])
+                     for end in range(1, len(chunks) + 1)]
+            limit = max(1, data.draw(st.sampled_from(edges or [1]))
+                        + data.draw(st.integers(-1, 1)))
+            args = classify_args(corpus=path, lexicon_dir=lex, limit=limit)
+            args += [f"--{flag}={value}" for flag, value in window.items()
+                     if value is not None]
+            for spell in (None, 0.6):
+                code, out, valid, skipped, details = oracle_classify(
+                    raw, lex, "covid", limit=limit, spell_threshold=spell, **window)
+                assume(code == EXIT_OK)  # not an empty window
+                notes = _read_notes(path, valid, skipped)
+                if not valid and _opens_array(raw):
+                    notes.append(ARRAY_NOTE)
+                kept = int(out.splitlines()[1].split()[-1])
+                run = args + [f"--spell-correct={spell}"] * (spell is not None)
+                for forked in (True, False):
+                    with _watched(chunk=chunk) as seen, pytest.MonkeyPatch.context() as no:
+                        if not forked:
+                            no.delattr(os, "fork")
+                        assert _full_run(run) == (code, out, notes)
+                        out_csv.unlink(missing_ok=True)
+                        assert _full_run(run + ["--out-csv", str(out_csv)]) == (
+                            code, out, notes + [f"note: wrote {kept} detail rows to {out_csv}"])
+                    assert out_csv.read_bytes() == details
+                    assert seen.counts == [ReadCounts(valid, skipped)] * 2
+                    assert seen.forks == 2 * (forked and len(chunks) > 1)
+
+
+def _probe(setup=""):
+    """A python -c program that runs setup, then main on its arguments,
+    counting the forks, and prints the count last on stderr."""
+    return (
+        "import os, sys\n"
+        "from tweetlex import cli\n"
+        f"{setup}\n"
+        "real, forks = os.fork, []\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(len(forks), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+
+def _probe_run(args, tmp, setup="", **run):
+    """(exit code, stdout, stderr, forks, CSV bytes or None) of _probe run
+    in a process of its own on args, which may write tmp / "d.csv"."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    out_csv = tmp / "d.csv"
+    out_csv.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, "-c", _probe(setup), *args], env=env,
+                          capture_output=True, timeout=60, **run)
+    *err, forks = proc.stderr.decode().splitlines()
+    csv_bytes = out_csv.read_bytes() if out_csv.exists() else None
+    return proc.returncode, proc.stdout.decode(), err, int(forks), csv_bytes
+
+
+class TestPipeInput:
+    """A corpus read from a pipe is split into chunks as a file is, and no
+    chunk waits for more input than a read returned."""
+
+    # chunks of 64 KiB: the long corpus spans seven
+    SETUP = "cli._CHUNK = 1 << 16"
+
+    def _expected(self, tmp_path):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
-        real_blocks = corpus._line_blocks
+        file_run = _probe_run(
+            classify_args(corpus=corpus_path, limit=5000, out_csv=tmp_path / "d.csv"),
+            tmp_path, self.SETUP)
+        code, out, err, forks, details = file_run
+        assert code == EXIT_OK and forks == 1
+        assert details == oracle_classify(
+            corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=5000)[-1]
+        return corpus_path.read_bytes(), file_run
 
-        def failing_blocks(handle):
-            for count, lines in enumerate(real_blocks(handle)):
-                if count == 3:
-                    raise OSError(5, "Input/output error")
-                yield lines
+    def _args(self, tmp_path):
+        return classify_args(corpus="/dev/stdin", limit=5000, out_csv=tmp_path / "d.csv")
 
-        monkeypatch.setattr(corpus, "_line_blocks", failing_blocks)
-        query = QueryFilter("covid")
-        expected, read = [], []
-        with pytest.raises(FileUnreadable) as failure:
-            for record in fetch(corpus_path, query, 5000)[0]:
-                read.append(record[3])
-                if len(read) == scoring._BATCH:
-                    expected.append(read)
-                    read = []
-        # the read failed part-way through a list, which is not sent
-        assert expected and read
-        records, counts = fetch(corpus_path, query, 5000)
-        pipe = io.BytesIO()
-        cli._send_rest(scoring._batches(records, None), counts, pipe)
+    def test_piped_corpus_forks_and_equals_the_file_run(self, tmp_path):
+        raw, file_run = self._expected(tmp_path)
+        assert _probe_run(self._args(tmp_path), tmp_path, self.SETUP, input=raw) == file_run
 
-        assert _pipe_messages(pipe.getvalue()) == [*expected, str(failure.value)]
+    def test_writer_that_pauses_mid_line(self, tmp_path):
+        raw, file_run = self._expected(tmp_path)
+        # pauses inside a line, right after a newline, and inside a CRLF-free
+        # stretch of several chunks
+        cuts = [0, 1000, raw.index(b"\n", 5000) + 1, 70_001, 200_000, len(raw)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _probe(self.SETUP), *self._args(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+
+        def write():
+            for start, end in zip(cuts, cuts[1:]):
+                proc.stdin.write(raw[start:end])
+                proc.stdin.flush()
+                threading.Event().wait(0.1)
+            proc.stdin.close()
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            out, err = proc.stdout.read(), proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_OK
+        finally:
+            writer.join(timeout=60)
+            proc.kill()
+            proc.wait()
+        *err, forks = err.decode().splitlines()
+        details = (tmp_path / "d.csv").read_bytes()
+        assert (proc.returncode, out.decode(), err, int(forks), details) == file_run
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_a_chunk_is_read_once_its_line_ends(self):
+        # a chunk that waited for a full read would wait for the writer
+        read_end, write_end = os.pipe()
+        try:
+            chunks = corpus._file_chunks(f"/dev/fd/{read_end}", cli._CHUNK)
+            next(chunks)
+            os.write(write_end, b"first\nsecond half")
+            drawn = []
+            reader = threading.Thread(target=lambda: drawn.append(next(chunks)))
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert drawn == [b"first\n"]
+            os.write(write_end, b" done\n")
+        finally:
+            os.close(write_end)
+            os.close(read_end)
+        assert list(chunks) == [b"second half done\n"]
+
+
+def test_rows_larger_than_the_pipe_do_not_deadlock(tmp_path):
+    """The parent reads a child chunk's result before it sends the next
+    chunk: the rows of each child chunk, about 0.3 MB, are larger than a
+    pipe's buffer (64 KiB on Linux), and would else leave both processes
+    waiting on a full pipe."""
+    rng = random.Random(32)
+    words = ["covid", "good", "bad", "not", "happy", "sad", "the"]
+    lines = [
+        json.dumps({"id": f"t{i}", "created_at": "2021-03-01T10:00:00Z", "username": "u",
+                    "text": "covid " + " ".join(rng.choices(words, k=600))}).encode()
+        for i in range(400)
+    ]
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, valid, skipped, details = oracle_classify(
+        corpus_path.read_bytes(), BUNDLED_DIR, "covid", limit=5000)
+    # the rows outweigh the 1.2 MB corpus of five chunks, two of them the child's
+    assert len(details) > len(corpus_path.read_bytes()) > 4 * cli._CHUNK
+    args = classify_args(corpus=corpus_path, limit=5000, out_csv=tmp_path / "d.csv")
+    assert _probe_run(args, tmp_path) == (
+        code, out, [f"note: wrote 400 detail rows to {tmp_path / 'd.csv'}"], 1, details)
 
 
 class TestMarkerWords:
@@ -1170,8 +1436,11 @@ def _traced_peak(args) -> int:
         tracemalloc.stop()
 
 
-def test_memory_is_flat_in_matches(tmp_path, capsys):
+def test_memory_is_flat_in_matches(tmp_path, capsys, monkeypatch):
     """No list of tweets or scores: 10x the matches costs no more memory."""
+    # chunks of 64 KiB, so that both corpora, of 0.2 and 2 MB, span several
+    # and both runs hold a child's chunks and rows
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 16)
     peaks = []
     for matches in (1_000, 10_000):
         corpus = tmp_path / f"c{matches}.jsonl"
