@@ -18,8 +18,8 @@ and, when a CSV is written, its rows as one string. A run whose corpus
 ends inside its first chunk, one made while another thread is alive,
 and one where os.fork is missing or fails scores every chunk in this
 process. Each process holds a few chunks at a time: one run over a
-25,000-line corpus with a CSV peaked at 17.6 MB of RSS in this process
-and 15.0 MB in the child. Only this module forks: ``fetch`` and
+25,000-line corpus with a CSV peaked at 21.6 MB of RSS in this process
+and 18.4 MB in the child. Only this module forks: ``fetch`` and
 ``classify`` stay in the caller's process for library use.
 """
 
@@ -142,9 +142,9 @@ def _pairs(chunks):
 def _classify_corpus(chunks, score, limit: int, detail, path) -> _Tally:
     """The _Tally of a classify run over chunks, corpus._file_chunks of
     the corpus at path: each chunk scored by score, a _score_chunk with
-    its keywords given, with the limit left, the results added in file
-    order, and the rows written to detail in that order, until the limit
-    is reached.
+    its keyword arguments bound, with the limit left, the results added
+    in file order, and the rows written to detail in that order, until
+    the limit is reached.
 
     If the corpus goes on past its first chunk, a child from _fork scores
     the odd chunks while this process scores the even ones: each odd
@@ -295,7 +295,9 @@ def run_classify(args, query: QueryFilter) -> int:
     scoring._marked_table(lexicon)
     chunks = corpus._file_chunks(args.corpus, _CHUNK)
     next(chunks)
-    score = partial(_score_chunk, query=query, lexicon=lexicon, threshold=args.spell_correct)
+    score = partial(
+        _score_chunk, query=query, lexicon=lexicon, threshold=args.spell_correct
+    )
     out_csv = args.out_csv
     with (
         closing(chunks),

@@ -222,15 +222,14 @@ def _stand_in(head: bytes) -> bytes:
     return b"[\xff\n" if head.lstrip().startswith(b"[") else b"\xff\n"
 
 
-def _file_chunks(path, size: int | None = None):
-    """_chunks of the file at path, in chunks of size (default _BLOCK,
-    read when the first chunk is); the generator's first step only opens
-    the file, and an OSError from opening or reading it is raised as
-    FileUnreadable."""
+def _file_chunks(path, size: int):
+    """_chunks of the file at path, in chunks of size; the generator's
+    first step only opens the file, and an OSError from opening or
+    reading it is raised as FileUnreadable."""
     try:
         with open(path, "rb") as handle:
             yield
-            yield from _chunks(handle, size or _BLOCK)
+            yield from _chunks(handle, size)
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
 
@@ -334,7 +333,7 @@ def fetch(
     limit = operator.index(limit)
     if limit <= 0:
         raise ValueError("limit must be positive")
-    chunks = _file_chunks(path)
+    chunks = _file_chunks(path, _BLOCK)
     next(chunks)
     counts = ReadCounts()
     return _scan(map(BytesIO, chunks), query, limit, counts), counts

@@ -37,8 +37,7 @@ from tweetlex.cli import (
     EXIT_USAGE,
     main,
 )
-from tweetlex.errors import FileUnreadable, TweetlexError
-from tweetlex.report import DetailCsv
+from tweetlex.errors import TweetlexError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BUNDLED_DIR = SRC_DIR / "tweetlex" / "data"
