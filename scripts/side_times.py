@@ -7,10 +7,10 @@ for example ``scripts/side_times.py --runs 30 classify --query q --corpus
 c.jsonl``. After one warm-up call, it calls ``tweetlex.cli.main(ARGV)`` N
 times (default 20), with stdout and stderr captured. Around each call it
 takes the wall time, the CPU time (user + system) of this process, the
-parent, which reads the corpus and scores the even chunks of it
-(RUSAGE_SELF), and that of the children reaped during the call: the child
-of a forked run, which scores the odd chunks, and 0.0 for a run that stays
-in one process (RUSAGE_CHILDREN). It prints one line per measure with its
+parent, which reads the corpus and scores its first chunk and every
+other one after it (RUSAGE_SELF), and that of the children reaped during
+the call: the child of a forked run, which scores the chunks between
+them, and 0.0 for a run that stays in one process (RUSAGE_CHILDREN). It prints one line per measure with its
 median and quartiles in ms, then which process used more CPU by median.
 It exits 1 if a call does not return 0.
 """

@@ -9,18 +9,19 @@ a stdout whose reader has gone (``tweetlex classify ... | true``).
 A classify run reads its corpus as chunks of whole lines, about _CHUNK
 (256 KiB) each, and parses, filters and scores each chunk on its own;
 the chunks' hit totals, read counts and CSV rows are summed and written
-in file order (see _classify_corpus). Where ``os.fork`` exists, a run
-whose corpus goes on past its first chunk forks one child, so that the
-two processes score alternate chunks on two cores: this process reads
-the corpus, scores the even chunks and sends the bytes of each odd one
-through a pipe, and the child sends back that chunk's totals and counts
-and, when a CSV is written, its rows as one string. A run whose corpus
-ends inside its first chunk, one made while another thread is alive,
-and one where os.fork is missing or fails scores every chunk in this
-process. Each process holds a few chunks at a time: one run over a
-25,000-line corpus with a CSV peaked at 21.6 MB of RSS in this process
-and 18.4 MB in the child. Only this module forks: ``fetch`` and
-``classify`` stay in the caller's process for library use.
+in file order (see _Split). Where ``os.fork`` exists, a run whose
+corpus goes on past its first chunk forks one child, so that the two
+processes score on two cores: this process reads the corpus and sends
+the bytes of every other chunk through a pipe, and the child sends back
+each chunk's totals and counts and, when a CSV is written, its rows as
+one string. A run whose corpus ends inside its first chunk, one whose
+limit falls in it, one made while another thread is alive, and one
+where os.fork is missing or fails score every chunk in this process.
+Each process holds a few chunks at a time: one run over a 25,000-line
+corpus with a CSV peaked at 20.1 MB of RSS in this process and 18.2 MB
+in the child, most of it pages that the two share after the fork. Only
+this module forks: ``fetch`` and ``classify`` stay in the caller's
+process for library use.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ import os
 import sys
 import threading
 import warnings
+from collections import deque
 from contextlib import closing, nullcontext
 from functools import partial
 from io import BytesIO
+from itertools import count
 from pathlib import Path
 
 from . import corpus, scoring
@@ -125,65 +128,149 @@ class _Tally:
         return not self.left
 
 
-def _pairs(chunks):
-    """The chunks two at a time, as (even, odd) pairs, odd None past the
-    end. If reading an odd chunk fails, the even one comes first, paired
-    with None, and then the error, as when each chunk is read after the
-    one before is scored."""
-    for even in chunks:
-        try:
-            odd = next(chunks, None)
-        except FileUnreadable:
-            yield even, None
-            raise
-        yield even, odd
+class _LimitReached(Exception):
+    """The chunks added so far reach the run's limit: none is read after."""
 
 
-def _classify_corpus(chunks, score, limit: int, detail, path) -> _Tally:
-    """The _Tally of a classify run over chunks, corpus._file_chunks of
-    the corpus at path: each chunk scored by score, a _score_chunk with
-    its keyword arguments bound, with the limit left, the results added
-    in file order, and the rows written to detail in that order, until
-    the limit is reached.
+def _ready(handle) -> bool:
+    """Whether input is ready on handle, so that a read of it returns at
+    once (a regular file's always is)."""
+    from select import POLLIN, poll
 
-    If the corpus goes on past its first chunk, a child from _fork scores
-    the odd chunks while this process scores the even ones: each odd
-    chunk is sent before the even one before it is scored, and its result
-    is read after. The child scores with the whole limit, so the one odd
-    chunk whose tweets reach the limit left is scored again here, with
-    that limit. This process reads a chunk's result before it sends the
-    next chunk, so neither waits on a full pipe that the other is not
-    reading. The child is killed and reaped on every way out.
+    # poll, unlike select, takes a descriptor of any number
+    waiting = poll()
+    waiting.register(handle, POLLIN)
+    return bool(waiting.poll(0))
+
+
+class _Split:
+    """One classify run over the chunks of the corpus at path, scored by
+    score, a _score_chunk with its keyword arguments bound, with the
+    limit left, and added in file order into tally, a _Tally, until the
+    limit is reached.
+
+    Once this process has read the second chunk, a child from _fork
+    scores every other chunk from the second on, and this process the
+    others. A first chunk with at least as many lines as the limit, which
+    its tweets can reach, is scored before the second is read, so a run
+    whose limit falls in it reads no further and never forks; the child
+    then scores every other chunk from the third on.
+
+    A chunk is pending from its read until its result is added, in file
+    order. Each child chunk is sent before this process scores the chunk
+    before it. With a CSV, this process reads a child chunk's result,
+    whose rows can fill a pipe, before it sends the next chunk, so neither
+    process waits on a full pipe that the other is not reading. Without
+    one, a result is about 100 bytes: the child holds two chunks, so that
+    it has the next to score while this process reads, and this process
+    scores its own chunk before the child's result before it comes, with
+    the limit left so far. The child scores with the whole limit. So the
+    one chunk, of either process, whose tweets reach the limit left when
+    its result is added is scored again here, with that limit.
+
+    A chunk is read while others are pending only if the read returns at
+    once: before_read, which the corpus reader calls before each read,
+    adds every pending chunk first where no input is ready, so a run
+    never waits on a pipe for input past the chunk that reaches its
+    limit. The child is killed and reaped on every way out of run.
     """
-    tally = _Tally(limit)
-    child = None
-    try:
-        for at, (even, odd) in enumerate(_pairs(chunks)):
-            if odd is not None:
-                if not at:
-                    child = _fork(score, limit, detail is not None, path)
-                if child is not None:
-                    child.send(odd)
-            if tally.add(score(even, tally.left, detail)):
-                break
-            if odd is None:
-                continue
-            if child is None:
-                result = score(odd, tally.left, detail)
-            else:
-                *result, rows = child.receive()
-                if result[0] >= tally.left:
-                    # the read ends at the limit inside this chunk, where
-                    # the child's counts went on to its end
-                    result = score(odd, tally.left, detail)
-                elif rows:
-                    detail._write_rows(rows)
-            if tally.add(result):
-                break
-    finally:
-        if child is not None:
-            child.close()
-    return tally
+
+    def __init__(self, score, limit: int, path):
+        self.score, self.limit, self.path = score, limit, path
+        self.tally = _Tally(limit)
+        self.detail = None
+        self.child = None
+        self.held = 0  # chunks sent to the child whose results are not read
+        # [chunk, whether the child scores it, result if scored ahead], in
+        # file order
+        self.pending = deque()
+        # whether a chunk may be read while others are pending
+        self.ahead = hasattr(os, "fork")
+
+    def before_read(self, handle) -> None:
+        """Add every pending chunk before a read that could wait for input."""
+        if self.pending and not (self.ahead and _ready(handle)):
+            self.settle()
+
+    def run(self, chunks, detail) -> _Tally:
+        """The tally of the chunks, corpus._file_chunks with before_read,
+        their rows written to detail, if it is not None."""
+        self.detail = detail
+        depth = 1 if detail is not None else 2
+        pending = self.pending
+        first = 0  # the chunk before the child's first
+        try:
+            for index in count():
+                try:
+                    chunk = next(chunks, None)
+                except FileUnreadable:
+                    # the chunks before a failed read are added first, as
+                    # in one process
+                    self.settle()
+                    raise
+                if chunk is None:
+                    break
+                if index == first + 1:
+                    self.child = _fork(self.score, self.limit, detail is not None,
+                                       self.path)
+                    self.ahead = self.child is not None
+                with_child = self.child is not None and (index - first) % 2 == 1
+                if with_child:
+                    self.child.send(chunk)
+                    self.held += 1
+                pending.append([chunk, with_child, None])
+                if not self.ahead:
+                    self.settle()
+                elif not index and chunk.count(b"\n") >= self.limit:
+                    # a first chunk with as many lines as the limit is
+                    # scored before the next read, so that a run whose
+                    # limit it reaches never forks
+                    self.settle()
+                    first = 1
+                elif with_child:
+                    if detail is None:
+                        # with no rows to keep in order, this process's
+                        # chunks are scored now, with the limit left so far,
+                        # while the child scores its own
+                        for entry in pending:
+                            if not entry[1] and entry[2] is None:
+                                entry[2] = self.score(entry[0], self.tally.left, None)
+                    # then added, after the child's results while it holds
+                    # depth chunks
+                    while pending and not (pending[0][1] and self.held < depth):
+                        self._add(*pending.popleft())
+            self.settle()
+        except _LimitReached:
+            pass
+        finally:
+            if self.child is not None:
+                self.child.close()
+        return self.tally
+
+    def settle(self) -> None:
+        """Add every pending chunk; on an error, the rest are dropped."""
+        pending = list(self.pending)
+        self.pending.clear()
+        for entry in pending:
+            self._add(*entry)
+
+    def _add(self, chunk: bytes, with_child: bool, result) -> None:
+        """Add the chunk's result: the child's, one scored ahead, or one
+        scored now."""
+        tally, detail = self.tally, self.detail
+        rows = None
+        if with_child:
+            self.held -= 1
+            *result, rows = self.child.receive()
+        if result is None or result[0] >= tally.left:
+            # not scored yet, or scored with a larger limit (the child's
+            # whole limit, or the limit left when it was scored ahead) that
+            # let its counts go on past the limit left
+            result = self.score(chunk, tally.left, detail)
+        elif rows:
+            detail._write_rows(rows)
+        if tally.add(result):
+            raise _LimitReached
 
 
 def _fork(score, limit: int, with_rows: bool, path):
@@ -287,23 +374,24 @@ def run_classify(args, query: QueryFilter) -> int:
     The corpus is opened first, then the CSV, so a missing corpus leaves
     an existing CSV untouched. The corpus is read, and its tweets scored,
     written to the CSV and counted, a chunk at a time, in two processes
-    where it can fork (see _classify_corpus). Nothing is printed on
-    stdout until the pass has ended, so a failed run prints no summary.
+    where it can fork (see _Split). Nothing is printed on stdout until
+    the pass has ended, so a failed run prints no summary.
     """
     lexicon = load_lexicon(*_lexicon_paths(args))
     # built before a fork, so that the two processes share it
     scoring._marked_table(lexicon)
-    chunks = corpus._file_chunks(args.corpus, _CHUNK)
-    next(chunks)
     score = partial(
         _score_chunk, query=query, lexicon=lexicon, threshold=args.spell_correct
     )
+    split = _Split(score, args.limit, args.corpus)
+    chunks = corpus._file_chunks(args.corpus, _CHUNK, split.before_read)
+    next(chunks)
     out_csv = args.out_csv
     with (
         closing(chunks),
         DetailCsv(out_csv) if out_csv is not None else nullcontext() as detail,
     ):
-        tally = _classify_corpus(chunks, score, args.limit, detail, args.corpus)
+        tally = split.run(chunks, detail)
         counts = tally.counts
         if not counts.valid:
             _diagnose(

@@ -164,13 +164,15 @@ class ReadCounts:
         return (self.valid, self.skipped) == (other.valid, other.skipped)
 
 
-def _chunks(handle, size: int):
+def _chunks(handle, size: int, before_read=None):
     """The bytes of a binary file as chunks of whole lines, each line with
     its newline (the file's last line may lack one).
 
     Each read1(size) that ends a line gives one chunk: the lines it ends,
     with the start of the first carried over from the reads before, so a
     pipe's lines are never held for more input than a read returned. A
+    read is made only when the next chunk is asked for, and, if
+    before_read is given, after a call of before_read(handle). A
     leading byte-order mark becomes three spaces, so the first line keeps
     its length. A line of MAX_LINE_BYTES or more before its newline is
     read and dropped as it comes, never held whole, and stands in its
@@ -179,6 +181,11 @@ def _chunks(handle, size: int):
     only the line a chunk's first read ends can be that long.
     """
     read = handle.read1
+    if before_read is not None:
+        def read(size, read1=read):
+            before_read(handle)
+            return read1(size)
+
     head = read(size)
     if len(head) < 3:
         head += handle.read(3 - len(head))  # all three bytes, or the end
@@ -186,7 +193,8 @@ def _chunks(handle, size: int):
         head = b"   " + memoryview(head)[3:]
     carry = b""  # the start of a line that no read so far ends
     dropping = False  # reading the rest of a line of MAX_LINE_BYTES or more
-    for block in chain((head,), iter(partial(read, size), b"")):
+    blocks, head = chain((head,), iter(partial(read, size), b"")), None
+    for block in blocks:
         if dropping:
             start = block.find(b"\n") + 1
             if not start:
@@ -202,14 +210,17 @@ def _chunks(handle, size: int):
             continue
         if len(carry) + end <= MAX_LINE_BYTES:
             # one copy: a slice of a memoryview copies nothing
-            yield carry + memoryview(block)[:end] if carry else block[:end]
+            chunk = carry + memoryview(block)[:end] if carry else block[:end]
         else:
             first = block.find(b"\n") + 1
             if len(carry) + first > MAX_LINE_BYTES:  # the newline is its last byte
-                yield _stand_in(carry + block[:first]) + block[first:end]
+                chunk = _stand_in(carry + block[:first]) + block[first:end]
             else:
-                yield carry + memoryview(block)[:end]
-        carry = block[end:]
+                chunk = carry + memoryview(block)[:end]
+        # neither the block nor a used chunk is held through the next read
+        carry, block = block[end:], None
+        yield chunk
+        chunk = None
     if carry:
         yield carry
 
@@ -222,14 +233,14 @@ def _stand_in(head: bytes) -> bytes:
     return b"[\xff\n" if head.lstrip().startswith(b"[") else b"\xff\n"
 
 
-def _file_chunks(path, size: int):
-    """_chunks of the file at path, in chunks of size; the generator's
-    first step only opens the file, and an OSError from opening or
-    reading it is raised as FileUnreadable."""
+def _file_chunks(path, size: int, before_read=None):
+    """_chunks of the file at path, in chunks of size, with before_read;
+    the generator's first step only opens the file, and an OSError from
+    opening or reading it is raised as FileUnreadable."""
     try:
         with open(path, "rb") as handle:
             yield
-            yield from _chunks(handle, size)
+            yield from _chunks(handle, size, before_read)
     except OSError as exc:
         raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
 

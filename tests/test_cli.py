@@ -403,21 +403,21 @@ def _watched(batch=None, chunk=None):
     seen = SimpleNamespace(forks=0, counts=[])
     fds = "/proc/self/fd"
     opened = set(os.listdir(fds)) if os.path.isdir(fds) else None
-    real_fork, real_classify = os.fork, cli._classify_corpus
+    real_fork, real_run = os.fork, cli._Split.run
 
     def fork():
         pid = real_fork()
         seen.forks += pid != 0
         return pid
 
-    def classify_corpus(*args):
-        tally = real_classify(*args)
+    def run(*args):
+        tally = real_run(*args)
         seen.counts.append(tally.counts)
         return tally
 
     with (
         mock.patch.object(os, "fork", fork),
-        mock.patch.object(cli, "_classify_corpus", classify_corpus),
+        mock.patch.object(cli._Split, "run", run),
         mock.patch.object(scoring, "_BATCH", batch or scoring._BATCH),
         mock.patch.object(cli, "_CHUNK", chunk or cli._CHUNK),
     ):
@@ -627,10 +627,13 @@ class TestForkedReader:
     child outlives main on any way out of it."""
 
     # In chunks of 64 KiB, the first two end at 305 and 620 kept tweets:
-    # 257 and 305 end the read in this process's first chunk, 305 on its
-    # last tweet; None (500), 512 and 620 in the child's first, which is
-    # scored again here; 1000 part-way; 5000 reads the whole file.
-    @pytest.mark.parametrize("limit", [None, 257, 305, 512, 620, 1000, 5000])
+    # 257 and 305 end the read in the first chunk, 305 on its last tweet,
+    # and as the chunk has more lines than either limit, the run never
+    # forks; None (500), 512 and 620 end it in the child's first, which
+    # is scored again here; 800 in the third, which without a CSV is
+    # scored before the child's result comes, and again once it has; 1000
+    # part-way; 5000 reads the whole file.
+    @pytest.mark.parametrize("limit", [None, 257, 305, 512, 620, 800, 1000, 5000])
     def test_long_corpus_equals_oracle(self, tmp_path, limit):
         corpus_path = _long_corpus(tmp_path / "c.jsonl")
         extra = {} if limit is None else {"limit": limit}
@@ -650,8 +653,7 @@ class TestForkedReader:
                 code, out, notes + [f"note: wrote {kept} detail rows to {out_csv}"])
         assert out_csv.read_bytes() == details
         assert seen.counts == [counts, counts]
-        # the corpus goes on past its first chunk, so each run forks
-        assert seen.forks == 2
+        assert seen.forks == 2 * (kept > 305)
 
     @pytest.mark.parametrize("why", ["no-fork", "fork-fails", "threads"])
     def test_one_process_when_it_cannot_fork(self, tmp_path, why):
@@ -721,10 +723,10 @@ class TestForkedReader:
         expected_csv = _prefix_csv(corpus_path, 3)
         real_chunks = corpus._chunks
 
-        def failing_chunks(handle, size):
+        def failing_chunks(handle, size, before_read):
             # the fourth chunk, which this process reads after the child
             # has scored the second
-            for count, chunk in enumerate(real_chunks(handle, size)):
+            for count, chunk in enumerate(real_chunks(handle, size, before_read)):
                 if count == 3:
                     raise OSError(5, "Input/output error")
                 yield chunk
@@ -751,9 +753,9 @@ class TestForkedReader:
         expected_csv = _prefix_csv(corpus_path, 1)
         real_chunks = corpus._chunks
 
-        def failing_chunks(handle, size):
+        def failing_chunks(handle, size, before_read):
             # the second chunk, before any fork
-            for count, chunk in enumerate(real_chunks(handle, size)):
+            for count, chunk in enumerate(real_chunks(handle, size, before_read)):
                 if count == 1:
                     raise OSError(5, "Input/output error")
                 yield chunk
@@ -1117,7 +1119,12 @@ class TestChunkEdges:
                             code, out, notes + [f"note: wrote {kept} detail rows to {out_csv}"])
                     assert out_csv.read_bytes() == details
                     assert seen.counts == [ReadCounts(valid, skipped)] * 2
-                    assert seen.forks == 2 * (forked and len(chunks) > 1)
+                    # a run forks once it has read the second chunk, or
+                    # the third, after a first chunk with as many lines as
+                    # the limit that its tweets do not reach
+                    alone = bool(chunks) and chunks[0].count(b"\n") >= limit
+                    assert seen.forks == 2 * (forked and len(chunks) > 1 + alone
+                                              and not (alone and edges[0] >= limit))
 
 
 def _probe(setup=""):
@@ -1209,6 +1216,80 @@ class TestPipeInput:
         *err, forks = err.decode().splitlines()
         details = (tmp_path / "d.csv").read_bytes()
         assert (proc.returncode, out.decode(), err, int(forks), details) == file_run
+
+    # In chunks of 4 KiB, of about 19 kept tweets each, these limits fall
+    # in the first chunk and at places in the rest that a pipe's reads
+    # put in chunks of either process.
+    @pytest.mark.parametrize("with_csv", [False, True])
+    @pytest.mark.parametrize("limit", [10, 30, 61, 1000, 2000])
+    def test_limit_reached_on_an_open_pipe(self, tmp_path, limit, with_csv):
+        # a live stream: the writer sends the lines up to the limit-th kept
+        # tweet and keeps the pipe open, so a read past them never returns
+        raw = _long_corpus(tmp_path / "c.jsonl").read_bytes()
+        end = kept = 0
+        while kept < limit:
+            line_end = raw.index(b"\n", end) + 1
+            kept += len(oracle_read_corpus(raw[end:line_end], "covid", None, None)[0])
+            end = line_end
+        code, out, valid, skipped, details = oracle_classify(
+            raw[:end], BUNDLED_DIR, "covid", limit=limit)
+        args = classify_args(corpus="/dev/stdin", limit=limit)
+        notes = _read_notes("/dev/stdin", valid, skipped)
+        if with_csv:
+            args += ["--out-csv", str(tmp_path / "d.csv")]
+            notes.append(f"note: wrote {limit} detail rows to {tmp_path / 'd.csv'}")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _probe("cli._CHUNK = 1 << 12"), *args],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        writer = threading.Thread(target=lambda: (proc.stdin.write(raw[:end]),
+                                                  proc.stdin.flush()))
+        writer.start()
+        try:
+            # the outputs are a few lines, which never fill a pipe
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            writer.join(timeout=60)
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+        out_bytes, err = proc.stdout.read(), proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+        *err, forks = err.decode().splitlines()
+        assert (proc.returncode, out_bytes.decode(), err) == (code, out, notes)
+        # a first chunk has at most 4 KiB of lines, too few to reach the
+        # larger limits, so the run forks when it reads the second
+        assert int(forks) == 1 or limit <= 30
+        if with_csv:
+            assert (tmp_path / "d.csv").read_bytes() == details
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="reads ahead only where it forks")
+    def test_pending_chunks_are_added_before_a_read_that_waits(self):
+        scored = []
+
+        def score(chunk, left, detail):
+            scored.append((chunk, left))
+            kept = min(2, left)
+            return kept, 0, 0, kept, 0, False
+
+        split = cli._Split(score, 3, "c.jsonl")
+        split.pending.extend([[b"a\n", False, None], [b"b\n", False, None]])
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as handle, open(write_end, "wb") as writer:
+            writer.write(b"x")
+            writer.flush()
+            # input is ready, so the chunks stay pending
+            split.before_read(handle)
+            assert not scored and len(split.pending) == 2
+            handle.read1(1)
+            # the second chunk reaches the limit: the read is not made
+            with pytest.raises(cli._LimitReached):
+                split.before_read(handle)
+        assert scored == [(b"a\n", 3), (b"b\n", 1)] and not split.pending
+        assert split.tally.tweets == 3 and split.tally.counts == ReadCounts(3, 0)
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
     def test_a_chunk_is_read_once_its_line_ends(self):
